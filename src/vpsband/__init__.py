@@ -38,7 +38,6 @@ from .model import (
     PacketSize,
     PathModel,
     ProbePair,
-    VariableDelay,
     read_samples_csv,
     write_samples_csv,
 )
@@ -55,8 +54,6 @@ from .prober import ProbeConfig, ProbeResult, Reflector, probe
 from .simulate import (
     ErrorPoint,
     SimConfig,
-    draw_delay,
-    draw_variable_delay,
     error_vs_n,
     fixed_delay,
     simulate_pairs,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from . import estimator, planner, prober, simulate, testbox
 from .errors import (
     BindFailure,
     InvalidQuery,
-    Unreachable,
+    NonPositiveDelayDifference,
     VpsbandError,
 )
 from .model import (
@@ -54,6 +55,11 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _usage_error(message: str) -> argparse.ArgumentError:
+    """A usage error found after parsing; ``main`` reports it as argparse would."""
+    return argparse.ArgumentError(None, message)
+
+
 @contextlib.contextmanager
 def _open_out(path: str):
     """Writable text stream for a path, with '-' meaning stdout."""
@@ -84,6 +90,16 @@ def _parse_batch_size(text: str):
         raise argparse.ArgumentTypeError(f"batch size must be an integer or 'auto', got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("batch size must be >= 1")
+    return value
+
+
+def _parse_positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return value
 
 
@@ -150,21 +166,37 @@ def cmd_parse(args) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _pick_sizes(args, samples, parser: _Parser) -> tuple[PacketSize, PacketSize]:
+def _flag_sizes(args) -> tuple[PacketSize, PacketSize] | None:
+    """The sizes --w1/--w2 name, or None when neither is given."""
     if (args.w1 is None) != (args.w2 is None):
-        parser.error("--w1 and --w2 must be given together")
-    if args.w1 is not None:
-        return PacketSize(args.w1), PacketSize(args.w2)
+        raise _usage_error("--w1 and --w2 must be given together")
+    if args.w1 is None:
+        return None
+    try:
+        w1, w2 = PacketSize(args.w1), PacketSize(args.w2)
+    except ValueError as exc:
+        raise _usage_error(str(exc)) from None
+    if w1.bytes >= w2.bytes:
+        raise _usage_error(f"--w1 must be smaller than --w2, got {w1.bytes} >= {w2.bytes}")
+    return w1, w2
+
+
+def _sizes_in(samples) -> tuple[PacketSize, PacketSize]:
     sizes = sorted({s.packet_size.bytes for s in samples})
     if len(sizes) != 2:
-        parser.error(
+        raise _usage_error(
             f"samples contain {len(sizes)} packet size(s) {sizes}; "
             "pick two with --w1 and --w2"
         )
     return PacketSize(sizes[0]), PacketSize(sizes[1])
 
 
-def cmd_estimate(args, parser: _Parser) -> int:
+def _auto_batch_size(n_pairs: int) -> int:
+    return min(50, n_pairs)
+
+
+def cmd_estimate(args) -> int:
+    flag_sizes = _flag_sizes(args)
     try:
         with open(args.samples, "r", encoding="utf-8", newline="") as fp:
             samples = read_samples_csv(fp)
@@ -175,13 +207,13 @@ def cmd_estimate(args, parser: _Parser) -> int:
 
     if not samples:
         return _fail(EXIT_DOMAIN, "samples file is empty")
-    w1, w2 = _pick_sizes(args, samples, parser)
+    w1, w2 = flag_sizes or _sizes_in(samples)
 
     try:
         pairing = testbox.pair_by_size(samples, w1, w2, policy=args.policy, window_s=args.window)
         batch_size = args.batch_size
         if batch_size == "auto":
-            batch_size = min(50, len(pairing.pairs))
+            batch_size = _auto_batch_size(len(pairing.pairs))
         estimate = estimator.estimate_batch(pairing.pairs, batch_size)
     except VpsbandError as exc:
         return _fail(EXIT_DOMAIN, str(exc))
@@ -211,11 +243,41 @@ def cmd_estimate(args, parser: _Parser) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _write_error_table(cfg: simulate.SimConfig, ns, out_path: Path) -> list[simulate.ErrorPoint]:
+def _samples(pairs):
+    """The samples of each pair, small then large, in pair order."""
+    return (s for pair in pairs for s in (pair.small, pair.large))
+
+
+def _write_simulation(cfg: simulate.SimConfig, ns, out_dir: Path):
+    """Write ``samples.csv`` and, given two or more trials, ``error_vs_n.csv``.
+
+    Returns the pairs, the error points and the table's path (None if skipped).
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pairs = simulate.simulate_pairs(cfg)
+    with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as fp:
+        write_samples_csv(_samples(pairs), fp)
+    if cfg.n_trials < 2:
+        print(
+            "vpsband: warning: n_trials < 2 makes the error spread undefined; "
+            "skipping the error table",
+            file=sys.stderr,
+        )
+        return pairs, [], None
     points = simulate.error_vs_n(cfg, ns)
-    with open(out_path, "w", encoding="utf-8", newline="") as fp:
+    table_path = out_dir / "error_vs_n.csv"
+    with open(table_path, "w", encoding="utf-8", newline="") as fp:
         simulate.write_error_table_csv(points, fp)
-    return points
+    return pairs, points, table_path
+
+
+def _error_rows(points) -> list[dict]:
+    return [{"n": p.n, "sd_s": p.sd_s, "eta": p.rel_error} for p in points]
+
+
+def _print_error_lines(points) -> None:
+    for p in points:
+        print(f"  n={p.n:>4d}  sd={p.sd_s * 1e3:.3f} ms  eta={p.rel_error:.1%}")
 
 
 def cmd_simulate(args) -> int:
@@ -226,39 +288,17 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_DOMAIN, f"bad config: {exc}")
     if args.seed is not None:
-        cfg = simulate.SimConfig(
-            path=cfg.path,
-            packet_sizes=cfg.packet_sizes,
-            n_pairs=cfg.n_pairs,
-            n_trials=cfg.n_trials,
-            seed=args.seed,
-        )
+        cfg = dataclasses.replace(cfg, seed=args.seed)
 
     out_dir = Path(args.out_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        pairs = simulate.simulate_pairs(cfg)
-        samples_path = out_dir / "samples.csv"
-        with open(samples_path, "w", encoding="utf-8", newline="") as fp:
-            write_samples_csv(
-                (s for pair in pairs for s in (pair.small, pair.large)), fp
-            )
-        points = []
-        table_path = None
-        if cfg.n_trials < 2:
-            print(
-                "vpsband: warning: n_trials < 2 makes the error spread undefined; "
-                "skipping the error table",
-                file=sys.stderr,
-            )
-        else:
-            table_path = out_dir / "error_vs_n.csv"
-            points = _write_error_table(cfg, ns, table_path)
+        _, points, table_path = _write_simulation(cfg, ns, out_dir)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write outputs: {exc}")
     except (ValueError, VpsbandError) as exc:
         return _fail(EXIT_DOMAIN, str(exc))
 
+    samples_path = out_dir / "samples.csv"
     if args.json:
         print(
             json.dumps(
@@ -267,14 +307,13 @@ def cmd_simulate(args) -> int:
                     "error_table_csv": None if table_path is None else str(table_path),
                     "n_pairs": cfg.n_pairs,
                     "seed": cfg.seed,
-                    "error_vs_n": [{"n": p.n, "sd_s": p.sd_s, "eta": p.rel_error} for p in points],
+                    "error_vs_n": _error_rows(points),
                 }
             )
         )
     else:
         print(f"wrote {cfg.n_pairs} pairs to {samples_path} (seed {cfg.seed})")
-        for p in points:
-            print(f"  n={p.n:>4d}  sd={p.sd_s * 1e3:.3f} ms  eta={p.rel_error:.1%}")
+        _print_error_lines(points)
     return EXIT_OK
 
 
@@ -331,18 +370,14 @@ def cmd_probe(args) -> int:
     if result.pairs and args.out is not None:
         try:
             with _open_out(args.out) as fp:
-                write_samples_csv(
-                    (s for pair in result.pairs for s in (pair.small, pair.large)), fp
-                )
+                write_samples_csv(_samples(result.pairs), fp)
         except OSError as exc:
             return _fail(EXIT_IO, f"cannot write samples: {exc}")
 
     estimate = None
     if result.pairs:
         try:
-            estimate = estimator.estimate_batch(
-                result.pairs, min(50, len(result.pairs))
-            )
+            estimate = estimator.estimate_batch(result.pairs, _auto_batch_size(len(result.pairs)))
         except VpsbandError as exc:
             print(f"vpsband: warning: no estimate from this run: {exc}", file=sys.stderr)
 
@@ -415,29 +450,22 @@ def cmd_reproduce(args) -> int:
     out_dir = Path(args.out_dir)
     cfg = _reference_config(args.seed)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        pairs, points, _ = _write_simulation(cfg, simulate.DEFAULT_NS, out_dir)
 
-        pairs = simulate.simulate_pairs(cfg)
-        with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as fp:
-            write_samples_csv((s for pair in pairs for s in (pair.small, pair.large)), fp)
-
-        points = _write_error_table(cfg, simulate.DEFAULT_NS, out_dir / "error_vs_n.csv")
-
-        # per-batch estimates for several averaging depths; batches whose
-        # mean difference is not positive yield an empty cell
+        # per-batch estimates for several averaging depths; a batch the
+        # estimator refuses for a non-positive difference is an empty cell
         skipped = 0
         with open(out_dir / "averaging_curves.csv", "w", encoding="utf-8", newline="") as fp:
             fp.write("batch_size,batch_index,mbps\n")
             for batch_size in AVERAGING_BATCH_SIZES:
                 for index in range(len(pairs) // batch_size):
                     batch = pairs[index * batch_size : (index + 1) * batch_size]
-                    diff = sum(p.delay_diff_s for p in batch) / batch_size
-                    if diff <= 0:
+                    try:
+                        mbps = repr(estimator.estimate_batch(batch, batch_size).value.mbps)
+                    except NonPositiveDelayDifference:
                         skipped += 1
-                        fp.write(f"{batch_size},{index},\n")
-                        continue
-                    mbps = estimator.estimate_batch(batch, batch_size).value.mbps
-                    fp.write(f"{batch_size},{index},{mbps!r}\n")
+                        mbps = ""
+                    fp.write(f"{batch_size},{index},{mbps}\n")
 
         query = planner.PlanQuery(
             var_delay_rate=cfg.path.var_delay_rate,
@@ -457,7 +485,7 @@ def cmd_reproduce(args) -> int:
                 {
                     "out_dir": str(out_dir),
                     "seed": cfg.seed,
-                    "error_vs_n": [{"n": p.n, "sd_s": p.sd_s, "eta": p.rel_error} for p in points],
+                    "error_vs_n": _error_rows(points),
                     "plan": plan.to_json_dict(),
                     "skipped_batches": skipped,
                 }
@@ -465,8 +493,7 @@ def cmd_reproduce(args) -> int:
         )
     else:
         print(f"reference outputs written to {out_dir} (seed {cfg.seed})")
-        for p in points:
-            print(f"  n={p.n:>4d}  sd={p.sd_s * 1e3:.3f} ms  eta={p.rel_error:.1%}")
+        _print_error_lines(points)
         print(f"planned n for the reference conditions: {plan.n} (analytic {plan.analytic_n})")
         if skipped:
             print(f"{skipped} averaging batches had no positive delay difference")
@@ -479,13 +506,14 @@ def cmd_reproduce(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="vpsband", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    sub = parser.add_subparsers(required=True, metavar="COMMAND")
 
     p = sub.add_parser("parse", help="parse sender/receiver logs into delay samples")
     p.add_argument("sender", help="sender-side log (SNDP lines)")
     p.add_argument("receiver", help="receiver-side log (RCDP lines)")
     p.add_argument("--out", default="-", help="samples CSV path, - for stdout (default)")
     p.add_argument("--json", action="store_true", help="print diagnostics as JSON")
+    p.set_defaults(run=cmd_parse)
 
     p = sub.add_parser("estimate", help="estimate available bandwidth from a samples CSV")
     p.add_argument("samples", help="samples CSV produced by parse, simulate, or probe")
@@ -495,15 +523,17 @@ def build_parser() -> _Parser:
                    help="pairs averaged per batch, or 'auto' (min of 50 and the pair count)")
     p.add_argument("--policy", choices=testbox.PAIRING_POLICIES, default="nearest-in-time",
                    help="how samples of the two sizes are paired")
-    p.add_argument("--window", type=float, default=testbox.DEFAULT_PAIR_WINDOW_S,
+    p.add_argument("--window", type=_parse_positive_float, default=testbox.DEFAULT_PAIR_WINDOW_S,
                    help="pairing window in seconds (nearest-in-time policy)")
     p.add_argument("--json", action="store_true", help="print the estimate as JSON")
+    p.set_defaults(run=cmd_estimate)
 
     p = sub.add_parser("simulate", help="generate synthetic samples and an error-vs-n table")
     p.add_argument("config", help="flat key=value simulation config file")
     p.add_argument("--out-dir", required=True, help="directory for samples.csv and error_vs_n.csv")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--json", action="store_true", help="print a JSON summary")
+    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("plan", help="measurements needed for a relative-error target")
     p.add_argument("--var-rate", type=float, required=True,
@@ -513,21 +543,26 @@ def build_parser() -> _Parser:
     p.add_argument("--eta", type=_parse_error_target, required=True,
                    help="relative error target, fraction ('0.244') or percent ('24.4%%')")
     p.add_argument("--json", action="store_true", help="print the plan as JSON")
+    p.set_defaults(run=cmd_plan)
 
     p = sub.add_parser("probe", help="probe a UDP reflector with two packet sizes")
     p.add_argument("--target", type=_parse_host_port, required=True, help="reflector host:port")
     p.add_argument("--w1", type=int, default=100, help="small packet payload, bytes")
     p.add_argument("--w2", type=int, default=1100, help="large packet payload, bytes")
     p.add_argument("--count", type=int, default=100, help="number of probe pairs")
-    p.add_argument("--spacing", type=float, default=0.1, help="seconds between sends")
-    p.add_argument("--timeout", type=float, default=2.0, help="seconds to wait for stragglers")
+    p.add_argument("--spacing", type=_parse_positive_float, default=0.1,
+                   help="seconds between sends")
+    p.add_argument("--timeout", type=_parse_positive_float, default=2.0,
+                   help="seconds to wait for stragglers")
     p.add_argument("--out", help="write round-trip samples CSV here, - for stdout")
     p.add_argument("--json", action="store_true", help="print a JSON summary")
+    p.set_defaults(run=cmd_probe)
 
     p = sub.add_parser("reflect", help="run the UDP echo reflector")
     p.add_argument("--listen", type=_parse_host_port, default=("0.0.0.0", 9000),
                    help="bind address as host:port (default 0.0.0.0:9000)")
     p.add_argument("--json", action="store_true", help="print the bound address as JSON")
+    p.set_defaults(run=cmd_reflect)
 
     p = sub.add_parser(
         "reproduce-paper",
@@ -536,6 +571,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True, help="directory for the generated CSV/JSON files")
     p.add_argument("--seed", type=int, default=REFERENCE_SEED, help="simulation seed")
     p.add_argument("--json", action="store_true", help="print a JSON summary")
+    p.set_defaults(run=cmd_reproduce)
 
     return parser
 
@@ -544,21 +580,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "parse":
-            return cmd_parse(args)
-        if args.command == "estimate":
-            return cmd_estimate(args, parser)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "plan":
-            return cmd_plan(args)
-        if args.command == "probe":
-            return cmd_probe(args)
-        if args.command == "reflect":
-            return cmd_reflect(args)
-        if args.command == "reproduce-paper":
-            return cmd_reproduce(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         return EXIT_IO
 

@@ -39,7 +39,8 @@ class MalformedLine(VpsbandError):
     """A log line that does not match the expected record grammar.
 
     Carries ``offset``, the byte offset of the first mismatching field
-    within the line (UTF-8).
+    within the line: into its raw bytes when read from a file, into its
+    UTF-8 encoding when parsed from a string.
     """
 
     def __init__(self, message: str, offset: int = 0):

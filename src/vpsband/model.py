@@ -68,17 +68,6 @@ class Delay:
 
 
 @dataclass(frozen=True)
-class VariableDelay:
-    """Load-dependent (queueing) component of a delay, seconds."""
-
-    seconds: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.seconds) or self.seconds < 0:
-            raise ValueError(f"variable delay must be finite and >= 0 s, got {self.seconds!r}")
-
-
-@dataclass(frozen=True)
 class Bandwidth:
     """A bandwidth in bit/s."""
 

@@ -13,6 +13,7 @@ results carry a caveat saying so.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import threading
@@ -66,8 +67,8 @@ class ProbeConfig:
             )
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
-        if self.spacing_s <= 0 or self.timeout_s <= 0:
-            raise ValueError("spacing_s and timeout_s must be > 0")
+        if not all(math.isfinite(t) and t > 0 for t in (self.spacing_s, self.timeout_s)):
+            raise ValueError("spacing_s and timeout_s must be finite and > 0")
 
 
 @dataclass

@@ -24,7 +24,6 @@ from .model import (
     PacketSize,
     PathModel,
     ProbePair,
-    VariableDelay,
     bytes_to_bits,
 )
 
@@ -74,19 +73,8 @@ def fixed_delay(path: PathModel, size: PacketSize) -> Delay:
     return Delay(base + serialization)
 
 
-def draw_variable_delay(rate_per_s: float, rng: np.random.Generator) -> VariableDelay:
-    """One exponential variable delay via inverse transform."""
-    u = rng.random()
-    return VariableDelay(-np.log1p(-u) / rate_per_s)
-
-
-def draw_delay(path: PathModel, size: PacketSize, rng: np.random.Generator) -> Delay:
-    """One full delay draw: fixed part plus exponential variable part."""
-    return Delay(fixed_delay(path, size).seconds + draw_variable_delay(path.var_delay_rate, rng).seconds)
-
-
-def _variable_delays(rate_per_s: float, shape, rng: np.random.Generator) -> np.ndarray:
-    # same inverse transform as draw_variable_delay, vectorized
+def variable_delays(rate_per_s: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """Exponential variable delays of the given shape, seconds, by inverse transform."""
     return -np.log1p(-rng.random(shape)) / rate_per_s
 
 
@@ -100,8 +88,8 @@ def simulate_pairs(cfg: SimConfig) -> list[ProbePair]:
     fixed1 = fixed_delay(cfg.path, w1).seconds
     fixed2 = fixed_delay(cfg.path, w2).seconds
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _PAIRS_STREAM]))
-    var1 = _variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng)
-    var2 = _variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng)
+    var1 = variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng)
+    var2 = variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng)
 
     pairs = []
     for i in range(cfg.n_pairs):
@@ -139,8 +127,8 @@ def sd_of_delay_diff(cfg: SimConfig, n: int) -> float:
     w1, w2 = cfg.packet_sizes
     fixed_diff = fixed_delay(cfg.path, w2).seconds - fixed_delay(cfg.path, w1).seconds
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SD_STREAM, n]))
-    var1 = _variable_delays(cfg.path.var_delay_rate, (cfg.n_trials, n), rng)
-    var2 = _variable_delays(cfg.path.var_delay_rate, (cfg.n_trials, n), rng)
+    var1 = variable_delays(cfg.path.var_delay_rate, (cfg.n_trials, n), rng)
+    var2 = variable_delays(cfg.path.var_delay_rate, (cfg.n_trials, n), rng)
     mean_diffs = fixed_diff + (var2 - var1).mean(axis=1)
     return float(np.std(mean_diffs, ddof=1))
 

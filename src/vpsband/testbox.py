@@ -19,6 +19,7 @@ exception.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ DEFAULT_PAIR_WINDOW_S = 60.0
 _TOKEN_RE = re.compile(r"\S+")
 _UINT_RE = re.compile(r"\d+\Z")
 _UFLOAT_RE = re.compile(r"\d+(\.\d+)?\Z")
+_ESCAPED_RE = re.compile("[\udc80-\udcff]+")
 
 
 class SenderRecord(NamedTuple):
@@ -53,10 +55,21 @@ class ReceiverRecord(NamedTuple):
 # line parsing
 # ---------------------------------------------------------------------------
 
+def _unescape(match: re.Match) -> str:
+    return match.group().encode("utf-8", errors="surrogateescape").decode("utf-8", errors="replace")
+
+
 def _tokenize(line: str) -> list[tuple[str, int]]:
-    """Split on whitespace, keeping each token's byte offset."""
+    """Split on whitespace, keeping each token's byte offset.
+
+    Files are decoded with ``surrogateescape``, one character per
+    undecodable byte, so offsets count the line's raw bytes; the tokens
+    themselves come back as ``errors="replace"`` decoding gives them.
+    """
+    if line.isascii():
+        return [(m.group(), m.start()) for m in _TOKEN_RE.finditer(line)]
     return [
-        (m.group(), len(line[: m.start()].encode("utf-8", errors="replace")))
+        (_ESCAPED_RE.sub(_unescape, m.group()), len(line[: m.start()].encode("utf-8", errors="replace")))
         for m in _TOKEN_RE.finditer(line)
     ]
 
@@ -178,7 +191,7 @@ def _parse_lines(raw: BinaryIO, parse_line) -> ParsedLog:
     records = []
     malformed = []
     for lineno, raw_line in enumerate(raw, start=1):
-        line = raw_line.decode("utf-8", errors="replace").strip("\r\n")
+        line = raw_line.rstrip(b"\r\n").decode("utf-8", errors="surrogateescape")
         if not line.strip():
             continue
         try:
@@ -294,8 +307,8 @@ def pair_by_size(
         raise ValueError(f"w1 must be smaller than w2, got {w1.bytes} >= {w2.bytes}")
     if policy not in PAIRING_POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {PAIRING_POLICIES}")
-    if window_s <= 0:
-        raise ValueError(f"window_s must be > 0, got {window_s!r}")
+    if not (math.isfinite(window_s) and window_s > 0):
+        raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
 
     ordered = sorted(samples, key=lambda s: (s.sent_at, s.serial))
     smalls = [s for s in ordered if s.packet_size == w1]

@@ -13,6 +13,8 @@ from vpsband.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from vpsband.model import read_samples_csv
 from vpsband.prober import ProbeConfig, Reflector, probe
 
+from conftest import DATA_DIR
+
 SIM_CONFIG = """\
 capacity_bps = 10e6
 var_delay_rate = 1000
@@ -315,8 +317,7 @@ def test_reflect_bind_conflict_exits_domain(capsys):
 
 def test_reflect_subprocess_answers_probes():
     proc = subprocess.Popen(
-        [sys.executable, "-c", "from vpsband.cli import main; raise SystemExit(main())",
-         "reflect", "--listen", "127.0.0.1:0", "--json"],
+        [sys.executable, "-m", "vpsband", "reflect", "--listen", "127.0.0.1:0", "--json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -351,14 +352,15 @@ def test_reproduce_outputs_and_reruns_identically(tmp_path, capsys):
         "extrapolated": False,
         "scaled_target": 0.244,
     }
-    assert summary["skipped_batches"] >= 0
+    curves = (first / "averaging_curves.csv").read_text().splitlines()
+    blank = [line for line in curves[1:] if line.endswith(",")]
+    assert summary["skipped_batches"] == len(blank) == 2
 
     assert main(["reproduce-paper", "--out-dir", str(second)]) == EXIT_OK
     capsys.readouterr()
     for name in ("samples.csv", "error_vs_n.csv", "averaging_curves.csv", "plan.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    curves = (first / "averaging_curves.csv").read_text().splitlines()
     assert curves[0] == "batch_size,batch_index,mbps"
     assert len(curves) == 1 + 150 + 60 + 30  # batches of 20, 50, 100 over 3000 pairs
 
@@ -367,7 +369,23 @@ def test_reproduce_outputs_and_reruns_identically(tmp_path, capsys):
 # top-level usage
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["plan"]])
+SAMPLES_CSV = str(DATA_DIR / "samples_mean815.csv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["plan"],
+        ["estimate", SAMPLES_CSV, "--w1", "1100", "--w2", "100"],
+        ["estimate", SAMPLES_CSV, "--w1", "0", "--w2", "100"],
+        ["estimate", SAMPLES_CSV, "--window", "0"],
+        ["estimate", SAMPLES_CSV, "--window", "nan"],
+        ["probe", "--target", "127.0.0.1:6000", "--spacing", "inf"],
+        ["probe", "--target", "127.0.0.1:6000", "--timeout", "nan"],
+    ],
+)
 def test_usage_errors_exit_64(argv):
     with pytest.raises(SystemExit) as exc_info:
         main(argv)

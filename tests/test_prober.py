@@ -215,6 +215,9 @@ def test_backwards_monotonic_clock_raises(monkeypatch):
         dict(count=-1),
         dict(spacing_s=0.0),
         dict(timeout_s=0.0),
+        dict(spacing_s=float("nan")),
+        dict(timeout_s=float("nan")),
+        dict(spacing_s=float("inf")),                # would sleep forever
     ],
 )
 def test_probe_config_validation(overrides):

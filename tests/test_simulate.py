@@ -11,13 +11,12 @@ from vpsband.model import Bandwidth, Delay, Hop, PacketSize, PathModel
 from vpsband.simulate import (
     DEFAULT_NS,
     SimConfig,
-    draw_delay,
-    draw_variable_delay,
     error_vs_n,
     fixed_delay,
     parse_config,
     sd_of_delay_diff,
     simulate_pairs,
+    variable_delays,
     write_error_table_csv,
 )
 
@@ -27,8 +26,8 @@ from conftest import W1, W2, reference_sim_config, ten_mbit_path
 class _ZeroRng:
     """Stand-in rng whose uniform draws are all zero."""
 
-    def random(self, shape=None):
-        return 0.0 if shape is None else np.zeros(shape)
+    def random(self, shape):
+        return np.zeros(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +63,11 @@ def test_base_delay_override_replaces_propagation():
     assert fixed_delay(path, W1).seconds == pytest.approx(0.009 + 8e-5, rel=1e-12)
 
 
-def test_draw_delay_with_zero_uniform_is_pure_fixed():
+def test_variable_delays_with_zero_uniform_are_pure_fixed():
     path = ten_mbit_path()
-    assert draw_variable_delay(1000.0, _ZeroRng()).seconds == 0.0
-    assert draw_delay(path, W2, _ZeroRng()).seconds == fixed_delay(path, W2).seconds
+    assert variable_delays(1000.0, 3, _ZeroRng()).tolist() == [0.0, 0.0, 0.0]
+    delays = fixed_delay(path, W2).seconds + variable_delays(path.var_delay_rate, (2, 2), _ZeroRng())
+    assert (delays == fixed_delay(path, W2).seconds).all()
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_draw_delay_with_zero_uniform_is_pure_fixed():
 
 def test_variable_delay_moments():
     rng = np.random.default_rng(123)
-    draws = [draw_variable_delay(1000.0, rng).seconds for _ in range(100_000)]
+    draws = variable_delays(1000.0, 100_000, rng).tolist()
     assert statistics.fmean(draws) == pytest.approx(1e-3, rel=0.01)
     assert statistics.stdev(draws) == pytest.approx(1e-3, rel=0.01)
     assert min(draws) >= 0.0

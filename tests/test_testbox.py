@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vpsband.errors import (
@@ -172,10 +172,30 @@ def test_receiver_line_parsing_is_total(line):
 
 
 @given(st.binary(max_size=400))
+@example(b"SNDP \xff x -h a -n 100 -s 5")
+@example(b"\rSNDP 9 x -h a -n 100 -s 5")
+@example(b"SNDP \xff\xff\xff")
 def test_file_parsing_is_total_on_arbitrary_bytes(blob):
     parsed = parse_sender_file(io.BytesIO(blob))
     assert parsed.n_parsed + parsed.n_malformed <= blob.count(b"\n") + 1
-    parse_receiver_file(io.BytesIO(blob))
+    raw_lines = io.BytesIO(blob).readlines()
+    for log in (parsed, parse_receiver_file(io.BytesIO(blob))):
+        for lineno, exc in log.malformed:
+            assert 0 <= exc.offset <= len(raw_lines[lineno - 1].rstrip(b"\r\n"))
+
+
+@pytest.mark.parametrize(
+    "line,offset",
+    [
+        (b"SNDP \xff x -h a -n 100 -s 5", 7),   # one undecodable byte before the bad timestamp
+        (b"\rSNDP 9 x -h a -n 100 -s 5", 8),    # a leading carriage return is part of the line
+        (b"SNDP \xff\xff\xff", 8),              # missing timestamp: the end of the 8-byte line
+    ],
+)
+def test_file_offsets_index_the_raw_line_bytes(line, offset):
+    for ending in (b"", b"\n", b"\r\n"):
+        [(_, exc)] = parse_sender_file(io.BytesIO(line + ending)).malformed
+        assert exc.offset == offset
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +351,9 @@ def test_pairing_validates_inputs():
         pair_by_size(samples, W2, W1)
     with pytest.raises(ValueError, match="unknown policy"):
         pair_by_size(samples, W1, W2, policy="eager")
-    with pytest.raises(ValueError, match="window_s"):
-        pair_by_size(samples, W1, W2, window_s=0.0)
+    for window_s in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="window_s"):
+            pair_by_size(samples, W1, W2, window_s=window_s)
 
 
 def test_pairing_raises_when_nothing_pairs():
