@@ -93,6 +93,16 @@ def _parse_batch_size(text: str):
     return value
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _parse_positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -531,7 +541,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate synthetic samples and an error-vs-n table")
     p.add_argument("config", help="flat key=value simulation config file")
     p.add_argument("--out-dir", required=True, help="directory for samples.csv and error_vs_n.csv")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_parse_seed, help="override the config seed")
     p.add_argument("--json", action="store_true", help="print a JSON summary")
     p.set_defaults(run=cmd_simulate)
 
@@ -569,7 +579,7 @@ def build_parser() -> _Parser:
         help="regenerate the reference error tables and averaging curves",
     )
     p.add_argument("--out-dir", required=True, help="directory for the generated CSV/JSON files")
-    p.add_argument("--seed", type=int, default=REFERENCE_SEED, help="simulation seed")
+    p.add_argument("--seed", type=_parse_seed, default=REFERENCE_SEED, help="simulation seed")
     p.add_argument("--json", action="store_true", help="print a JSON summary")
     p.set_defaults(run=cmd_reproduce)
 

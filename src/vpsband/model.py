@@ -16,7 +16,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, TextIO
 
 BITS_PER_BYTE = 8
@@ -24,19 +23,13 @@ MAX_UDP_PAYLOAD = 65507          # 65535 - 8 UDP - 20 IP
 MAX_UNFRAGMENTED_PAYLOAD = 1472  # 1500 MTU - 20 IP - 8 UDP
 
 SAMPLE_CSV_FIELDS = ("direction", "serial", "sent_at", "bytes", "delay_s")
+SAMPLE_DIRECTION = "forward"  # the only value of the direction column; round trips too
 MAX_SERIAL = 2**64 - 1
 
 
 def bytes_to_bits(n_bytes: float) -> float:
     """Convert a byte count (or byte difference) to bits."""
     return BITS_PER_BYTE * n_bytes
-
-
-class Direction(Enum):
-    """Which way a probe travelled; round trips are tagged forward."""
-
-    FORWARD = "forward"
-    REVERSE = "reverse"
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +90,6 @@ class DelaySample:
     delay: Delay
     serial: int
     sent_at: float  # seconds since the epoch
-    direction: Direction = Direction.FORWARD
 
     def __post_init__(self):
         if not 0 <= self.serial <= MAX_SERIAL:
@@ -119,8 +111,6 @@ class ProbePair:
                 f"pair requires small < large packet size, got "
                 f"{self.small.packet_size.bytes} >= {self.large.packet_size.bytes}"
             )
-        if self.small.direction is not self.large.direction:
-            raise ValueError("both samples of a pair must share a direction")
 
     @property
     def size_diff_bytes(self) -> int:
@@ -148,24 +138,17 @@ class PathModel:
     """Multi-hop path with exponentially distributed variable delay.
 
     ``var_delay_rate`` is the rate (1/s) of the exponential queueing
-    delay, i.e. the inverse of its mean.  ``base_delay_s``, when set,
-    replaces the sum of per-hop propagation delays as the
-    size-independent delay floor.
+    delay, i.e. the inverse of its mean.
     """
 
     hops: tuple[Hop, ...]
     var_delay_rate: float
-    base_delay_s: float | None = None
 
     def __post_init__(self):
         if len(self.hops) < 1:
             raise ValueError("path needs at least one hop")
         if not math.isfinite(self.var_delay_rate) or self.var_delay_rate <= 0:
             raise ValueError(f"var_delay_rate must be > 0 per second, got {self.var_delay_rate!r}")
-        if self.base_delay_s is not None and (
-            not math.isfinite(self.base_delay_s) or self.base_delay_s < 0
-        ):
-            raise ValueError(f"base_delay_s must be finite and >= 0, got {self.base_delay_s!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +193,6 @@ class BandwidthEstimate:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BandwidthEstimate":
-        return cls(
-            value=Bandwidth(d["bps"]),
-            n_pairs=d["n_pairs"],
-            sd_bps=d["sd_bps"],
-            relative_error=d["relative_error"],
-            mean_delay_diff_s=d["mean_delay_diff_s"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BandwidthEstimate":
-        return cls.from_json_dict(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # CSV sample serialization
@@ -237,7 +206,7 @@ def format_delay_s(seconds: float) -> str:
 
 def sample_to_row(sample: DelaySample) -> list[str]:
     return [
-        sample.direction.value,
+        SAMPLE_DIRECTION,
         str(sample.serial),
         f"{sample.sent_at:.6f}",
         str(sample.packet_size.bytes),
@@ -247,12 +216,13 @@ def sample_to_row(sample: DelaySample) -> list[str]:
 
 def sample_from_row(row: list[str]) -> DelaySample:
     direction, serial, sent_at, nbytes, delay_s = row
+    if direction != SAMPLE_DIRECTION:
+        raise ValueError(f"direction must be {SAMPLE_DIRECTION!r}, got {direction!r}")
     return DelaySample(
         packet_size=PacketSize(int(nbytes)),
         delay=Delay(float(delay_s)),
         serial=int(serial),
         sent_at=float(sent_at),
-        direction=Direction(direction),
     )
 
 
@@ -281,6 +251,6 @@ def read_samples_csv(fp: TextIO) -> list[DelaySample]:
             raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
         try:
             samples.append(sample_from_row(row))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return samples

@@ -25,7 +25,6 @@ from .model import (
     MAX_UNFRAGMENTED_PAYLOAD,
     Delay,
     DelaySample,
-    Direction,
     PacketSize,
     ProbePair,
 )
@@ -195,7 +194,6 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
     thread.start()
 
     sizes = (cfg.w1.bytes, cfg.w2.bytes)
-    send_times: list[int] = []
     serial = 0
     try:
         next_send = time.monotonic()
@@ -211,7 +209,6 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
                     send_ns[serial] = now
                     sent_wall[serial] = time.time()
                 sock.sendto(packet, target)
-                send_times.append(now)
                 next_send += cfg.spacing_s
         # linger for stragglers
         deadline = time.monotonic() + cfg.timeout_s
@@ -244,14 +241,12 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
                     delay=Delay(rtt_ns[s_small] / 1e9),
                     serial=s_small,
                     sent_at=sent_wall[s_small],
-                    direction=Direction.FORWARD,
                 ),
                 large=DelaySample(
                     packet_size=cfg.w2,
                     delay=Delay(rtt_ns[s_large] / 1e9),
                     serial=s_large,
                     sent_at=sent_wall[s_large],
-                    direction=Direction.FORWARD,
                 ),
             )
         )
@@ -261,5 +256,5 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
         received=len(rtt_ns),
         lost_pairs=lost,
         unknown_serials=unknown,
-        send_monotonic_ns=send_times,
+        send_monotonic_ns=list(send_ns.values()),
     )

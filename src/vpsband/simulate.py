@@ -19,7 +19,6 @@ from .model import (
     Bandwidth,
     Delay,
     DelaySample,
-    Direction,
     Hop,
     PacketSize,
     PathModel,
@@ -55,6 +54,8 @@ class SimConfig:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +63,12 @@ class SimConfig:
 # ---------------------------------------------------------------------------
 
 def fixed_delay(path: PathModel, size: PacketSize) -> Delay:
-    """Size-dependent fixed delay: serialization on every hop plus floor."""
+    """Size-dependent fixed delay: propagation plus serialization on every hop."""
     serialization = bytes_to_bits(size.bytes) * sum(
         1.0 / hop.capacity.bits_per_second for hop in path.hops
     )
-    if path.base_delay_s is not None:
-        base = path.base_delay_s
-    else:
-        base = sum(hop.propagation_delay.seconds for hop in path.hops)
-    return Delay(base + serialization)
+    propagation = sum(hop.propagation_delay.seconds for hop in path.hops)
+    return Delay(propagation + serialization)
 
 
 def variable_delays(rate_per_s: float, shape, rng: np.random.Generator) -> np.ndarray:
@@ -99,14 +97,12 @@ def simulate_pairs(cfg: SimConfig) -> list[ProbePair]:
             delay=Delay(fixed1 + var1[i]),
             serial=2 * i + 1,
             sent_at=t0,
-            direction=Direction.FORWARD,
         )
         large = DelaySample(
             packet_size=w2,
             delay=Delay(fixed2 + var2[i]),
             serial=2 * i + 2,
             sent_at=t0 + INTRA_PAIR_GAP_S,
-            direction=Direction.FORWARD,
         )
         pairs.append(ProbePair(small=small, large=large))
     return pairs
@@ -172,7 +168,6 @@ def write_error_table_csv(points: Iterable[ErrorPoint], fp: TextIO) -> None:
 _REQUIRED_KEYS = ("capacity_bps", "var_delay_rate", "w1_bytes", "w2_bytes")
 _ALL_KEYS = _REQUIRED_KEYS + (
     "propagation_s",
-    "base_delay_s",
     "n_pairs",
     "n_trials",
     "seed",
@@ -186,8 +181,8 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
     """Parse the flat key=value simulation config format.
 
     Keys mirror the simulation fields: per-hop ``capacity_bps`` and
-    ``propagation_s`` as comma lists, ``var_delay_rate``, optional
-    ``base_delay_s``, ``w1_bytes``/``w2_bytes``, ``n_pairs``,
+    ``propagation_s`` as comma lists, ``var_delay_rate``,
+    ``w1_bytes``/``w2_bytes``, ``n_pairs``,
     ``n_trials``, ``seed``, and the sample counts ``ns`` for the error
     table.  ``#`` starts a comment.
     """
@@ -224,7 +219,6 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
             for c, p in zip(capacities, propagations)
         ),
         var_delay_rate=float(values["var_delay_rate"]),
-        base_delay_s=float(values["base_delay_s"]) if values.get("base_delay_s") else None,
     )
     cfg = SimConfig(
         path=path,
@@ -237,6 +231,8 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
         ns = tuple(int(v) for v in values["ns"].split(",") if v.strip())
     else:
         ns = DEFAULT_NS
+    if any(n < 2 for n in ns):
+        raise ValueError(f"ns values must be >= 2 pairs, got {min(ns)}")
     return cfg, ns
 
 

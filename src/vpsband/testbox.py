@@ -26,14 +26,14 @@ from dataclasses import dataclass
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import InsufficientData, MalformedLine, MixedPacketSizes, NoPairsFound
-from .model import Delay, DelaySample, Direction, PacketSize, ProbePair
+from .model import Delay, DelaySample, PacketSize, ProbePair
 
 PAIRING_POLICIES = ("nearest-in-time", "sequential")
 DEFAULT_PAIR_WINDOW_S = 60.0
 
 _TOKEN_RE = re.compile(r"\S+")
-_UINT_RE = re.compile(r"\d+\Z")
-_UFLOAT_RE = re.compile(r"\d+(\.\d+)?\Z")
+_UINT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() takes any Unicode digit
+_UFLOAT_RE = re.compile(r"[0-9]+(\.[0-9]+)?\Z")
 _ESCAPED_RE = re.compile("[\udc80-\udcff]+")
 
 
@@ -228,11 +228,7 @@ class MatchResult:
         return len(self.samples)
 
 
-def match_sessions(
-    sent: Iterable[SenderRecord],
-    received: Iterable[ReceiverRecord],
-    direction: Direction = Direction.FORWARD,
-) -> MatchResult:
+def match_sessions(sent: Iterable[SenderRecord], received: Iterable[ReceiverRecord]) -> MatchResult:
     """Join sender and receiver records on serial.
 
     Duplicate serials on either side resolve to the first occurrence;
@@ -266,7 +262,6 @@ def match_sessions(
                 delay=Delay(rec.delay_s),
                 serial=rec.serial,
                 sent_at=snd.timestamp,
-                direction=direction,
             )
         )
     samples.sort(key=lambda s: (s.sent_at, s.serial))

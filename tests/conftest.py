@@ -10,7 +10,6 @@ from vpsband.model import (
     Bandwidth,
     Delay,
     DelaySample,
-    Direction,
     Hop,
     PacketSize,
     PathModel,
@@ -44,14 +43,12 @@ def make_pair(
             delay=Delay(small_delay_s),
             serial=serial_base + 1,
             sent_at=sent_at,
-            direction=Direction.FORWARD,
         ),
         large=DelaySample(
             packet_size=w2,
             delay=Delay(large_delay_s),
             serial=serial_base + 2,
             sent_at=sent_at + 0.05,
-            direction=Direction.FORWARD,
         ),
     )
 

@@ -146,6 +146,19 @@ def test_estimate_three_sizes_needs_explicit_flags(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n_pairs"] == 2
 
 
+def test_estimate_rejects_a_direction_other_than_forward(tmp_path, capsys):
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "direction,serial,sent_at,bytes,delay_s\n"
+        "forward,1,0.0,100,0.009\n"
+        "reverse,2,0.1,1100,0.0098\n"
+    )
+    assert main(["estimate", str(path)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "bad samples file: line 3:" in err
+    assert "Traceback" not in err
+
+
 def test_estimate_missing_file_exits_io(tmp_path):
     assert main(["estimate", str(tmp_path / "nope.csv")]) == EXIT_IO
 
@@ -219,6 +232,15 @@ def test_simulate_bad_config_exits_domain(tmp_path, capsys):
     config = write_config(tmp_path, "capacity_bps=10e6\n")
     assert main(["simulate", config, "--out-dir", str(tmp_path / "e")]) == EXIT_DOMAIN
     assert "missing required key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [("ns = 5,10", "ns = 1,5"), ("seed = 0", "seed = -3")])
+def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new):
+    config = write_config(tmp_path, SIM_CONFIG.replace(old, new))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", config, "--out-dir", str(out_dir)]) == EXIT_DOMAIN
+    assert "bad config" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_simulate_missing_config_exits_io(tmp_path):
@@ -384,6 +406,8 @@ SAMPLES_CSV = str(DATA_DIR / "samples_mean815.csv")
         ["estimate", SAMPLES_CSV, "--window", "nan"],
         ["probe", "--target", "127.0.0.1:6000", "--spacing", "inf"],
         ["probe", "--target", "127.0.0.1:6000", "--timeout", "nan"],
+        ["reproduce-paper", "--out-dir", "unused", "--seed", "-1"],
+        ["simulate", "unused.conf", "--out-dir", "unused", "--seed", "-1"],
     ],
 )
 def test_usage_errors_exit_64(argv):

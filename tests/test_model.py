@@ -11,7 +11,6 @@ from vpsband.model import (
     BandwidthEstimate,
     Delay,
     DelaySample,
-    Direction,
     Hop,
     MAX_UDP_PAYLOAD,
     PacketSize,
@@ -83,14 +82,6 @@ class TestProbePair:
         with pytest.raises(ValueError, match="small < large"):
             ProbePair(small=sample, large=sample)
 
-    def test_rejects_mixed_directions(self):
-        small = DelaySample(PacketSize(100), Delay(0.01), serial=1, sent_at=0.0)
-        large = DelaySample(
-            PacketSize(1100), Delay(0.02), serial=2, sent_at=0.0, direction=Direction.REVERSE
-        )
-        with pytest.raises(ValueError, match="direction"):
-            ProbePair(small=small, large=large)
-
 
 class TestPathModel:
     def test_needs_a_hop(self):
@@ -101,11 +92,6 @@ class TestPathModel:
         hop = Hop(Bandwidth(10e6), Delay(0.0))
         with pytest.raises(ValueError, match="var_delay_rate"):
             PathModel(hops=(hop,), var_delay_rate=0.0)
-
-    def test_base_delay_override_validated(self):
-        hop = Hop(Bandwidth(10e6), Delay(0.0))
-        with pytest.raises(ValueError, match="base_delay_s"):
-            PathModel(hops=(hop,), var_delay_rate=1000.0, base_delay_s=-0.001)
 
 
 class TestBandwidthEstimate:
@@ -118,17 +104,6 @@ class TestBandwidthEstimate:
                 relative_error=None,
                 mean_delay_diff_s=8e-4,
             )
-
-    def test_json_round_trip(self):
-        est = BandwidthEstimate(
-            value=Bandwidth(9_815_950.92),
-            n_pairs=50,
-            sd_bps=2_395_092.0,
-            relative_error=0.244,
-            mean_delay_diff_s=0.000815,
-        )
-        back = BandwidthEstimate.from_json(est.to_json())
-        assert back == est
 
     def test_json_keys_and_mbps_rounding(self):
         est = BandwidthEstimate(
@@ -165,7 +140,6 @@ def test_sample_row_round_trip():
         delay=Delay(0.027033),
         serial=1353091581,
         sent_at=1263374005.779364,
-        direction=Direction.FORWARD,
     )
     assert sample_from_row(sample_to_row(sample)) == sample
 
@@ -174,8 +148,7 @@ def test_csv_round_trip_quantizes_to_nanoseconds(tmp_path):
     # Writing clips delays to 9 fractional digits; everything else is exact.
     samples = [
         DelaySample(PacketSize(100), Delay(0.0090011234567), serial=7, sent_at=123.25),
-        DelaySample(PacketSize(1100), Delay(0.0278), serial=8, sent_at=123.30,
-                    direction=Direction.REVERSE),
+        DelaySample(PacketSize(1100), Delay(0.0278), serial=8, sent_at=123.30),
     ]
     path = tmp_path / "samples.csv"
     with open(path, "w", newline="") as fp:
@@ -187,7 +160,6 @@ def test_csv_round_trip_quantizes_to_nanoseconds(tmp_path):
     for got, want in zip(parsed, samples):
         assert got.serial == want.serial
         assert got.packet_size == want.packet_size
-        assert got.direction == want.direction
         assert abs(got.delay.seconds - want.delay.seconds) <= 5e-10
         assert abs(got.sent_at - want.sent_at) <= 5e-7
 

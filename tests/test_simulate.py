@@ -54,15 +54,6 @@ def test_fixed_delay_sums_over_hops():
     assert fixed_delay(path, W2).seconds == pytest.approx(0.003 + 0.00264, rel=1e-12)
 
 
-def test_base_delay_override_replaces_propagation():
-    path = PathModel(
-        hops=(Hop(Bandwidth(10e6), Delay(0.005)),),
-        var_delay_rate=1000.0,
-        base_delay_s=0.009,
-    )
-    assert fixed_delay(path, W1).seconds == pytest.approx(0.009 + 8e-5, rel=1e-12)
-
-
 def test_variable_delays_with_zero_uniform_are_pure_fixed():
     path = ten_mbit_path()
     assert variable_delays(1000.0, 3, _ZeroRng()).tolist() == [0.0, 0.0, 0.0]
@@ -250,6 +241,19 @@ def test_parse_config_multi_hop():
             "capacity_bps=10e6,5e6\npropagation_s=0.001\n"
             "var_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\n",
             "one value per capacity_bps",
+        ),
+        (
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\n"
+            "base_delay_s=0.009\n",
+            "unknown key",
+        ),
+        (
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nns=1,5\n",
+            "ns values must be >= 2",
+        ),
+        (
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nseed=-3\n",
+            "seed must be >= 0",
         ),
     ],
 )

@@ -13,7 +13,7 @@ from vpsband.errors import (
     MixedPacketSizes,
     NoPairsFound,
 )
-from vpsband.model import Delay, DelaySample, Direction, PacketSize
+from vpsband.model import Delay, DelaySample, PacketSize
 from vpsband.testbox import (
     ReceiverRecord,
     SenderRecord,
@@ -39,7 +39,6 @@ def sample(nbytes, delay_s, serial, sent_at):
         delay=Delay(delay_s),
         serial=serial,
         sent_at=sent_at,
-        direction=Direction.FORWARD,
     )
 
 
@@ -82,6 +81,8 @@ def test_sender_duplicate_option_first_wins():
         ("SNDP 9 77 -h a -n 0 -s 5", "0 -s"),         # zero size
         ("SNDP 9 77 -h a -n 100 -s 5x", "5x"),        # serial not an integer
         ("SNDP 9 77 -h a noflag 100 -s 5", "noflag"),  # option without dash
+        ("SNDP 9 \u0661\u0662 -h a -n 100 -s 5", "\u0661"),   # Arabic-Indic digits
+        ("SNDP 9 77 -h a -n 100 -s \uff15", "\uff15"),         # full-width digit
     ],
 )
 def test_sender_malformed_offsets_point_at_the_field(line, offset_of):
@@ -130,6 +131,8 @@ def test_parse_receiver_golden_line():
         (("0.009001", "1e-3"), "1e-3"),             # exponent form not allowed
         (("0X2107 0X2107", "2107 0X2107"), "2107 0X2107"),  # flags lost the 0X
         (("1353080554", "nope"), "nope"),
+        (("55730", "557\u06630"), "557\u06630"),              # Arabic-Indic digit
+        (("0.009001", "0.00\uff19001"), "0.00\uff19001"),     # full-width digit
     ],
 )
 def test_receiver_malformed_offsets_point_at_the_field(mutation, bad):
