@@ -78,6 +78,8 @@ def _parse_host_port(text: str) -> tuple[str, int]:
         port_num = int(port)
     except ValueError:
         raise argparse.ArgumentTypeError(f"port must be an integer, got {port!r}") from None
+    if not 0 <= port_num <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in [0, 65535], got {port_num}")
     return host, port_num
 
 
@@ -208,7 +210,9 @@ def _auto_batch_size(n_pairs: int) -> int:
 def cmd_estimate(args) -> int:
     flag_sizes = _flag_sizes(args)
     try:
-        with open(args.samples, "r", encoding="utf-8", newline="") as fp:
+        # A byte that is not UTF-8 becomes a lone surrogate, which fails
+        # its field's parse and so is reported with its line number.
+        with open(args.samples, "r", encoding="utf-8", errors="surrogateescape", newline="") as fp:
             samples = read_samples_csv(fp)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read samples: {exc}")

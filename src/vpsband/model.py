@@ -240,17 +240,20 @@ def read_samples_csv(fp: TextIO) -> list[DelaySample]:
     Raises ValueError with the offending line number on a bad header or row.
     """
     reader = csv.reader(fp)
-    header = next(reader, None)
-    if header != list(SAMPLE_CSV_FIELDS):
-        raise ValueError(f"line 1: expected header {','.join(SAMPLE_CSV_FIELDS)!r}, got {header!r}")
-    samples = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(SAMPLE_CSV_FIELDS):
-            raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
-        try:
-            samples.append(sample_from_row(row))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+    try:
+        header = next(reader, None)
+        if header != list(SAMPLE_CSV_FIELDS):
+            raise ValueError(f"line 1: expected header {','.join(SAMPLE_CSV_FIELDS)!r}, got {header!r}")
+        samples = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(SAMPLE_CSV_FIELDS):
+                raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
+            try:
+                samples.append(sample_from_row(row))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
     return samples

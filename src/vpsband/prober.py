@@ -14,6 +14,7 @@ results carry a caveat saying so.
 from __future__ import annotations
 
 import math
+import select
 import socket
 import struct
 import threading
@@ -137,6 +138,25 @@ def _build_probe(serial: int, size: int, now_ns: int) -> bytes:
     return HEADER.pack(serial, now_ns) + b"\x00" * (size - HEADER.size)
 
 
+def _drain(sock: socket.socket, send_ns: list[int], rtt_ns: dict[int, int]) -> int:
+    """Time every queued echo; return how many matched no unanswered probe."""
+    unknown = 0
+    while True:
+        try:
+            data, _addr = sock.recvfrom(65535)
+        except OSError:  # BlockingIOError: the queue is empty; other errors are skipped
+            return unknown
+        now = time.monotonic_ns()
+        serial = HEADER.unpack_from(data)[0] if len(data) >= HEADER.size else 0  # 0 is never sent
+        if not 1 <= serial <= len(send_ns) or serial in rtt_ns:
+            unknown += 1
+            continue
+        started = send_ns[serial - 1]
+        if now < started:
+            raise ClockError(f"echo for serial {serial} arrived {started - now} ns before its send")
+        rtt_ns[serial] = now - started
+
+
 def probe(cfg: ProbeConfig) -> ProbeResult:
     """Send ``cfg.count`` interleaved small/large probes and time echoes.
 
@@ -144,6 +164,13 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
     sends; serials increase strictly.  A pair is dropped (and counted
     lost) when either echo is missing after ``cfg.timeout_s``; echoes
     with unknown serials are discarded and counted.
+
+    One thread runs the session on a non-blocking socket: between sends
+    it waits for echoes in ``select.select``, whose timeout has
+    microsecond resolution, so the send schedule is not rounded to
+    milliseconds.  ``sent_at`` is the session's wall-clock start plus
+    monotonic time since, so it rises with the serial even if the
+    system clock steps.
     """
     if cfg.count == 0:
         return ProbeResult(pairs=[], sent=0, received=0, lost_pairs=0, unknown_serials=0)
@@ -153,108 +180,54 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
     except OSError as exc:
         raise Unreachable(f"cannot resolve {cfg.host!r}: {exc}") from exc
 
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.settimeout(RECV_POLL_S)
-
-    send_ns: dict[int, int] = {}
-    sent_wall: dict[int, float] = {}
+    sizes = (cfg.w1.bytes, cfg.w2.bytes)
+    total = 2 * cfg.count
+    send_ns: list[int] = []
     rtt_ns: dict[int, int] = {}
     unknown = 0
-    clock_error: list[str] = []
-    lock = threading.Lock()
-    done = threading.Event()
-
-    def receiver() -> None:
-        nonlocal unknown
-        while not done.is_set():
-            try:
-                data, _addr = sock.recvfrom(65535)
-            except socket.timeout:
+    wall0, mono0 = time.time(), time.monotonic_ns()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.setblocking(False)
+        due = time.monotonic()  # the next send, then the end of the wait for stragglers
+        while len(rtt_ns) < total:
+            # Drain before every send too, so echoes are not left queued
+            # (and timed late) while a slipped schedule catches up.
+            if select.select([sock], [], [], max(due - time.monotonic(), 0.0))[0]:
+                unknown += _drain(sock, send_ns, rtt_ns)
+            if time.monotonic() < due:
                 continue
-            except OSError:
+            if len(send_ns) == total:
                 break
+            serial = len(send_ns) + 1
             now = time.monotonic_ns()
-            if len(data) < HEADER.size:
-                with lock:
-                    unknown += 1
-                continue
-            serial, _ = HEADER.unpack_from(data)
-            with lock:
-                started = send_ns.get(serial)
-                if started is None or serial in rtt_ns:
-                    unknown += 1
-                    continue
-                if now < started:
-                    clock_error.append(f"echo for serial {serial} arrived {started - now} ns before its send")
-                    done.set()
-                    return
-                rtt_ns[serial] = now - started
+            try:
+                sock.sendto(_build_probe(serial, sizes[(serial - 1) % 2], now), target)
+            except OSError as exc:
+                raise Unreachable(f"cannot send to {cfg.host}:{cfg.port}: {exc}") from exc
+            send_ns.append(now)
+            due = time.monotonic() + cfg.timeout_s if serial == total else due + cfg.spacing_s
 
-    thread = threading.Thread(target=receiver, daemon=True)
-    thread.start()
-
-    sizes = (cfg.w1.bytes, cfg.w2.bytes)
-    serial = 0
-    try:
-        next_send = time.monotonic()
-        for _pair_idx in range(cfg.count):
-            for size in sizes:
-                delay = next_send - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                serial += 1
-                now = time.monotonic_ns()
-                packet = _build_probe(serial, size, now)
-                with lock:
-                    send_ns[serial] = now
-                    sent_wall[serial] = time.time()
-                sock.sendto(packet, target)
-                next_send += cfg.spacing_s
-        # linger for stragglers
-        deadline = time.monotonic() + cfg.timeout_s
-        while time.monotonic() < deadline and not done.is_set():
-            with lock:
-                if len(rtt_ns) == serial:
-                    break
-            time.sleep(RECV_POLL_S / 5)
-    finally:
-        done.set()
-        thread.join(timeout=2 * RECV_POLL_S + 1.0)
-        sock.close()
-
-    if clock_error:
-        raise ClockError(clock_error[0])
     if not rtt_ns:
-        raise Unreachable(f"no echoes from {cfg.host}:{cfg.port} after {serial} probes")
+        raise Unreachable(f"no echoes from {cfg.host}:{cfg.port} after {len(send_ns)} probes")
 
-    pairs = []
-    lost = 0
-    for pair_idx in range(cfg.count):
-        s_small, s_large = 2 * pair_idx + 1, 2 * pair_idx + 2
-        if s_small not in rtt_ns or s_large not in rtt_ns:
-            lost += 1
-            continue
-        pairs.append(
-            ProbePair(
-                small=DelaySample(
-                    packet_size=cfg.w1,
-                    delay=Delay(rtt_ns[s_small] / 1e9),
-                    serial=s_small,
-                    sent_at=sent_wall[s_small],
-                ),
-                large=DelaySample(
-                    packet_size=cfg.w2,
-                    delay=Delay(rtt_ns[s_large] / 1e9),
-                    serial=s_large,
-                    sent_at=sent_wall[s_large],
-                ),
-            )
+    def sample(serial: int, size: PacketSize) -> DelaySample:
+        return DelaySample(
+            packet_size=size,
+            delay=Delay(rtt_ns[serial] / 1e9),
+            serial=serial,
+            sent_at=wall0 + (send_ns[serial - 1] - mono0) / 1e9,
         )
+
+    pairs = [
+        ProbePair(small=sample(s, cfg.w1), large=sample(s + 1, cfg.w2))
+        for s in range(1, total, 2)
+        if s in rtt_ns and s + 1 in rtt_ns
+    ]
     return ProbeResult(
         pairs=pairs,
-        sent=serial,
+        sent=len(send_ns),
         received=len(rtt_ns),
-        lost_pairs=lost,
+        lost_pairs=cfg.count - len(pairs),
         unknown_serials=unknown,
-        send_monotonic_ns=list(send_ns.values()),
+        send_monotonic_ns=send_ns,
     )

@@ -359,6 +359,7 @@ def estimate_var_delay_rate(samples: Iterable[DelaySample]) -> float:
     is overestimated and the rate with it; feed enough samples that the
     minimum has stabilized.
     """
+    samples = list(samples)
     delays = [s.delay.seconds for s in samples]
     sizes = {s.packet_size.bytes for s in samples}
     if len(sizes) > 1:

@@ -159,6 +159,27 @@ def test_estimate_rejects_a_direction_other_than_forward(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+SAMPLES_HEADER = b"direction,serial,sent_at,bytes,delay_s\n"
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"\xff\xfe", 1),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1100,0.0098\xff\n", 3),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1100," + b"9" * 200_000 + b"\n", 3),
+    ],
+    ids=["not-utf8-header", "not-utf8-field", "field-over-csv-limit"],
+)
+def test_estimate_bad_samples_file_names_its_line(tmp_path, capsys, content, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert main(["estimate", str(path)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert f"bad samples file: line {line}:" in err
+    assert "Traceback" not in err
+
+
 def test_estimate_missing_file_exits_io(tmp_path):
     assert main(["estimate", str(tmp_path / "nope.csv")]) == EXIT_IO
 
@@ -318,6 +339,15 @@ def test_probe_cli_silent_target_exits_domain(capsys):
     assert "no echoes" in capsys.readouterr().err
 
 
+def test_probe_cli_refused_send_exits_domain(capsys):
+    # Without SO_BROADCAST the kernel refuses the send locally: no packet leaves.
+    code = main(["probe", "--target", "255.255.255.255:9", "--count", "1"])
+    assert code == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "cannot send to 255.255.255.255:9" in err
+    assert "Traceback" not in err
+
+
 def test_probe_cli_rejects_bad_shape(capsys):
     code = main(["probe", "--target", "127.0.0.1:6000", "--w1", "8"])
     assert code == EXIT_USAGE
@@ -408,6 +438,8 @@ SAMPLES_CSV = str(DATA_DIR / "samples_mean815.csv")
         ["probe", "--target", "127.0.0.1:6000", "--timeout", "nan"],
         ["reproduce-paper", "--out-dir", "unused", "--seed", "-1"],
         ["simulate", "unused.conf", "--out-dir", "unused", "--seed", "-1"],
+        ["reflect", "--listen", "127.0.0.1:70000"],
+        ["reflect", "--listen", "127.0.0.1:-1"],
     ],
 )
 def test_usage_errors_exit_64(argv):

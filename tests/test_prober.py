@@ -182,6 +182,31 @@ def test_unresolvable_host_raises_unreachable():
         probe(cfg)
 
 
+def test_refused_send_raises_unreachable():
+    # Without SO_BROADCAST the kernel refuses the send locally: no packet leaves.
+    with pytest.raises(Unreachable, match="cannot send to 255.255.255.255:9"):
+        probe(ProbeConfig(host="255.255.255.255", port=9, count=1))
+
+
+def test_sent_at_rises_with_serial_when_the_wall_clock_steps_back(monkeypatch):
+    import vpsband.prober as prober_module
+
+    state = {"value": 2e9}
+
+    def stepping_back():
+        state["value"] -= 3600.0
+        return state["value"]
+
+    with Reflector(host="127.0.0.1") as reflector:
+        cfg = loopback_config(reflector.address[1], count=10)
+        monkeypatch.setattr(prober_module.time, "time", stepping_back)
+        result = probe(cfg)
+
+    sent_at = [s.sent_at for p in result.pairs for s in (p.small, p.large)]
+    assert len(sent_at) >= 2
+    assert all(a < b for a, b in zip(sent_at, sent_at[1:]))
+
+
 def test_backwards_monotonic_clock_raises(monkeypatch):
     import vpsband.prober as prober_module
 

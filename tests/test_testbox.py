@@ -383,6 +383,8 @@ def test_rate_estimate_rejects_mixed_sizes():
     ]
     with pytest.raises(MixedPacketSizes):
         estimate_var_delay_rate(samples)
+    with pytest.raises(MixedPacketSizes):
+        estimate_var_delay_rate(s for s in samples)  # read once
 
 
 def test_rate_estimate_needs_spread_and_samples():
