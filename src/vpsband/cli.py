@@ -2,8 +2,9 @@
 
 Subcommands: parse, estimate, simulate, plan, probe, reflect,
 reproduce-paper.  Exit codes: 0 success, 1 I/O error, 2 domain
-failure, 64 usage error.  Every subcommand takes --json for machine
-output; commands that draw random numbers take --seed.
+failure, 64 usage error.  Every subcommand takes --json to print its
+result as one JSON object; commands that draw random numbers take
+--seed.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ import sys
 from pathlib import Path
 
 from . import estimator, planner, prober, simulate, testbox
-from .errors import (
-    BindFailure,
-    InvalidQuery,
-    NonPositiveDelayDifference,
-    VpsbandError,
-)
+from .errors import InvalidQuery, NonPositiveDelayDifference, VpsbandError
 from .model import (
     Bandwidth,
     Delay,
@@ -53,6 +49,19 @@ class _Parser(argparse.ArgumentParser):
 def _fail(code: int, message: str) -> int:
     print(f"vpsband: {message}", file=sys.stderr)
     return code
+
+
+def _report(args, payload: dict, *lines: str | None) -> int:
+    """Print a command's result: ``payload`` under --json, else its text lines.
+
+    A line given as None is left out.  Output is flushed, so a command
+    that then blocks (``reflect``) has already shown its result.
+    """
+    if args.json:
+        print(json.dumps(payload), flush=True)
+    else:
+        print("\n".join(line for line in lines if line is not None), flush=True)
+    return EXIT_OK
 
 
 def _usage_error(message: str) -> argparse.ArgumentError:
@@ -158,17 +167,14 @@ def cmd_parse(args) -> int:
         except OSError as exc:
             return _fail(EXIT_IO, f"cannot write samples: {exc}")
 
-    if args.json:
-        print(json.dumps(diagnostics))
-    else:
-        print(
-            f"parsed {diagnostics['parsed']} records "
-            f"({diagnostics['malformed']} malformed), matched {match.matched}, "
-            f"unmatched {diagnostics['unmatched']}, duplicates {diagnostics['duplicates']}"
-        )
-        if match.matched and args.out != "-":
-            print(f"samples written to {args.out}")
-
+    _report(
+        args,
+        diagnostics,
+        f"parsed {diagnostics['parsed']} records "
+        f"({diagnostics['malformed']} malformed), matched {match.matched}, "
+        f"unmatched {diagnostics['unmatched']}, duplicates {diagnostics['duplicates']}",
+        f"samples written to {args.out}" if match.matched and args.out != "-" else None,
+    )
     if not match.matched:
         return _fail(EXIT_DOMAIN, "no sender/receiver records matched on serial")
     return EXIT_OK
@@ -223,34 +229,26 @@ def cmd_estimate(args) -> int:
         return _fail(EXIT_DOMAIN, "samples file is empty")
     w1, w2 = flag_sizes or _sizes_in(samples)
 
-    try:
-        pairing = testbox.pair_by_size(samples, w1, w2, policy=args.policy, window_s=args.window)
-        batch_size = args.batch_size
-        if batch_size == "auto":
-            batch_size = _auto_batch_size(len(pairing.pairs))
-        estimate = estimator.estimate_batch(pairing.pairs, batch_size)
-    except VpsbandError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
+    pairing = testbox.pair_by_size(samples, w1, w2, policy=args.policy, window_s=args.window)
+    batch_size = args.batch_size
+    if batch_size == "auto":
+        batch_size = _auto_batch_size(len(pairing.pairs))
+    estimate = estimator.estimate_batch(pairing.pairs, batch_size)
 
-    if args.json:
-        print(estimate.to_json())
-    else:
-        print(f"available bandwidth: {estimate.value}")
-        if estimate.sd_bps is not None:
-            print(
-                f"spread: {estimate.sd_bps / 1e6:.2f} Mbit/s sd across batches "
-                f"(relative error {estimate.relative_error:.1%})"
-            )
-        print(
-            f"pairs used: {estimate.n_pairs} of {len(pairing.pairs)} "
-            f"(batches of {batch_size}); mean delay difference "
-            f"{estimate.mean_delay_diff_s * 1e3:.3f} ms"
-        )
-        print(
-            f"pairing: {len(pairing.pairs)} pairs, {pairing.unpaired_small} small / "
-            f"{pairing.unpaired_large} large unpaired, {pairing.other_sizes} other sizes"
-        )
-    return EXIT_OK
+    return _report(
+        args,
+        estimate.to_json_dict(),
+        f"available bandwidth: {estimate.value}",
+        None if estimate.sd_bps is None else (
+            f"spread: {estimate.sd_bps / 1e6:.2f} Mbit/s sd across batches "
+            f"(relative error {estimate.relative_error:.1%})"
+        ),
+        f"pairs used: {estimate.n_pairs} of {len(pairing.pairs)} "
+        f"(batches of {batch_size}); mean delay difference "
+        f"{estimate.mean_delay_diff_s * 1e3:.3f} ms",
+        f"pairing: {len(pairing.pairs)} pairs, {pairing.unpaired_small} small / "
+        f"{pairing.unpaired_large} large unpaired, {pairing.other_sizes} other sizes",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +287,8 @@ def _error_rows(points) -> list[dict]:
     return [{"n": p.n, "sd_s": p.sd_s, "eta": p.rel_error} for p in points]
 
 
-def _print_error_lines(points) -> None:
-    for p in points:
-        print(f"  n={p.n:>4d}  sd={p.sd_s * 1e3:.3f} ms  eta={p.rel_error:.1%}")
+def _error_lines(points) -> list[str]:
+    return [f"  n={p.n:>4d}  sd={p.sd_s * 1e3:.3f} ms  eta={p.rel_error:.1%}" for p in points]
 
 
 def cmd_simulate(args) -> int:
@@ -309,26 +306,22 @@ def cmd_simulate(args) -> int:
         _, points, table_path = _write_simulation(cfg, ns, out_dir)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write outputs: {exc}")
-    except (ValueError, VpsbandError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_DOMAIN, str(exc))
 
     samples_path = out_dir / "samples.csv"
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "samples_csv": str(samples_path),
-                    "error_table_csv": None if table_path is None else str(table_path),
-                    "n_pairs": cfg.n_pairs,
-                    "seed": cfg.seed,
-                    "error_vs_n": _error_rows(points),
-                }
-            )
-        )
-    else:
-        print(f"wrote {cfg.n_pairs} pairs to {samples_path} (seed {cfg.seed})")
-        _print_error_lines(points)
-    return EXIT_OK
+    return _report(
+        args,
+        {
+            "samples_csv": str(samples_path),
+            "error_table_csv": None if table_path is None else str(table_path),
+            "n_pairs": cfg.n_pairs,
+            "seed": cfg.seed,
+            "error_vs_n": _error_rows(points),
+        },
+        f"wrote {cfg.n_pairs} pairs to {samples_path} (seed {cfg.seed})",
+        *_error_lines(points),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +338,13 @@ def cmd_plan(args) -> int:
     except InvalidQuery as exc:
         return _fail(EXIT_USAGE, str(exc))
     result = planner.required_measurements(query)
-
-    if args.json:
-        print(json.dumps(result.to_json_dict()))
-    else:
-        note = "extrapolated beyond the reference table" if result.extrapolated else "within the reference table"
-        print(
-            f"average n = {result.n} measurements for a {args.eta:.1%} relative error "
-            f"(analytic check: {result.analytic_n}); {note}"
-        )
-    return EXIT_OK
+    note = "extrapolated beyond the reference table" if result.extrapolated else "within the reference table"
+    return _report(
+        args,
+        result.to_json_dict(),
+        f"average n = {result.n} measurements for a {args.eta:.1%} relative error "
+        f"(analytic check: {result.analytic_n}); {note}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +366,7 @@ def cmd_probe(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
-    try:
-        result = prober.probe(cfg)
-    except VpsbandError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
-
+    result = prober.probe(cfg)
     if result.pairs and args.out is not None:
         try:
             with _open_out(args.out) as fp:
@@ -395,43 +381,34 @@ def cmd_probe(args) -> int:
         except VpsbandError as exc:
             print(f"vpsband: warning: no estimate from this run: {exc}", file=sys.stderr)
 
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "sent": result.sent,
-                    "received": result.received,
-                    "pairs": len(result.pairs),
-                    "lost_pairs": result.lost_pairs,
-                    "unknown_serials": result.unknown_serials,
-                    "estimate": None if estimate is None else estimate.to_json_dict(),
-                    "caveat": result.caveat,
-                }
-            )
-        )
-    else:
-        print(
-            f"sent {result.sent}, received {result.received}, "
-            f"{len(result.pairs)} pairs ({result.lost_pairs} lost, "
-            f"{result.unknown_serials} unknown serials)"
-        )
-        if estimate is not None:
-            print(f"available bandwidth (round-trip based): {estimate.value}")
-        print(f"note: {result.caveat}")
-    return EXIT_OK
+    return _report(
+        args,
+        {
+            "sent": result.sent,
+            "received": result.received,
+            "pairs": len(result.pairs),
+            "lost_pairs": result.lost_pairs,
+            "unknown_serials": result.unknown_serials,
+            "estimate": None if estimate is None else estimate.to_json_dict(),
+            "caveat": result.caveat,
+        },
+        f"sent {result.sent}, received {result.received}, "
+        f"{len(result.pairs)} pairs ({result.lost_pairs} lost, "
+        f"{result.unknown_serials} unknown serials)",
+        None if estimate is None else f"available bandwidth (round-trip based): {estimate.value}",
+        f"note: {result.caveat}",
+    )
 
 
 def cmd_reflect(args) -> int:
     host, port = args.listen
-    try:
-        reflector = prober.Reflector(host, port)
-    except BindFailure as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
+    reflector = prober.Reflector(host, port)
     addr = reflector.address
-    if args.json:
-        print(json.dumps({"listening": [addr[0], addr[1]]}), flush=True)
-    else:
-        print(f"reflecting UDP datagrams on {addr[0]}:{addr[1]} (ctrl-c to stop)", flush=True)
+    _report(
+        args,
+        {"listening": [addr[0], addr[1]]},
+        f"reflecting UDP datagrams on {addr[0]}:{addr[1]} (ctrl-c to stop)",
+    )
     try:
         reflector.serve_forever()
     except KeyboardInterrupt:
@@ -493,25 +470,20 @@ def cmd_reproduce(args) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write outputs: {exc}")
 
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "out_dir": str(out_dir),
-                    "seed": cfg.seed,
-                    "error_vs_n": _error_rows(points),
-                    "plan": plan.to_json_dict(),
-                    "skipped_batches": skipped,
-                }
-            )
-        )
-    else:
-        print(f"reference outputs written to {out_dir} (seed {cfg.seed})")
-        _print_error_lines(points)
-        print(f"planned n for the reference conditions: {plan.n} (analytic {plan.analytic_n})")
-        if skipped:
-            print(f"{skipped} averaging batches had no positive delay difference")
-    return EXIT_OK
+    return _report(
+        args,
+        {
+            "out_dir": str(out_dir),
+            "seed": cfg.seed,
+            "error_vs_n": _error_rows(points),
+            "plan": plan.to_json_dict(),
+            "skipped_batches": skipped,
+        },
+        f"reference outputs written to {out_dir} (seed {cfg.seed})",
+        *_error_lines(points),
+        f"planned n for the reference conditions: {plan.n} (analytic {plan.analytic_n})",
+        f"{skipped} averaging batches had no positive delay difference" if skipped else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +498,6 @@ def build_parser() -> _Parser:
     p.add_argument("sender", help="sender-side log (SNDP lines)")
     p.add_argument("receiver", help="receiver-side log (RCDP lines)")
     p.add_argument("--out", default="-", help="samples CSV path, - for stdout (default)")
-    p.add_argument("--json", action="store_true", help="print diagnostics as JSON")
     p.set_defaults(run=cmd_parse)
 
     p = sub.add_parser("estimate", help="estimate available bandwidth from a samples CSV")
@@ -539,14 +510,12 @@ def build_parser() -> _Parser:
                    help="how samples of the two sizes are paired")
     p.add_argument("--window", type=_parse_positive_float, default=testbox.DEFAULT_PAIR_WINDOW_S,
                    help="pairing window in seconds (nearest-in-time policy)")
-    p.add_argument("--json", action="store_true", help="print the estimate as JSON")
     p.set_defaults(run=cmd_estimate)
 
     p = sub.add_parser("simulate", help="generate synthetic samples and an error-vs-n table")
     p.add_argument("config", help="flat key=value simulation config file")
     p.add_argument("--out-dir", required=True, help="directory for samples.csv and error_vs_n.csv")
     p.add_argument("--seed", type=_parse_seed, help="override the config seed")
-    p.add_argument("--json", action="store_true", help="print a JSON summary")
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("plan", help="measurements needed for a relative-error target")
@@ -556,7 +525,6 @@ def build_parser() -> _Parser:
                    help="expected delay difference of the two sizes, seconds")
     p.add_argument("--eta", type=_parse_error_target, required=True,
                    help="relative error target, fraction ('0.244') or percent ('24.4%%')")
-    p.add_argument("--json", action="store_true", help="print the plan as JSON")
     p.set_defaults(run=cmd_plan)
 
     p = sub.add_parser("probe", help="probe a UDP reflector with two packet sizes")
@@ -569,13 +537,11 @@ def build_parser() -> _Parser:
     p.add_argument("--timeout", type=_parse_positive_float, default=2.0,
                    help="seconds to wait for stragglers")
     p.add_argument("--out", help="write round-trip samples CSV here, - for stdout")
-    p.add_argument("--json", action="store_true", help="print a JSON summary")
     p.set_defaults(run=cmd_probe)
 
     p = sub.add_parser("reflect", help="run the UDP echo reflector")
     p.add_argument("--listen", type=_parse_host_port, default=("0.0.0.0", 9000),
                    help="bind address as host:port (default 0.0.0.0:9000)")
-    p.add_argument("--json", action="store_true", help="print the bound address as JSON")
     p.set_defaults(run=cmd_reflect)
 
     p = sub.add_parser(
@@ -584,9 +550,12 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--out-dir", required=True, help="directory for the generated CSV/JSON files")
     p.add_argument("--seed", type=_parse_seed, default=REFERENCE_SEED, help="simulation seed")
-    p.add_argument("--json", action="store_true", help="print a JSON summary")
     p.set_defaults(run=cmd_reproduce)
 
+    # Added last rather than through parents=, which would move --json to
+    # the front of every usage line that usage errors print.
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="print the result as one JSON object")
     return parser
 
 
@@ -597,6 +566,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
+    except VpsbandError as exc:
+        return _fail(EXIT_DOMAIN, str(exc))
     except BrokenPipeError:
         return EXIT_IO
 

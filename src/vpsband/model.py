@@ -13,7 +13,6 @@ so the factor of 8 cannot be applied twice.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
@@ -190,9 +189,6 @@ class BandwidthEstimate:
             "mean_delay_diff_s": self.mean_delay_diff_s,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 # ---------------------------------------------------------------------------
 # CSV sample serialization
@@ -202,6 +198,19 @@ def format_delay_s(seconds: float) -> str:
     """Render a delay with at most 9 fractional digits (1 ns)."""
     text = f"{seconds:.9f}".rstrip("0")
     return text + "0" if text.endswith(".") else text
+
+
+def ascii_number(text: str, kind=float):
+    """``kind(text)`` for a number written in ASCII, as files of this package are.
+
+    ``int()`` and ``float()`` also take other scripts' digits and ``_``
+    separators; those raise ValueError here like any other bad number.
+    Text that ``kind`` rejects anyway fails with ``kind``'s own message.
+    """
+    value = kind(text)
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected ASCII digits without '_', got {text!r}")
+    return value
 
 
 def sample_to_row(sample: DelaySample) -> list[str]:
@@ -219,10 +228,10 @@ def sample_from_row(row: list[str]) -> DelaySample:
     if direction != SAMPLE_DIRECTION:
         raise ValueError(f"direction must be {SAMPLE_DIRECTION!r}, got {direction!r}")
     return DelaySample(
-        packet_size=PacketSize(int(nbytes)),
-        delay=Delay(float(delay_s)),
-        serial=int(serial),
-        sent_at=float(sent_at),
+        packet_size=PacketSize(ascii_number(nbytes, int)),
+        delay=Delay(ascii_number(delay_s)),
+        serial=ascii_number(serial, int),
+        sent_at=ascii_number(sent_at),
     )
 
 

@@ -23,6 +23,7 @@ from .model import (
     PacketSize,
     PathModel,
     ProbePair,
+    ascii_number,
     bytes_to_bits,
 )
 
@@ -205,9 +206,9 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
         if key not in values or not values[key]:
             raise ValueError(f"config is missing required key {key!r}")
 
-    capacities = [float(v) for v in values["capacity_bps"].split(",") if v.strip()]
+    capacities = [ascii_number(v) for v in values["capacity_bps"].split(",") if v.strip()]
     if "propagation_s" in values and values["propagation_s"]:
-        propagations = [float(v) for v in values["propagation_s"].split(",") if v.strip()]
+        propagations = [ascii_number(v) for v in values["propagation_s"].split(",") if v.strip()]
         if len(propagations) != len(capacities):
             raise ValueError("propagation_s must list one value per capacity_bps entry")
     else:
@@ -218,17 +219,18 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
             Hop(capacity=Bandwidth(c), propagation_delay=Delay(p))
             for c, p in zip(capacities, propagations)
         ),
-        var_delay_rate=float(values["var_delay_rate"]),
+        var_delay_rate=ascii_number(values["var_delay_rate"]),
     )
     cfg = SimConfig(
         path=path,
-        packet_sizes=(PacketSize(int(values["w1_bytes"])), PacketSize(int(values["w2_bytes"]))),
-        n_pairs=int(values.get("n_pairs", "3000")),
-        n_trials=int(values.get("n_trials", "10000")),
-        seed=int(values.get("seed", "0")),
+        packet_sizes=(PacketSize(ascii_number(values["w1_bytes"], int)),
+                      PacketSize(ascii_number(values["w2_bytes"], int))),
+        n_pairs=ascii_number(values.get("n_pairs", "3000"), int),
+        n_trials=ascii_number(values.get("n_trials", "10000"), int),
+        seed=ascii_number(values.get("seed", "0"), int),
     )
     if values.get("ns"):
-        ns = tuple(int(v) for v in values["ns"].split(",") if v.strip())
+        ns = tuple(ascii_number(v, int) for v in values["ns"].split(",") if v.strip())
     else:
         ns = DEFAULT_NS
     if any(n < 2 for n in ns):

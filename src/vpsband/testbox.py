@@ -74,7 +74,7 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     ]
 
 
-def _fail(line: str, offset: int, why: str) -> MalformedLine:
+def _fail(offset: int, why: str) -> MalformedLine:
     return MalformedLine(f"offset {offset}: {why}", offset=offset)
 
 
@@ -84,19 +84,19 @@ def _end_offset(line: str) -> int:
 
 def _take(tokens: list[tuple[str, int]], idx: int, line: str, what: str) -> tuple[str, int]:
     if idx >= len(tokens):
-        raise _fail(line, _end_offset(line), f"missing {what}")
+        raise _fail(_end_offset(line), f"missing {what}")
     return tokens[idx]
 
 
-def _uint(text: str, offset: int, line: str, what: str) -> int:
+def _uint(text: str, offset: int, what: str) -> int:
     if not _UINT_RE.match(text):
-        raise _fail(line, offset, f"{what} must be an unsigned integer, got {text!r}")
+        raise _fail(offset, f"{what} must be an unsigned integer, got {text!r}")
     return int(text)
 
 
-def _ufloat(text: str, offset: int, line: str, what: str) -> float:
+def _ufloat(text: str, offset: int, what: str) -> float:
     if not _UFLOAT_RE.match(text):
-        raise _fail(line, offset, f"{what} must be a non-negative decimal, got {text!r}")
+        raise _fail(offset, f"{what} must be a non-negative decimal, got {text!r}")
     return float(text)
 
 
@@ -105,10 +105,10 @@ def parse_sender_line(line: str) -> SenderRecord:
     tokens = _tokenize(line)
     tag, tag_off = _take(tokens, 0, line, "record tag")
     if tag != "SNDP":
-        raise _fail(line, tag_off, f"expected tag 'SNDP', got {tag!r}")
+        raise _fail(tag_off, f"expected tag 'SNDP', got {tag!r}")
     _take(tokens, 1, line, "format field")
     ts_text, ts_off = _take(tokens, 2, line, "timestamp")
-    timestamp = float(_uint(ts_text, ts_off, line, "timestamp"))
+    timestamp = float(_uint(ts_text, ts_off, "timestamp"))
 
     # remaining tokens are -flag value pairs; -h, -n and -s are required
     options: dict[str, tuple[str, int]] = {}
@@ -116,21 +116,21 @@ def parse_sender_line(line: str) -> SenderRecord:
     while idx < len(tokens):
         flag, flag_off = tokens[idx]
         if not (len(flag) == 2 and flag[0] == "-" and flag[1].isalpha()):
-            raise _fail(line, flag_off, f"expected an option flag like -h, got {flag!r}")
+            raise _fail(flag_off, f"expected an option flag like -h, got {flag!r}")
         value, value_off = _take(tokens, idx + 1, line, f"value for {flag}")
         options.setdefault(flag[1], (value, value_off))
         idx += 2
 
     for needed in "hns":
         if needed not in options:
-            raise _fail(line, _end_offset(line), f"missing option -{needed}")
+            raise _fail(_end_offset(line), f"missing option -{needed}")
     nbytes_text, nbytes_off = options["n"]
-    nbytes = _uint(nbytes_text, nbytes_off, line, "packet size")
+    nbytes = _uint(nbytes_text, nbytes_off, "packet size")
     if nbytes < 1:
-        raise _fail(line, nbytes_off, "packet size must be positive")
+        raise _fail(nbytes_off, "packet size must be positive")
     serial_text, serial_off = options["s"]
     return SenderRecord(
-        serial=_uint(serial_text, serial_off, line, "serial"),
+        serial=_uint(serial_text, serial_off, "serial"),
         host=options["h"][0],
         packet_bytes=nbytes,
         timestamp=timestamp,
@@ -142,25 +142,25 @@ def parse_receiver_line(line: str) -> ReceiverRecord:
     tokens = _tokenize(line)
     tag, tag_off = _take(tokens, 0, line, "record tag")
     if tag != "RCDP":
-        raise _fail(line, tag_off, f"expected tag 'RCDP', got {tag!r}")
+        raise _fail(tag_off, f"expected tag 'RCDP', got {tag!r}")
     for idx, what in ((1, "format field"), (2, "format field")):
         _take(tokens, idx, line, what)
     src_ip, _ = _take(tokens, 3, line, "source address")
     port_text, port_off = _take(tokens, 4, line, "source port")
-    src_port = _uint(port_text, port_off, line, "source port")
+    src_port = _uint(port_text, port_off, "source port")
     _take(tokens, 5, line, "destination address")
     _take(tokens, 6, line, "destination port")
     recv_text, recv_off = _take(tokens, 7, line, "receive timestamp")
-    received_at = _ufloat(recv_text, recv_off, line, "receive timestamp")
+    received_at = _ufloat(recv_text, recv_off, "receive timestamp")
     delay_text, delay_off = _take(tokens, 8, line, "delay")
-    delay_s = _ufloat(delay_text, delay_off, line, "delay")
+    delay_s = _ufloat(delay_text, delay_off, "delay")
     for idx in (9, 10):
         flags, flags_off = _take(tokens, idx, line, "status flags")
         if not flags.startswith("0X"):
-            raise _fail(line, flags_off, f"expected hex status flags, got {flags!r}")
+            raise _fail(flags_off, f"expected hex status flags, got {flags!r}")
     serial_text, serial_off = _take(tokens, 11, line, "serial")
     return ReceiverRecord(
-        serial=_uint(serial_text, serial_off, line, "serial"),
+        serial=_uint(serial_text, serial_off, "serial"),
         delay_s=delay_s,
         src_addr=(src_ip, src_port),
         received_at=received_at,

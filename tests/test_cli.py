@@ -168,8 +168,10 @@ SAMPLES_HEADER = b"direction,serial,sent_at,bytes,delay_s\n"
         (b"\xff\xfe", 1),
         (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1100,0.0098\xff\n", 3),
         (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1100," + b"9" * 200_000 + b"\n", 3),
+        (SAMPLES_HEADER + "forward,\u0661,0.0,100,0.009\n".encode(), 2),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1_100,0.0098\n", 3),
     ],
-    ids=["not-utf8-header", "not-utf8-field", "field-over-csv-limit"],
+    ids=["not-utf8-header", "not-utf8-field", "field-over-csv-limit", "non-ascii-digit", "underscore"],
 )
 def test_estimate_bad_samples_file_names_its_line(tmp_path, capsys, content, line):
     path = tmp_path / "bad.csv"
@@ -368,22 +370,22 @@ def test_reflect_bind_conflict_exits_domain(capsys):
 
 
 def test_reflect_subprocess_answers_probes():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "vpsband", "reflect", "--listen", "127.0.0.1:0", "--json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        host, port = json.loads(proc.stdout.readline())["listening"]
-        result = probe(
-            ProbeConfig(host=host, port=port, count=5, spacing_s=0.005, timeout_s=2.0)
-        )
-        assert len(result.pairs) + result.lost_pairs == 5
-        assert result.received > 0
-    finally:
-        proc.terminate()
-        proc.wait(timeout=5)
+    ) as proc:
+        try:
+            host, port = json.loads(proc.stdout.readline())["listening"]
+            result = probe(
+                ProbeConfig(host=host, port=port, count=5, spacing_s=0.005, timeout_s=2.0)
+            )
+            assert len(result.pairs) + result.lost_pairs == 5
+            assert result.received > 0
+        finally:
+            proc.terminate()
+            proc.wait(timeout=5)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +417,114 @@ def test_reproduce_outputs_and_reruns_identically(tmp_path, capsys):
 
     assert curves[0] == "batch_size,batch_index,mbps"
     assert len(curves) == 1 + 150 + 60 + 30  # batches of 20, 50, 100 over 3000 pairs
+
+
+# ---------------------------------------------------------------------------
+# whole outputs, byte for byte
+# ---------------------------------------------------------------------------
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+PARSE_DEMO = ["parse", str(DEMO_DATA / "sender.log"), str(DEMO_DATA / "receiver.log")]
+PLAN_REFERENCE = ["plan", "--var-rate", "1000", "--diff", "8e-4", "--eta", "24.4%"]
+SIMULATE_SEEDED = ["simulate", "sim.conf", "--out-dir", "out", "--seed", "5"]
+
+GOLDEN = {
+    "parse-text": (
+        PARSE_DEMO + ["--out", "demo.csv"],
+        EXIT_OK,
+        "parsed 7 records (0 malformed), matched 2, unmatched 2, duplicates 1\n"
+        "samples written to demo.csv\n",
+        "",
+    ),
+    "parse-json": (
+        PARSE_DEMO + ["--json"],
+        EXIT_OK,
+        "direction,serial,sent_at,bytes,delay_s\r\n"
+        "forward,1353080554,1263374005.000000,100,0.009001\r\n"
+        "forward,1353091581,1263374005.000000,1100,0.027033\r\n"
+        '{"parsed": 7, "malformed": 0, "matched": 2, "unmatched": 2, "paired": null, "duplicates": 1}\n',
+        "",
+    ),
+    "estimate-text": (
+        ["estimate", "demo.csv"],
+        EXIT_OK,
+        "available bandwidth: 0.44 Mbit/s\n"
+        "pairs used: 1 of 1 (batches of 1); mean delay difference 18.032 ms\n"
+        "pairing: 1 pairs, 0 small / 0 large unpaired, 0 other sizes\n",
+        "",
+    ),
+    "estimate-json": (
+        ["estimate", "demo.csv", "--json"],
+        EXIT_OK,
+        '{"bps": 443655.72315882874, "mbps": 0.44, "n_pairs": 1, "sd_bps": null, '
+        '"relative_error": null, "mean_delay_diff_s": 0.018032}\n',
+        "",
+    ),
+    "plan-text": (
+        PLAN_REFERENCE,
+        EXIT_OK,
+        "average n = 50 measurements for a 24.4% relative error (analytic check: 53); "
+        "within the reference table\n",
+        "",
+    ),
+    "plan-json": (
+        PLAN_REFERENCE + ["--json"],
+        EXIT_OK,
+        '{"n": 50, "analytic_n": 53, "extrapolated": false, "scaled_target": 0.244}\n',
+        "",
+    ),
+    "simulate-text": (
+        SIMULATE_SEEDED,
+        EXIT_OK,
+        "wrote 60 pairs to out/samples.csv (seed 5)\n"
+        "  n=   5  sd=0.638 ms  eta=79.8%\n"
+        "  n=  10  sd=0.428 ms  eta=53.5%\n",
+        "",
+    ),
+    "simulate-json": (
+        SIMULATE_SEEDED + ["--json"],
+        EXIT_OK,
+        '{"samples_csv": "out/samples.csv", "error_table_csv": "out/error_vs_n.csv", '
+        '"n_pairs": 60, "seed": 5, "error_vs_n": ['
+        '{"n": 5, "sd_s": 0.0006381594594139029, "eta": 0.7976993242673787}, '
+        '{"n": 10, "sd_s": 0.00042801107719134225, "eta": 0.5350138464891778}]}\n',
+        "",
+    ),
+    "reproduce-text": (
+        ["reproduce-paper", "--out-dir", "ref"],
+        EXIT_OK,
+        "reference outputs written to ref (seed 42)\n"
+        "  n=   5  sd=0.630 ms  eta=78.8%\n"
+        "  n=  10  sd=0.447 ms  eta=55.9%\n"
+        "  n=  20  sd=0.316 ms  eta=39.5%\n"
+        "  n=  30  sd=0.258 ms  eta=32.3%\n"
+        "  n=  50  sd=0.200 ms  eta=25.1%\n"
+        "  n= 100  sd=0.142 ms  eta=17.7%\n"
+        "  n= 200  sd=0.101 ms  eta=12.6%\n"
+        "planned n for the reference conditions: 50 (analytic 53)\n"
+        "2 averaging batches had no positive delay difference\n",
+        "",
+    ),
+    "estimate-domain-failure": (
+        ["estimate", "demo.csv", "--batch-size", "5"],
+        EXIT_DOMAIN,
+        "",
+        "vpsband: 1 pairs is fewer than one batch of 5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_command_output_is_byte_identical(case, tmp_path, monkeypatch, capsys):
+    # Run from an empty directory so the paths the commands print are relative.
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    assert main(PARSE_DEMO + ["--out", "demo.csv"]) == EXIT_OK
+    capsys.readouterr()
+
+    argv, code, stdout, stderr = GOLDEN[case]
+    assert main(argv) == code
+    assert capsys.readouterr() == (stdout, stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,16 @@ def test_parse_config_multi_hop():
             "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nseed=-3\n",
             "seed must be >= 0",
         ),
+        (
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\n"
+            "n_pairs=\u0661\u0660\n",
+            "ASCII digits",
+        ),
+        (
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nseed=4_2\n",
+            "ASCII digits",
+        ),
+        ("capacity_bps=1_0e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\n", "ASCII digits"),
     ],
 )
 def test_parse_config_rejects_malformed(text, message):
