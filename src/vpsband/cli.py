@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import estimator, planner, prober, simulate, testbox
-from .errors import InvalidQuery, NonPositiveDelayDifference, VpsbandError
+from .errors import InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
 from .model import (
     Bandwidth,
     Delay,
@@ -201,6 +201,9 @@ def _flag_sizes(args) -> tuple[PacketSize, PacketSize] | None:
 
 def _sizes_in(samples) -> tuple[PacketSize, PacketSize]:
     sizes = sorted({s.packet_size.bytes for s in samples})
+    if len(sizes) == 1:
+        # no flags can pair such a file, so it is the data at fault
+        raise NoPairsFound(f"samples contain one packet size {sizes}; two are needed to pair")
     if len(sizes) != 2:
         raise _usage_error(
             f"samples contain {len(sizes)} packet size(s) {sizes}; "

@@ -146,6 +146,24 @@ def test_estimate_three_sizes_needs_explicit_flags(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n_pairs"] == 2
 
 
+@pytest.mark.parametrize("sizes, code", [((100,), EXIT_DOMAIN), ((100, 512, 1100), EXIT_USAGE)])
+def test_estimate_size_count_decides_data_or_usage_error(sizes, code, tmp_path, capsys):
+    # One size cannot be paired by any flags; three need flags to pick two.
+    path = tmp_path / "sizes.csv"
+    rows = [f"forward,{i + 1},{i / 10},{size},0.009\n" for i, size in enumerate(sizes * 2)]
+    path.write_text("direction,serial,sent_at,bytes,delay_s\n" + "".join(rows))
+    try:
+        got = main(["estimate", str(path)])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert ("usage:" in err) == (code == EXIT_USAGE)
+    assert str(list(sizes)) in err
+    if code == EXIT_DOMAIN:
+        assert "two are needed" in err
+
+
 def test_estimate_rejects_a_direction_other_than_forward(tmp_path, capsys):
     path = tmp_path / "mixed.csv"
     path.write_text(
@@ -477,8 +495,8 @@ GOLDEN = {
         SIMULATE_SEEDED,
         EXIT_OK,
         "wrote 60 pairs to out/samples.csv (seed 5)\n"
-        "  n=   5  sd=0.638 ms  eta=79.8%\n"
-        "  n=  10  sd=0.428 ms  eta=53.5%\n",
+        "  n=   5  sd=0.649 ms  eta=81.2%\n"
+        "  n=  10  sd=0.461 ms  eta=57.6%\n",
         "",
     ),
     "simulate-json": (
@@ -486,21 +504,21 @@ GOLDEN = {
         EXIT_OK,
         '{"samples_csv": "out/samples.csv", "error_table_csv": "out/error_vs_n.csv", '
         '"n_pairs": 60, "seed": 5, "error_vs_n": ['
-        '{"n": 5, "sd_s": 0.0006381594594139029, "eta": 0.7976993242673787}, '
-        '{"n": 10, "sd_s": 0.00042801107719134225, "eta": 0.5350138464891778}]}\n',
+        '{"n": 5, "sd_s": 0.0006494127156194209, "eta": 0.8117658945242762}, '
+        '{"n": 10, "sd_s": 0.00046079662639980493, "eta": 0.5759957829997562}]}\n',
         "",
     ),
     "reproduce-text": (
         ["reproduce-paper", "--out-dir", "ref"],
         EXIT_OK,
         "reference outputs written to ref (seed 42)\n"
-        "  n=   5  sd=0.630 ms  eta=78.8%\n"
-        "  n=  10  sd=0.447 ms  eta=55.9%\n"
-        "  n=  20  sd=0.316 ms  eta=39.5%\n"
+        "  n=   5  sd=0.623 ms  eta=77.9%\n"
+        "  n=  10  sd=0.448 ms  eta=56.0%\n"
+        "  n=  20  sd=0.315 ms  eta=39.3%\n"
         "  n=  30  sd=0.258 ms  eta=32.3%\n"
-        "  n=  50  sd=0.200 ms  eta=25.1%\n"
-        "  n= 100  sd=0.142 ms  eta=17.7%\n"
-        "  n= 200  sd=0.101 ms  eta=12.6%\n"
+        "  n=  50  sd=0.204 ms  eta=25.4%\n"
+        "  n= 100  sd=0.140 ms  eta=17.5%\n"
+        "  n= 200  sd=0.100 ms  eta=12.5%\n"
         "planned n for the reference conditions: 50 (analytic 53)\n"
         "2 averaging batches had no positive delay difference\n",
         "",

@@ -3,9 +3,12 @@
 import io
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpsband.model import Bandwidth, Delay, Hop, PacketSize, PathModel
 from vpsband.simulate import (
@@ -137,6 +140,44 @@ def test_sd_scales_like_inverse_sqrt_n():
     products = [sd_of_delay_diff(cfg, n) * math.sqrt(n) for n in (5, 20, 100)]
     for p in products:
         assert p == pytest.approx(products[0], rel=0.15)
+
+
+def _sd_by_summing_exponentials(cfg: SimConfig, n: int) -> float:
+    """Reference spread: draw all n pairs of every replication and average them."""
+    w1, w2 = cfg.packet_sizes
+    fixed_diff = fixed_delay(cfg.path, w2).seconds - fixed_delay(cfg.path, w1).seconds
+    rng = np.random.default_rng(cfg.seed)
+    var1 = variable_delays(cfg.path.var_delay_rate, (cfg.n_trials, n), rng)
+    var2 = variable_delays(cfg.path.var_delay_rate, (cfg.n_trials, n), rng)
+    return float(np.std(fixed_diff + (var2 - var1).mean(axis=1), ddof=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    log_rate=st.floats(-3.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sd_matches_summed_exponentials(n, log_rate, seed):
+    # The gamma draw of each class mean has the law of a sum of n
+    # exponentials over n, so the two spreads differ by sampling noise
+    # only.  A ratio of two sample sds of N draws whose excess kurtosis
+    # is 3/n has standard error sqrt((2 + 3/n) / (2N)); allow six.
+    cfg = reference_sim_config(seed=seed, n_trials=10_000, var_delay_rate=10.0**log_rate)
+    ratio = sd_of_delay_diff(cfg, n) / _sd_by_summing_exponentials(cfg, n)
+    assert abs(ratio - 1) <= 6 * math.sqrt((2 + 3 / n) / (2 * cfg.n_trials))
+
+
+def test_sd_memory_does_not_grow_with_n():
+    # Summing exponentials would hold 2 * 2000 * 10^4 floats (320 MB).
+    cfg = reference_sim_config(seed=1, n_trials=2000)
+    tracemalloc.start()
+    try:
+        sd_of_delay_diff(cfg, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_sd_input_checks():
