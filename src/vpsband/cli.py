@@ -232,7 +232,7 @@ def cmd_estimate(args) -> int:
         return _fail(EXIT_DOMAIN, "samples file is empty")
     w1, w2 = flag_sizes or _sizes_in(samples)
 
-    pairing = testbox.pair_by_size(samples, w1, w2, policy=args.policy, window_s=args.window)
+    pairing = testbox.pair_by_size(samples, w1, w2, window_s=args.window)
     batch_size = args.batch_size
     if batch_size == "auto":
         batch_size = _auto_batch_size(len(pairing.pairs))
@@ -509,10 +509,8 @@ def build_parser() -> _Parser:
     p.add_argument("--w2", type=int, help="large packet size, bytes")
     p.add_argument("--batch-size", type=_parse_batch_size, default="auto",
                    help="pairs averaged per batch, or 'auto' (min of 50 and the pair count)")
-    p.add_argument("--policy", choices=testbox.PAIRING_POLICIES, default="nearest-in-time",
-                   help="how samples of the two sizes are paired")
     p.add_argument("--window", type=_parse_positive_float, default=testbox.DEFAULT_PAIR_WINDOW_S,
-                   help="pairing window in seconds (nearest-in-time policy)")
+                   help="pairing window in seconds")
     p.set_defaults(run=cmd_estimate)
 
     p = sub.add_parser("simulate", help="generate synthetic samples and an error-vs-n table")

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import InsufficientData, MalformedLine, MixedPacketSizes, NoPairsFound
 from .model import Delay, DelaySample, PacketSize, ProbePair
 
-PAIRING_POLICIES = ("nearest-in-time", "sequential")
 DEFAULT_PAIR_WINDOW_S = 60.0
+_SENT_AT = attrgetter("sent_at")
 
 _TOKEN_RE = re.compile(r"\S+")
 _UINT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() takes any Unicode digit
@@ -288,20 +289,18 @@ def pair_by_size(
     samples: Iterable[DelaySample],
     w1: PacketSize,
     w2: PacketSize,
-    policy: str = "nearest-in-time",
     window_s: float = DEFAULT_PAIR_WINDOW_S,
 ) -> PairResult:
     """Pair samples of the two size classes into probe pairs.
 
-    ``nearest-in-time`` pairs each large-packet sample with the
-    closest-in-time unpaired small-packet sample within ``window_s``
-    (ties go to the earlier sample); ``sequential`` simply zips the two
-    classes in send order.  No sample is used twice.
+    Larges are taken in ``(sent_at, serial)`` order.  Each takes the
+    unpaired small nearest in time within the closed window
+    ``[t - window_s, t + window_s]``; at equal distance the earlier
+    small wins.  No sample is used twice.  Apart from the sort, time
+    per sample does not grow with how many probes share the window.
     """
     if w1.bytes >= w2.bytes:
         raise ValueError(f"w1 must be smaller than w2, got {w1.bytes} >= {w2.bytes}")
-    if policy not in PAIRING_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {PAIRING_POLICIES}")
     if not (math.isfinite(window_s) and window_s > 0):
         raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
 
@@ -310,29 +309,28 @@ def pair_by_size(
     larges = [s for s in ordered if s.packet_size == w2]
     other = len(ordered) - len(smalls) - len(larges)
 
+    # Unpaired smalls sent at or before the large wait in `left`; the
+    # nearest is the earliest at its latest time.  Smalls taken as an
+    # earlier large's later candidate are a prefix of those sent after
+    # this large, so smalls[nxt] is the first unpaired one.
     pairs = []
-    if policy == "sequential":
-        pairs = [ProbePair(small=s, large=l) for s, l in zip(smalls, larges)]
-        used_small = len(pairs)
-    else:
-        taken = [False] * len(smalls)
-        times = [s.sent_at for s in smalls]
-        for large in larges:
-            lo = bisect_left(times, large.sent_at - window_s)
-            hi = bisect_right(times, large.sent_at + window_s)
-            best = -1
-            best_dt = 0.0
-            # ascending scan plus strict < makes ties go to the earlier sample
-            for k in range(lo, hi):
-                if taken[k]:
-                    continue
-                dt = abs(times[k] - large.sent_at)
-                if best < 0 or dt < best_dt:
-                    best, best_dt = k, dt
-            if best >= 0:
-                taken[best] = True
-                pairs.append(ProbePair(small=smalls[best], large=large))
-        used_small = sum(taken)
+    left: list[DelaySample] = []
+    nxt = 0
+    for large in larges:
+        t = large.sent_at
+        while nxt < len(smalls) and smalls[nxt].sent_at <= t:
+            left.append(smalls[nxt])
+            nxt += 1
+        k = -1
+        if left and left[-1].sent_at >= t - window_s:
+            k = bisect_left(left, left[-1].sent_at, key=_SENT_AT)
+        if nxt < len(smalls) and smalls[nxt].sent_at <= t + window_s and (
+            k < 0 or smalls[nxt].sent_at - t < t - left[k].sent_at
+        ):
+            pairs.append(ProbePair(small=smalls[nxt], large=large))
+            nxt += 1
+        elif k >= 0:
+            pairs.append(ProbePair(small=left.pop(k), large=large))
 
     if not pairs:
         raise NoPairsFound(
@@ -341,7 +339,7 @@ def pair_by_size(
         )
     return PairResult(
         pairs=pairs,
-        unpaired_small=len(smalls) - used_small,
+        unpaired_small=len(smalls) - len(pairs),
         unpaired_large=len(larges) - len(pairs),
         other_sizes=other,
     )

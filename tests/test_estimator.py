@@ -81,6 +81,15 @@ def test_batch_drops_trailing_partial_batch():
     assert est.n_pairs == 6  # seventh pair ignored
 
 
+def test_batch_uses_the_leading_pairs():
+    # only the last pair differs, so batches cut from the tail would see it
+    pairs = [make_pair(0.010, 0.011, serial_base=2 * i) for i in range(6)]
+    pairs.append(make_pair(0.010, 0.014, serial_base=12))
+    est = estimate_batch(pairs, batch_size=3)
+    assert est.mean_delay_diff_s == pytest.approx(0.001, rel=1e-9)
+    assert est.value.bits_per_second == pytest.approx(8e6, rel=1e-9)
+
+
 def test_single_batch_has_no_spread():
     pairs = [make_pair(0.010, 0.011, serial_base=2 * i) for i in range(5)]
     est = estimate_batch(pairs, batch_size=5)

@@ -1,10 +1,12 @@
 """Log-line parsing, serial matching, and size-class pairing."""
 
 import io
+import time
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vpsband.errors import (
@@ -275,6 +277,18 @@ def test_match_sorts_samples_by_send_time():
     assert [s.serial for s in result.samples] == [1, 2]
 
 
+def test_match_breaks_send_time_ties_by_serial():
+    # whole-second sender stamps: four probes share one sent_at, and the
+    # receiver logs them in reverse
+    sent = [SenderRecord(serial=s, host="a", packet_bytes=100, timestamp=10.0) for s in (1, 2, 3, 4)]
+    received = [
+        ReceiverRecord(serial=s, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=10.5)
+        for s in (4, 3, 2, 1)
+    ]
+    result = match_sessions(sent, received)
+    assert [s.serial for s in result.samples] == [1, 2, 3, 4]
+
+
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------
@@ -327,15 +341,143 @@ def test_nearest_pairing_respects_window():
     assert len(result.pairs) == 1
 
 
-def test_sequential_pairing_zips_in_send_order():
+def serials(result):
+    return [(p.small.serial, p.large.serial) for p in result.pairs]
+
+
+# The edge tests below use dyadic times and windows, so every t - window,
+# t + window and distance is exact in floating point.
+
+def test_pairing_window_is_closed_at_both_ends():
     samples = [
-        sample(1100, 0.020, serial=4, sent_at=3.0),
-        sample(100, 0.010, serial=1, sent_at=0.0),
-        sample(1100, 0.021, serial=2, sent_at=1.0),
-        sample(100, 0.011, serial=3, sent_at=2.0),
+        sample(100, 0.010, serial=1, sent_at=1.5),
+        sample(1100, 0.020, serial=2, sent_at=2.0),
+        sample(1100, 0.021, serial=3, sent_at=2.0),
+        sample(100, 0.011, serial=4, sent_at=2.5),
     ]
-    result = pair_by_size(samples, W1, W2, policy="sequential")
-    assert [(p.small.serial, p.large.serial) for p in result.pairs] == [(1, 2), (3, 4)]
+    result = pair_by_size(samples, W1, W2, window_s=0.5)
+    assert serials(result) == [(1, 2), (4, 3)]
+
+
+def test_pairing_equal_time_smalls_go_to_the_lowest_serial():
+    samples = [
+        sample(100, 0.010, serial=7, sent_at=1.0),
+        sample(100, 0.011, serial=5, sent_at=1.0),
+        sample(1100, 0.020, serial=6, sent_at=1.25),
+        sample(100, 0.012, serial=9, sent_at=3.0),
+        sample(100, 0.013, serial=8, sent_at=3.0),
+        sample(1100, 0.021, serial=4, sent_at=2.75),
+    ]
+    result = pair_by_size(samples, W1, W2)
+    assert serials(result) == [(5, 6), (8, 4)]
+
+
+def test_pairing_never_offers_a_later_small_twice():
+    # the first large takes the small after it; that small is nearest to
+    # the second large too, but is gone
+    samples = [
+        sample(100, 0.010, serial=1, sent_at=0.0),
+        sample(1100, 0.020, serial=2, sent_at=1.0),
+        sample(100, 0.011, serial=3, sent_at=1.25),
+        sample(1100, 0.021, serial=4, sent_at=1.5),
+        sample(100, 0.012, serial=5, sent_at=3.5),
+    ]
+    result = pair_by_size(samples, W1, W2)
+    assert serials(result) == [(3, 2), (1, 4)]
+    assert result.unpaired_small == 1
+
+
+def rescan_pairs(samples, w1, w2, window_s):
+    """The nearest-in-time rule as a windowed rescan: the reference for pair_by_size.
+
+    For each large in (sent_at, serial) order, scan every small in the
+    closed window in ascending order and keep the first at the smallest
+    distance.  Quadratic in density, but plainly the rule.
+    """
+    ordered = sorted(samples, key=lambda s: (s.sent_at, s.serial))
+    smalls = [s for s in ordered if s.packet_size == w1]
+    larges = [s for s in ordered if s.packet_size == w2]
+    times = [s.sent_at for s in smalls]
+    taken = [False] * len(smalls)
+    pairs = []
+    for large in larges:
+        lo = bisect_left(times, large.sent_at - window_s)
+        hi = bisect_right(times, large.sent_at + window_s)
+        best, best_dt = -1, 0.0
+        for k in range(lo, hi):
+            dt = abs(times[k] - large.sent_at)
+            if not taken[k] and (best < 0 or dt < best_dt):
+                best, best_dt = k, dt
+        if best >= 0:
+            taken[best] = True
+            pairs.append((smalls[best], large))
+    other = len(ordered) - len(smalls) - len(larges)
+    return pairs, len(smalls) - len(pairs), len(larges) - len(pairs), other
+
+
+EPOCH_US = 1263374005_779364
+
+# (time of grid tick k, grid step in seconds).  Windows are whole steps,
+# so window edges fall on grid times: exactly on the dyadic grids, and
+# to within rounding on epoch microseconds, as in parsed logs.
+GRIDS = {
+    "whole seconds": (float, 1.0),
+    "eighths": (lambda k: k / 8, 0.125),
+    "epoch microseconds": (lambda k: (EPOCH_US + k) / 1e6, 1e-6),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=st.sampled_from(sorted(GRIDS)),
+    rows=st.lists(
+        st.tuples(st.integers(0, 40), st.sampled_from([100, 1100, 512]), st.integers(0, 5)),
+        max_size=40,
+    ),
+    window_steps=st.integers(1, 12),
+)
+def test_pairing_matches_the_windowed_rescan(grid, rows, window_steps):
+    at, step = GRIDS[grid]
+    window_s = window_steps * step
+    samples = [
+        sample(nbytes, 0.001 * (i + 1), serial=serial, sent_at=at(tick))
+        for i, (tick, nbytes, serial) in enumerate(rows)
+    ]
+    pairs, unpaired_small, unpaired_large, other = rescan_pairs(samples, W1, W2, window_s)
+    if not pairs:
+        with pytest.raises(NoPairsFound):
+            pair_by_size(samples, W1, W2, window_s=window_s)
+        return
+    result = pair_by_size(samples, W1, W2, window_s=window_s)
+    assert [(p.small, p.large) for p in result.pairs] == pairs
+    assert (result.unpaired_small, result.unpaired_large, result.other_sizes) == (
+        unpaired_small, unpaired_large, other)
+
+
+def dense_samples(n, seed=7):
+    """n probes at 1000 pkt/s, sizes alternating, 10% lost, all inside one 60 s window."""
+    rng = np.random.default_rng(seed)
+    kept = np.flatnonzero(rng.random(n) >= 0.1)
+    return [
+        sample(100 if i % 2 == 0 else 1100, 0.01, serial=int(i), sent_at=(EPOCH_US + 1000 * int(i)) / 1e6)
+        for i in kept
+    ]
+
+
+def test_pairing_time_per_sample_does_not_grow_with_density():
+    # A windowed rescan costs time per sample in proportion to the probes
+    # in the window: 8x more probes in the window cost ~6x more per sample.
+    # The pairing rule needs none of that, so allow 3x for timer noise.
+    def best_us_per_sample(samples):
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            pair_by_size(samples, W1, W2)
+            runs.append(time.perf_counter() - start)
+        return min(runs) / len(samples) * 1e6
+
+    small, large = dense_samples(2_000), dense_samples(16_000)
+    assert best_us_per_sample(large) <= 3 * best_us_per_sample(small)
 
 
 def test_pairing_counts_other_sizes():
@@ -352,8 +494,6 @@ def test_pairing_validates_inputs():
     samples = [sample(100, 0.010, serial=1, sent_at=0.0)]
     with pytest.raises(ValueError, match="w1 must be smaller"):
         pair_by_size(samples, W2, W1)
-    with pytest.raises(ValueError, match="unknown policy"):
-        pair_by_size(samples, W1, W2, policy="eager")
     for window_s in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="window_s"):
             pair_by_size(samples, W1, W2, window_s=window_s)
