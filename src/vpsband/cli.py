@@ -20,6 +20,7 @@ from pathlib import Path
 from . import estimator, planner, prober, simulate, testbox
 from .errors import InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
 from .model import (
+    MAX_PORT,
     Bandwidth,
     Delay,
     Hop,
@@ -46,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser: it reports arguments it does not know under
+    its own usage, where the root parser would show only its own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _fail(code: int, message: str) -> int:
     print(f"vpsband: {message}", file=sys.stderr)
     return code
@@ -65,7 +77,7 @@ def _report(args, payload: dict, *lines: str | None) -> int:
 
 
 def _usage_error(message: str) -> argparse.ArgumentError:
-    """A usage error found after parsing; ``main`` reports it as argparse would."""
+    """A usage error found after parsing; ``main`` reports it as the command's parser would."""
     return argparse.ArgumentError(None, message)
 
 
@@ -87,8 +99,8 @@ def _parse_host_port(text: str) -> tuple[str, int]:
         port_num = int(port)
     except ValueError:
         raise argparse.ArgumentTypeError(f"port must be an integer, got {port!r}") from None
-    if not 0 <= port_num <= 65535:
-        raise argparse.ArgumentTypeError(f"port must be in [0, 65535], got {port_num}")
+    if not 0 <= port_num <= MAX_PORT:
+        raise argparse.ArgumentTypeError(f"port must be in [0, {MAX_PORT}], got {port_num}")
     return host, port_num
 
 
@@ -495,7 +507,7 @@ def cmd_reproduce(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="vpsband", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(required=True, metavar="COMMAND")
+    sub = parser.add_subparsers(required=True, metavar="COMMAND", parser_class=_CommandParser)
 
     p = sub.add_parser("parse", help="parse sender/receiver logs into delay samples")
     p.add_argument("sender", help="sender-side log (SNDP lines)")
@@ -557,6 +569,7 @@ def build_parser() -> _Parser:
     # the front of every usage line that usage errors print.
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true", help="print the result as one JSON object")
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -566,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except argparse.ArgumentError as exc:
-        parser.error(str(exc))
+        args.command_parser.error(str(exc))
     except VpsbandError as exc:
         return _fail(EXIT_DOMAIN, str(exc))
     except BrokenPipeError:

@@ -24,6 +24,7 @@ MAX_UNFRAGMENTED_PAYLOAD = 1472  # 1500 MTU - 20 IP - 8 UDP
 SAMPLE_CSV_FIELDS = ("direction", "serial", "sent_at", "bytes", "delay_s")
 SAMPLE_DIRECTION = "forward"  # the only value of the direction column; round trips too
 MAX_SERIAL = 2**64 - 1
+MAX_PORT = 65535
 
 
 def bytes_to_bits(n_bytes: float) -> float:
@@ -236,11 +237,13 @@ def sample_from_row(row: list[str]) -> DelaySample:
 
 
 def write_samples_csv(samples: Iterable[DelaySample], fp: TextIO) -> None:
-    """Write samples in the package CSV format, header included."""
-    writer = csv.writer(fp)
-    writer.writerow(SAMPLE_CSV_FIELDS)
-    for sample in samples:
-        writer.writerow(sample_to_row(sample))
+    """Write samples in the package CSV format, header included.
+
+    No field ever needs quoting, so rows are joined by hand, ended with
+    CRLF as ``csv.writer`` ends them.
+    """
+    fp.write(",".join(SAMPLE_CSV_FIELDS) + "\r\n")
+    fp.writelines(",".join(sample_to_row(sample)) + "\r\n" for sample in samples)
 
 
 def read_samples_csv(fp: TextIO) -> list[DelaySample]:

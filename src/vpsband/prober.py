@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import BindFailure, ClockError, Unreachable
 from .model import (
+    MAX_PORT,
     MAX_UNFRAGMENTED_PAYLOAD,
     Delay,
     DelaySample,
@@ -54,8 +55,8 @@ class ProbeConfig:
     timeout_s: float = 2.0
 
     def __post_init__(self):
-        if not 1 <= self.port <= 65535:
-            raise ValueError(f"port must be in [1, 65535], got {self.port}")
+        if not 1 <= self.port <= MAX_PORT:
+            raise ValueError(f"port must be in [1, {MAX_PORT}], got {self.port}")
         if self.w1.bytes < MIN_PROBE_BYTES:
             raise ValueError(f"w1 must fit the {MIN_PROBE_BYTES}-byte probe header")
         if self.w1.bytes >= self.w2.bytes:

@@ -14,7 +14,9 @@ receiver (RCDP)::
 Sender and receiver records join on the packet serial.  Parsing is
 total: any input line yields either a record or ``MalformedLine`` with
 the byte offset of the first field that failed, never another
-exception.
+exception.  Numbers out of range are malformed too: a serial above
+2**64 - 1, a packet size outside 1..65507, a source port above 65535,
+or a time or delay too long to be a finite float.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import attrgetter
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import InsufficientData, MalformedLine, MixedPacketSizes, NoPairsFound
-from .model import Delay, DelaySample, PacketSize, ProbePair
+from .model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize, ProbePair
 
 DEFAULT_PAIR_WINDOW_S = 60.0
 _SENT_AT = attrgetter("sent_at")
@@ -89,16 +91,27 @@ def _take(tokens: list[tuple[str, int]], idx: int, line: str, what: str) -> tupl
     return tokens[idx]
 
 
-def _uint(text: str, offset: int, what: str) -> int:
-    if not _UINT_RE.match(text):
-        raise _fail(offset, f"{what} must be an unsigned integer, got {text!r}")
-    return int(text)
+def _shaped(pattern: re.Pattern, text: str, offset: int, what: str, shape: str) -> str:
+    if not pattern.match(text):
+        raise _fail(offset, f"{what} must be {shape}, got {text!r}")
+    return text
 
 
-def _ufloat(text: str, offset: int, what: str) -> float:
-    if not _UFLOAT_RE.match(text):
-        raise _fail(offset, f"{what} must be a non-negative decimal, got {text!r}")
-    return float(text)
+def _uint(text: str, offset: int, what: str, top: int) -> int:
+    digits = _shaped(_UINT_RE, text, offset, what, "an unsigned integer").lstrip("0") or "0"
+    # a run longer than top's is out of range, and may be past int()'s digit limit
+    if len(digits) > len(str(top)) or int(digits) > top:
+        raise _fail(offset, f"{what} must be at most {top}")
+    return int(digits)
+
+
+def _ufloat(
+    text: str, offset: int, what: str, pattern: re.Pattern = _UFLOAT_RE, shape: str = "a non-negative decimal"
+) -> float:
+    value = float(_shaped(pattern, text, offset, what, shape))
+    if not math.isfinite(value):  # float() rounds a long enough digit run to inf
+        raise _fail(offset, f"{what} must be finite")
+    return value
 
 
 def parse_sender_line(line: str) -> SenderRecord:
@@ -109,7 +122,7 @@ def parse_sender_line(line: str) -> SenderRecord:
         raise _fail(tag_off, f"expected tag 'SNDP', got {tag!r}")
     _take(tokens, 1, line, "format field")
     ts_text, ts_off = _take(tokens, 2, line, "timestamp")
-    timestamp = float(_uint(ts_text, ts_off, "timestamp"))
+    timestamp = _ufloat(ts_text, ts_off, "timestamp", _UINT_RE, "an unsigned integer")
 
     # remaining tokens are -flag value pairs; -h, -n and -s are required
     options: dict[str, tuple[str, int]] = {}
@@ -126,12 +139,12 @@ def parse_sender_line(line: str) -> SenderRecord:
         if needed not in options:
             raise _fail(_end_offset(line), f"missing option -{needed}")
     nbytes_text, nbytes_off = options["n"]
-    nbytes = _uint(nbytes_text, nbytes_off, "packet size")
+    nbytes = _uint(nbytes_text, nbytes_off, "packet size", MAX_UDP_PAYLOAD)
     if nbytes < 1:
         raise _fail(nbytes_off, "packet size must be positive")
     serial_text, serial_off = options["s"]
     return SenderRecord(
-        serial=_uint(serial_text, serial_off, "serial"),
+        serial=_uint(serial_text, serial_off, "serial", MAX_SERIAL),
         host=options["h"][0],
         packet_bytes=nbytes,
         timestamp=timestamp,
@@ -148,7 +161,7 @@ def parse_receiver_line(line: str) -> ReceiverRecord:
         _take(tokens, idx, line, what)
     src_ip, _ = _take(tokens, 3, line, "source address")
     port_text, port_off = _take(tokens, 4, line, "source port")
-    src_port = _uint(port_text, port_off, "source port")
+    src_port = _uint(port_text, port_off, "source port", MAX_PORT)
     _take(tokens, 5, line, "destination address")
     _take(tokens, 6, line, "destination port")
     recv_text, recv_off = _take(tokens, 7, line, "receive timestamp")
@@ -161,7 +174,7 @@ def parse_receiver_line(line: str) -> ReceiverRecord:
             raise _fail(flags_off, f"expected hex status flags, got {flags!r}")
     serial_text, serial_off = _take(tokens, 11, line, "serial")
     return ReceiverRecord(
-        serial=_uint(serial_text, serial_off, "serial"),
+        serial=_uint(serial_text, serial_off, "serial", MAX_SERIAL),
         delay_s=delay_s,
         src_addr=(src_ip, src_port),
         received_at=received_at,
@@ -188,10 +201,54 @@ class ParsedLog:
         return len(self.malformed)
 
 
-def _parse_lines(raw: BinaryIO, parse_line) -> ParsedLog:
+# Canonical lines, matched on the raw bytes: printable-ASCII fields split
+# by spaces or tabs.  Integer parts of at most 308 digits keep every time
+# and delay below 10**308, so finite; serials, sizes and ports are
+# range-checked after the match.  A line that misses, or fails a check,
+# goes to parse_*_line, the one source of MalformedLine texts and offsets.
+_TOKEN = rb"[!-~]+"
+_SECONDS = rb"([0-9]{1,308}(?:\.[0-9]{1,308})?)"
+
+
+def _canonical(*fields: bytes) -> re.Pattern:
+    return re.compile(rb"[ \t]*" + rb"[ \t]+".join(fields) + rb"[ \t]*\r?\n?")
+
+
+_SENDER_RE = _canonical(
+    rb"SNDP", _TOKEN, rb"([0-9]{1,308})", rb"-h", rb"(" + _TOKEN + rb")", rb"-p", _TOKEN,
+    rb"-n", rb"([0-9]{1,5})", rb"-s", rb"([0-9]{1,20})",
+)
+_RECEIVER_RE = _canonical(
+    rb"RCDP", _TOKEN, _TOKEN, rb"(" + _TOKEN + rb")", rb"([0-9]{1,5})", _TOKEN, _TOKEN,
+    _SECONDS, _SECONDS, rb"0X[!-~]*", rb"0X[!-~]*", rb"([0-9]{1,20})(?:[ \t]+" + _TOKEN + rb")*",
+)
+
+
+def _sender_record(timestamp: bytes, host: bytes, nbytes: bytes, serial: bytes) -> SenderRecord | None:
+    packet_bytes, serial_no = int(nbytes), int(serial)
+    if 1 <= packet_bytes <= MAX_UDP_PAYLOAD and serial_no <= MAX_SERIAL:
+        return SenderRecord(serial_no, host.decode("ascii"), packet_bytes, float(timestamp))
+    return None
+
+
+def _receiver_record(
+    src_ip: bytes, port: bytes, received_at: bytes, delay_s: bytes, serial: bytes
+) -> ReceiverRecord | None:
+    src_port, serial_no = int(port), int(serial)
+    if src_port <= MAX_PORT and serial_no <= MAX_SERIAL:
+        return ReceiverRecord(serial_no, float(delay_s), (src_ip.decode("ascii"), src_port), float(received_at))
+    return None
+
+
+def _parse_lines(raw: BinaryIO, canonical: re.Pattern, build, parse_line) -> ParsedLog:
     records = []
     malformed = []
     for lineno, raw_line in enumerate(raw, start=1):
+        match = canonical.fullmatch(raw_line)
+        record = build(*match.groups()) if match else None
+        if record is not None:
+            records.append(record)
+            continue
         line = raw_line.rstrip(b"\r\n").decode("utf-8", errors="surrogateescape")
         if not line.strip():
             continue
@@ -203,11 +260,11 @@ def _parse_lines(raw: BinaryIO, parse_line) -> ParsedLog:
 
 
 def parse_sender_file(raw: BinaryIO) -> ParsedLog:
-    return _parse_lines(raw, parse_sender_line)
+    return _parse_lines(raw, _SENDER_RE, _sender_record, parse_sender_line)
 
 
 def parse_receiver_file(raw: BinaryIO) -> ParsedLog:
-    return _parse_lines(raw, parse_receiver_line)
+    return _parse_lines(raw, _RECEIVER_RE, _receiver_record, parse_receiver_line)
 
 
 # ---------------------------------------------------------------------------

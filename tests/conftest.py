@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from pathlib import Path
 
 import pytest
 
 from vpsband.model import (
+    SAMPLE_CSV_FIELDS,
     Bandwidth,
     Delay,
     DelaySample,
@@ -14,6 +17,7 @@ from vpsband.model import (
     PacketSize,
     PathModel,
     ProbePair,
+    sample_to_row,
 )
 from vpsband.simulate import SimConfig
 
@@ -51,6 +55,15 @@ def make_pair(
             sent_at=sent_at + 0.05,
         ),
     )
+
+
+def csv_module_text(samples) -> str:
+    """The samples CSV as the csv module writes it: the reference for write_samples_csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(SAMPLE_CSV_FIELDS)
+    writer.writerows(sample_to_row(s) for s in samples)
+    return buf.getvalue()
 
 
 def ten_mbit_path(var_delay_rate: float = 1000.0) -> PathModel:

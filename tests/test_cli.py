@@ -7,13 +7,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import vpsband
 from vpsband.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from vpsband.model import read_samples_csv
+from vpsband.model import MAX_SERIAL, MAX_UDP_PAYLOAD, read_samples_csv
 from vpsband.prober import ProbeConfig, Reflector, probe
+from vpsband.testbox import match_sessions, parse_receiver_file, parse_sender_file
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, csv_module_text
 
 SIM_CONFIG = """\
 capacity_bps = 10e6
@@ -64,6 +67,59 @@ def test_parse_to_stdout_by_default(data_dir, capsys):
     out = capsys.readouterr().out
     assert out.startswith("direction,serial,sent_at,bytes,delay_s")
     assert "matched 2" in out
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, MAX_SERIAL),
+            st.integers(0, 2**40),
+            st.integers(1, MAX_UDP_PAYLOAD),
+            st.floats(0, 1e6).map(lambda x: f"{x:.6f}"),
+        ),
+        min_size=1,
+        max_size=10,
+        unique_by=lambda row: row[0],
+    )
+)
+def test_parse_stdout_matches_the_csv_module(rows, tmp_path, capsys):
+    sender, receiver = tmp_path / "s.log", tmp_path / "r.log"
+    sender.write_text("".join(f"SNDP 9 {t} -h a -p 6000 -n {n} -s {s}\n" for s, t, n, _ in rows))
+    receiver.write_text(
+        "".join(f"RCDP 12 2 1.2.3.4 5 6.7.8.9 6000 {t}.5 {d} 0X0 0X0 {s} 0 0\n" for s, t, _, d in rows)
+    )
+    with open(sender, "rb") as s_fp, open(receiver, "rb") as r_fp:
+        samples = match_sessions(parse_sender_file(s_fp).records, parse_receiver_file(r_fp).records).samples
+
+    assert main(["parse", str(sender), str(receiver), "--out", "-"]) == EXIT_OK
+    csv_text, summary = capsys.readouterr().out.rsplit("\r\n", 1)
+    assert csv_text + "\r\n" == csv_module_text(samples)
+    assert summary.startswith(f"parsed {2 * len(rows)} records (0 malformed)")
+
+
+def test_parse_counts_out_of_range_numbers_as_malformed(tmp_path, capsys):
+    # each of these lines once ended `parse` with a traceback and exit 1
+    sender = tmp_path / "s.log"
+    receiver = tmp_path / "r.log"
+    sender.write_text(
+        "SNDP 9 77 -h a -p 6000 -n 100 -s 1\n"
+        f"SNDP 9 {'1' * 400} -h a -p 6000 -n 100 -s 2\n"
+        f"SNDP 9 77 -h a -p 6000 -n 100 -s {2**64}\n"
+        "SNDP 9 77 -h a -p 6000 -n 70000 -s 3\n"
+        f"SNDP 9 77 -h a -p 6000 -n 100 -s {'1' * 5000}\n"
+    )
+    receiver.write_text(
+        "RCDP 12 2 1.2.3.4 5 6.7.8.9 6000 77.5 0.5 0X0 0X0 1 0 0\n"
+        f"RCDP 12 2 1.2.3.4 5 6.7.8.9 6000 77.5 {'9' * 400} 0X0 0X0 2 0 0\n"
+        f"RCDP 12 2 1.2.3.4 5 6.7.8.9 6000 77.5 0.5 0X0 0X0 {2**64} 0 0\n"
+        f"RCDP 12 2 1.2.3.4 5 6.7.8.9 6000 {'9' * 400}.5 0.5 0X0 0X0 3 0 0\n"
+    )
+    code = main(["parse", str(sender), str(receiver), "--out", str(tmp_path / "x.csv"), "--json"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "parsed": 2, "malformed": 7, "matched": 1, "unmatched": 0, "paired": None, "duplicates": 0,
+    }
 
 
 def test_parse_without_matches_exits_domain(tmp_path, capsys):
@@ -574,6 +630,33 @@ def test_usage_errors_exit_64(argv):
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
     assert exc_info.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["estimate", SAMPLES_CSV, "--bogus"], "unrecognized arguments: --bogus"),
+        (["parse", "s.log", "r.log", "--bogus", "--json"], "unrecognized arguments: --bogus"),
+        (["plan", "--var-rate", "1", "--diff", "1", "--eta", "0.1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["estimate", SAMPLES_CSV, "--w1", "100"], "--w1 and --w2 must be given together"),  # found after parsing
+    ],
+)
+def test_usage_error_of_a_command_shows_that_commands_usage(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: vpsband {argv[0]} [-h]")
+    assert err.endswith(f"vpsband {argv[0]}: error: {message}\n")
+
+
+def test_unknown_option_before_the_command_stays_a_top_level_error(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--bogus", "estimate", SAMPLES_CSV])
+    assert exc_info.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage: vpsband [-h] COMMAND ...\nvpsband: error: unrecognized arguments: --bogus\n"
+    )
 
 
 def test_installed_script_entry_point():

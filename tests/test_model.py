@@ -3,7 +3,7 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vpsband.model import (
@@ -12,6 +12,7 @@ from vpsband.model import (
     Delay,
     DelaySample,
     Hop,
+    MAX_SERIAL,
     MAX_UDP_PAYLOAD,
     PacketSize,
     PathModel,
@@ -24,7 +25,7 @@ from vpsband.model import (
     write_samples_csv,
 )
 
-from conftest import make_pair
+from conftest import csv_module_text, make_pair
 
 
 def test_bytes_to_bits():
@@ -168,6 +169,27 @@ def test_csv_round_trip_quantizes_to_nanoseconds(tmp_path):
     write_samples_csv(parsed, buf)
     buf.seek(0)
     assert read_samples_csv(buf) == parsed
+
+
+SAMPLES = st.lists(
+    st.builds(
+        DelaySample,
+        packet_size=st.builds(PacketSize, st.integers(1, MAX_UDP_PAYLOAD)),
+        delay=st.builds(Delay, st.floats(min_value=0.0, allow_infinity=False)),
+        serial=st.integers(0, MAX_SERIAL),
+        sent_at=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=20,
+)
+
+
+@given(SAMPLES)
+@example([])
+@example([DelaySample(PacketSize(MAX_UDP_PAYLOAD), Delay(1e300), serial=MAX_SERIAL, sent_at=-1e300)])
+def test_write_samples_csv_matches_the_csv_module(samples):
+    buf = io.StringIO()
+    write_samples_csv(samples, buf)
+    assert buf.getvalue() == csv_module_text(samples)
 
 
 def test_read_samples_csv_rejects_wrong_header():

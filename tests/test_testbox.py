@@ -1,6 +1,7 @@
 """Log-line parsing, serial matching, and size-class pairing."""
 
 import io
+import math
 import time
 from bisect import bisect_left, bisect_right
 
@@ -15,7 +16,8 @@ from vpsband.errors import (
     MixedPacketSizes,
     NoPairsFound,
 )
-from vpsband.model import Delay, DelaySample, PacketSize
+from vpsband import testbox
+from vpsband.model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize
 from vpsband.testbox import (
     ReceiverRecord,
     SenderRecord,
@@ -33,6 +35,25 @@ RECEIVER_LINE = (
     "RCDP 12 2 89.186.245.200 55730 193.233.1.69 6000 "
     "1263374005.779364 0.009001 0X2107 0X2107 1353080554 0.000001 0.000001"
 )
+
+
+# Lines whose numbers overflowed or broke a later invariant instead of
+# parsing as malformed: (line, text of the field at fault).
+OUT_OF_RANGE_SENDER = {
+    "timestamp-400-digits": (SENDER_LINE.replace("1263374005", "1" * 400), "1" * 400),  # float(int) overflowed
+    "serial-2**64": (SENDER_LINE.replace("1353080538", str(2**64)), str(2**64)),  # DelaySample raised
+    "size-70000": (SENDER_LINE.replace("-n 1024", "-n 70000"), "70000"),  # PacketSize raised
+    "serial-5000-digits": (SENDER_LINE.replace("1353080538", "1" * 5000), "1" * 5000),  # int()'s digit limit
+    "size-5000-digits": (SENDER_LINE.replace("6000 -n 1024", "6000 -n " + "1" * 5000), "1" * 5000),
+}
+OUT_OF_RANGE_RECEIVER = {  # ((old, new) in RECEIVER_LINE, text of the field at fault)
+    "delay-400-digits": (("0.009001", "9" * 400), "9" * 400),  # Delay raised on inf
+    "receive-time-400-digits": (("1263374005.779364", "9" * 400 + ".5"), "9" * 400 + ".5"),
+    "serial-2**64": (("1353080554", str(2**64)), str(2**64)),
+    "serial-5000-digits": (("1353080554", "1" * 5000), "1" * 5000),
+    "port-5000-digits": (("55730", "1" * 5000), "1" * 5000),
+    "port-65536": (("55730", "65536"), "65536"),
+}
 
 
 def sample(nbytes, delay_s, serial, sent_at):
@@ -85,7 +106,8 @@ def test_sender_duplicate_option_first_wins():
         ("SNDP 9 77 -h a noflag 100 -s 5", "noflag"),  # option without dash
         ("SNDP 9 \u0661\u0662 -h a -n 100 -s 5", "\u0661"),   # Arabic-Indic digits
         ("SNDP 9 77 -h a -n 100 -s \uff15", "\uff15"),         # full-width digit
-    ],
+    ]
+    + [pytest.param(*case, id=name) for name, case in OUT_OF_RANGE_SENDER.items()],
 )
 def test_sender_malformed_offsets_point_at_the_field(line, offset_of):
     with pytest.raises(MalformedLine) as exc_info:
@@ -135,7 +157,8 @@ def test_parse_receiver_golden_line():
         (("1353080554", "nope"), "nope"),
         (("55730", "557\u06630"), "557\u06630"),              # Arabic-Indic digit
         (("0.009001", "0.00\uff19001"), "0.00\uff19001"),     # full-width digit
-    ],
+    ]
+    + [pytest.param(*case, id=name) for name, case in OUT_OF_RANGE_RECEIVER.items()],
 )
 def test_receiver_malformed_offsets_point_at_the_field(mutation, bad):
     old, new = mutation
@@ -157,23 +180,54 @@ def test_receiver_truncated_line_fails_at_line_end():
 # ---------------------------------------------------------------------------
 
 @given(st.text(max_size=200))
+@example(OUT_OF_RANGE_SENDER["timestamp-400-digits"][0])
+@example(OUT_OF_RANGE_SENDER["serial-2**64"][0])
+@example(OUT_OF_RANGE_SENDER["size-70000"][0])
+@example(OUT_OF_RANGE_SENDER["serial-5000-digits"][0])
+@example(OUT_OF_RANGE_SENDER["size-5000-digits"][0])
 def test_sender_line_parsing_is_total(line):
     try:
         rec = parse_sender_line(line)
     except MalformedLine as exc:
         assert 0 <= exc.offset <= len(line.encode("utf-8", errors="replace"))
     else:
-        assert rec.serial >= 0
+        assert 0 <= rec.serial <= MAX_SERIAL
+        assert 1 <= rec.packet_bytes <= MAX_UDP_PAYLOAD
+        assert math.isfinite(rec.timestamp)
 
 
 @given(st.text(max_size=200))
+@example(RECEIVER_LINE.replace(*OUT_OF_RANGE_RECEIVER["delay-400-digits"][0]))
+@example(RECEIVER_LINE.replace(*OUT_OF_RANGE_RECEIVER["receive-time-400-digits"][0]))
+@example(RECEIVER_LINE.replace(*OUT_OF_RANGE_RECEIVER["serial-2**64"][0]))
+@example(RECEIVER_LINE.replace(*OUT_OF_RANGE_RECEIVER["serial-5000-digits"][0]))
+@example(RECEIVER_LINE.replace(*OUT_OF_RANGE_RECEIVER["port-5000-digits"][0]))
+@example(RECEIVER_LINE.replace(*OUT_OF_RANGE_RECEIVER["port-65536"][0]))
 def test_receiver_line_parsing_is_total(line):
     try:
         rec = parse_receiver_line(line)
     except MalformedLine as exc:
         assert 0 <= exc.offset <= len(line.encode("utf-8", errors="replace"))
     else:
-        assert rec.delay_s >= 0
+        assert 0 <= rec.serial <= MAX_SERIAL
+        assert 0 <= rec.src_addr[1] <= MAX_PORT
+        assert math.isfinite(rec.delay_s) and rec.delay_s >= 0
+        assert math.isfinite(rec.received_at)
+
+
+@pytest.mark.parametrize(
+    "line,value",
+    [
+        (SENDER_LINE.replace("1353080538", str(MAX_SERIAL)), MAX_SERIAL),
+        (SENDER_LINE.replace("1353080538", "0" * 5000 + "7"), 7),   # leading zeros are not range
+        (SENDER_LINE.replace("1263374005", "1" + "0" * 308), 1e308),  # finite at 309 digits
+    ],
+    ids=["serial-max", "serial-5001-digits", "timestamp-309-digits"],
+)
+def test_numbers_at_their_bounds_still_parse(line, value):
+    rec = parse_sender_line(line)
+    assert value in (rec.serial, rec.timestamp)
+    assert parse_sender_file(io.BytesIO(line.encode())).records == [rec]
 
 
 @given(st.binary(max_size=400))
@@ -201,6 +255,163 @@ def test_file_offsets_index_the_raw_line_bytes(line, offset):
     for ending in (b"", b"\n", b"\r\n"):
         [(_, exc)] = parse_sender_file(io.BytesIO(line + ending)).malformed
         assert exc.offset == offset
+
+
+# ---------------------------------------------------------------------------
+# the canonical-line fast path against the line parsers
+# ---------------------------------------------------------------------------
+
+def reference_parse(blob, parse_line):
+    """Every line through parse_line: what parse_*_file gave before its fast path.
+
+    Returns the records and (lineno, message, offset) of each malformed line.
+    """
+    records, malformed = [], []
+    for lineno, raw_line in enumerate(io.BytesIO(blob), start=1):
+        line = raw_line.rstrip(b"\r\n").decode("utf-8", errors="surrogateescape")
+        if not line.strip():
+            continue
+        try:
+            records.append(parse_line(line))
+        except MalformedLine as exc:
+            malformed.append((lineno, str(exc), exc.offset))
+    return records, malformed
+
+
+# Digit runs at and past the fast path's bounds: 308 digits are always a
+# finite float, 309 may or may not be.
+BOUND_DIGITS = [b"9" * 308, b"9" * 309, b"1" + b"0" * 308, b"2" + b"0" * 308, b"0" * 308 + b"1", b"1" * 5000]
+TIMESTAMPS = st.one_of(
+    st.integers(0, 2**40).map(lambda n: str(n).encode()),
+    st.sampled_from(BOUND_DIGITS + [b"12x", b"1.5", b"\xd9\xa1"]),
+)
+SECONDS = st.one_of(
+    st.floats(0, 2e9).map(lambda x: f"{x:.6f}".encode()),
+    st.sampled_from(BOUND_DIGITS + [b"9" * 308 + b"." + b"9" * 308, b"1." + b"0" * 400, b"5", b"-0.5", b"1e-3", b"inf"]),
+)
+SERIALS = st.one_of(
+    st.integers(0, 2**64 + 5).map(lambda n: str(n).encode()),
+    st.sampled_from([str(2**64 - 1).encode(), str(2**64).encode(), b"0" * 20 + b"5", b"1" * 5000, b"5x"]),
+)
+SIZES = st.sampled_from([b"0", b"1", b"100", b"1100", b"65507", b"65508", b"99999", b"100000", b"0100", b"-5"])
+PORTS = st.sampled_from([b"6000", b"55730", b"0", b"65535", b"65536", b"99999", b"055730", b"port"])
+HOSTS = st.sampled_from([b"tt146.example.net", "h\u00e9llo.net".encode(), b"\xff\xfe", b"a-b", b"-s", b"-n"])
+FLAGS = st.sampled_from([b"0X2107", b"0X", b"2107", b"0x2107", "0X\u00e9".encode()])
+TRAILING = st.sampled_from([b"0.000001", b"x", "\u00b5s".encode(), b"\xff"])
+EXTRA_OPTIONS = st.sampled_from([(b"-x", b"whatever"), (b"-n", b"999"), (b"-s", b"1"), (b"nope", b"1")])
+SEPARATORS = st.sampled_from([b" ", b"\t", b"  ", b" \t", b"\x0b", b"\x1c", "\u00a0".encode()])
+
+
+@st.composite
+def laid_out(draw, fields):
+    """Fields joined into one raw line: canonical, or with mutated blanks and ending."""
+    if draw(st.booleans()):
+        return b" ".join(fields) + b"\n"
+    seps = draw(st.lists(SEPARATORS, min_size=len(fields) - 1, max_size=len(fields) - 1))
+    line = draw(st.sampled_from([b"", b" ", b"\t", b"\r"]))
+    for field, sep in zip(fields, seps + [draw(st.sampled_from([b"", b" ", b"\t", b"\x0b"]))]):
+        line += field + sep
+    return line + draw(st.sampled_from([b"\n", b"\r\n", b"\r\r\n", b"", b"\r"]))
+
+
+@st.composite
+def sender_lines(draw):
+    options = [(b"-h", draw(HOSTS)), (b"-p", draw(PORTS)), (b"-n", draw(SIZES)), (b"-s", draw(SERIALS))]
+    if draw(st.booleans()):
+        options = draw(st.permutations(options + draw(st.lists(EXTRA_OPTIONS, max_size=2))))
+    fields = [b"SNDP", draw(st.sampled_from([b"9", b"x"])), draw(TIMESTAMPS)]
+    fields += [part for option in options for part in option]
+    if draw(st.integers(0, 7)) == 0:
+        fields = fields[: draw(st.integers(1, len(fields) - 1))]
+    return draw(laid_out(fields))
+
+
+@st.composite
+def receiver_lines(draw):
+    fields = [
+        b"RCDP", b"12", b"2", draw(st.sampled_from([b"89.186.245.200", "h\u00f4te".encode(), b"\xff"])),
+        draw(PORTS), b"193.233.1.69", b"6000", draw(SECONDS), draw(SECONDS), draw(FLAGS), draw(FLAGS),
+        draw(SERIALS),
+    ] + draw(st.lists(TRAILING, max_size=3))
+    if draw(st.integers(0, 7)) == 0:
+        fields = fields[: draw(st.integers(1, len(fields) - 1))]
+    return draw(laid_out(fields))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(sender_lines(), receiver_lines(), st.sampled_from([b"\n", b" \r\n"])), max_size=8))
+@example([b"SNDP 9 77 -h a -p 6000 -n 100 -s 5\n", b"RCDP 12 2 a 1 b 2 3.5 0.01 0X1 0X1 5\n"])
+@example([b"SNDP 9 77 -h a -p 6000 -n 65508 -s 5\n", b"SNDP 9 77 -h a -p 6000 -n 1 -s 18446744073709551616"])
+def test_file_parsing_matches_the_line_parsers(lines):
+    assert_file_parsing_matches_the_line_parsers(b"".join(lines))
+
+
+def assert_file_parsing_matches_the_line_parsers(blob):
+    for parse_file, parse_line in ((parse_sender_file, parse_sender_line), (parse_receiver_file, parse_receiver_line)):
+        parsed = parse_file(io.BytesIO(blob))
+        malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
+        assert (parsed.records, malformed) == reference_parse(blob, parse_line)
+
+
+# One field of a canonical line swapped for a value at or past a bound
+# of the fast path: (text to replace, replacements).
+SENDER_SWAPS = [
+    (b"1263374005", BOUND_DIGITS),
+    (b"1024", [b"0", b"1", b"65507", b"65508", b"0100", b"00000"]),
+    (b"1353080538", [str(MAX_SERIAL).encode(), str(2**64).encode(), b"0" * 20 + b"5"]),
+    (b"tt01.ripe.net", ["h\u00e9llo".encode(), b"\xff", b"-s"]),
+    (b"-p", [b"-q", b"-n"]),
+    (b"-s", [b"-x", b"-ss"]),
+]
+RECEIVER_SWAPS = [
+    (b"55730", [b"0", b"65535", b"65536", b"055730", b"123456"]),
+    (b"1263374005.779364", BOUND_DIGITS + [b"9" * 308 + b"." + b"9" * 308, b"1." + b"0" * 400]),
+    (b"0.009001", BOUND_DIGITS + [b"1e-3", b"0.", b".5"]),
+    (b"0X2107 0X2107", [b"0X 0X", b"0X2107 2107", b"0x2107 0X2107"]),
+    (b"1353080554", [str(MAX_SERIAL).encode(), str(2**64).encode(), b"0" * 20 + b"5"]),
+    (b"89.186.245.200", ["h\u00f4te".encode(), b"\xff"]),
+    (b" 0.000001 0.000001", [b"", "\u00b5s".encode(), b" \xff", b" \x0b"]),
+]
+AT_THE_BOUNDS = [
+    line.replace(old, new, 1)
+    for line, swaps in ((SENDER_LINE.encode(), SENDER_SWAPS), (RECEIVER_LINE.encode(), RECEIVER_SWAPS))
+    for old, news in swaps
+    for new in news
+]
+
+
+@pytest.mark.parametrize("line", AT_THE_BOUNDS, ids=range(len(AT_THE_BOUNDS)))
+def test_file_parsing_matches_the_line_parsers_at_the_bounds(line):
+    for ending in (b"", b"\n", b"\r\n"):
+        assert_file_parsing_matches_the_line_parsers(line + ending)
+
+
+CANONICAL_SENDER = [
+    SENDER_LINE.encode() + b"\n",
+    b"SNDP\t9\t1263374005\t-h\ta\t-p\t6000\t-n\t1\t-s\t0\r\n",
+    b"  SNDP 9 " + b"9" * 308 + b" -h -s -p -n -n 65507 -s " + str(MAX_SERIAL).encode() + b" \t\r\n",
+    b"SNDP 9 0 -h a -p 1 -n 0100 -s 00000000000000000005",  # no final newline
+]
+CANONICAL_RECEIVER = [
+    RECEIVER_LINE.encode() + b"\n",
+    b"RCDP 12 2 89.186.245.200 55730 193.233.1.69 6000 1263374005.779364 0.009001 0X2107 0X2107 7\r\n",
+    b"\tRCDP 1 2 a 65535 b c " + b"9" * 308 + b"." + b"9" * 308 + b" 0 0X 0X " + str(MAX_SERIAL).encode() + b"\n",
+    b"RCDP 1 2 a 0 b c 5 0.5 0X1 0X1 5 x y z",
+]
+
+
+def test_canonical_lines_never_reach_the_line_parsers(monkeypatch):
+    def unreachable(line):
+        raise AssertionError(f"canonical line sent to the tokenizer: {line!r}")
+
+    monkeypatch.setattr(testbox, "parse_sender_line", unreachable)
+    monkeypatch.setattr(testbox, "parse_receiver_line", unreachable)
+    for line in CANONICAL_SENDER:
+        assert parse_sender_file(io.BytesIO(line)).n_parsed == 1
+    for line in CANONICAL_RECEIVER:
+        assert parse_receiver_file(io.BytesIO(line)).n_parsed == 1
+    with pytest.raises(AssertionError, match="canonical line"):  # the patch is live
+        parse_sender_file(io.BytesIO(b"SNDP 9 77 -s 5 -n 100 -h a\n"))
 
 
 # ---------------------------------------------------------------------------
