@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import estimator, planner, prober, simulate, testbox
-from .errors import InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
+from .errors import EmptyInput, InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
 from .model import (
     MAX_PORT,
     Bandwidth,
@@ -40,27 +40,18 @@ AVERAGING_BATCH_SIZES = (20, 50, 100)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 64."""
+    """argparse parser whose usage errors exit with code 64; it reports the arguments
+    it does not know itself, so a command's unknown option shows that command's usage."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-class _CommandParser(_Parser):
-    """A subcommand's parser: it reports arguments it does not know under
-    its own usage, where the root parser would show only its own."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
         return namespace, extras
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"vpsband: {message}", file=sys.stderr)
-    return code
 
 
 def _report(args, payload: dict, *lines: str | None) -> int:
@@ -81,14 +72,9 @@ def _usage_error(message: str) -> argparse.ArgumentError:
     return argparse.ArgumentError(None, message)
 
 
-@contextlib.contextmanager
 def _open_out(path: str):
-    """Writable text stream for a path, with '-' meaning stdout."""
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fp:
-            yield fp
+    """Writable text stream for a path, with '-' meaning stdout (left open)."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="")
 
 
 def _parse_host_port(text: str) -> tuple[str, int]:
@@ -154,13 +140,10 @@ def _parse_error_target(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_parse(args) -> int:
-    try:
-        with open(args.sender, "rb") as fp:
-            sender_log = testbox.parse_sender_file(fp)
-        with open(args.receiver, "rb") as fp:
-            receiver_log = testbox.parse_receiver_file(fp)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read log: {exc}")
+    with open(args.sender, "rb") as fp:
+        sender_log = testbox.parse_sender_file(fp)
+    with open(args.receiver, "rb") as fp:
+        receiver_log = testbox.parse_receiver_file(fp)
 
     match = testbox.match_sessions(sender_log.records, receiver_log.records)
     diagnostics = {
@@ -173,11 +156,8 @@ def cmd_parse(args) -> int:
     }
 
     if match.matched:
-        try:
-            with _open_out(args.out) as fp:
-                write_samples_csv(match.samples, fp)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write samples: {exc}")
+        with _open_out(args.out) as fp:
+            write_samples_csv(match.samples, fp)
 
     _report(
         args,
@@ -188,7 +168,7 @@ def cmd_parse(args) -> int:
         f"samples written to {args.out}" if match.matched and args.out != "-" else None,
     )
     if not match.matched:
-        return _fail(EXIT_DOMAIN, "no sender/receiver records matched on serial")
+        raise EmptyInput("no sender/receiver records matched on serial")
     return EXIT_OK
 
 
@@ -235,13 +215,10 @@ def cmd_estimate(args) -> int:
         # its field's parse and so is reported with its line number.
         with open(args.samples, "r", encoding="utf-8", errors="surrogateescape", newline="") as fp:
             samples = read_samples_csv(fp)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read samples: {exc}")
     except ValueError as exc:
-        return _fail(EXIT_DOMAIN, f"bad samples file: {exc}")
-
+        raise VpsbandError(f"bad samples file: {exc}") from exc
     if not samples:
-        return _fail(EXIT_DOMAIN, "samples file is empty")
+        raise EmptyInput("samples file is empty")
     w1, w2 = flag_sizes or _sizes_in(samples)
 
     pairing = testbox.pair_by_size(samples, w1, w2, window_s=args.window)
@@ -307,22 +284,15 @@ def _error_lines(points) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg, ns = simulate.load_config(args.config)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read config: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_DOMAIN, f"bad config: {exc}")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-
     out_dir = Path(args.out_dir)
     try:
+        cfg, ns = simulate.load_config(args.config)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        # the config fixes every draw, so a draw past float range is its fault too
         _, points, table_path = _write_simulation(cfg, ns, out_dir)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write outputs: {exc}")
     except ValueError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
+        raise VpsbandError(f"bad config: {exc}") from exc
 
     samples_path = out_dir / "samples.csv"
     return _report(
@@ -351,7 +321,7 @@ def cmd_plan(args) -> int:
             target_error=args.eta,
         )
     except InvalidQuery as exc:
-        return _fail(EXIT_USAGE, str(exc))
+        raise _usage_error(str(exc)) from exc
     result = planner.required_measurements(query)
     note = "extrapolated beyond the reference table" if result.extrapolated else "within the reference table"
     return _report(
@@ -379,15 +349,12 @@ def cmd_probe(args) -> int:
             timeout_s=args.timeout,
         )
     except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+        raise _usage_error(str(exc)) from exc
 
     result = prober.probe(cfg)
     if result.pairs and args.out is not None:
-        try:
-            with _open_out(args.out) as fp:
-                write_samples_csv(_samples(result.pairs), fp)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write samples: {exc}")
+        with _open_out(args.out) as fp:
+            write_samples_csv(_samples(result.pairs), fp)
 
     estimate = None
     if result.pairs:
@@ -455,35 +422,32 @@ def _reference_config(seed: int) -> simulate.SimConfig:
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.out_dir)
     cfg = _reference_config(args.seed)
-    try:
-        pairs, points, _ = _write_simulation(cfg, simulate.DEFAULT_NS, out_dir)
+    pairs, points, _ = _write_simulation(cfg, simulate.DEFAULT_NS, out_dir)
 
-        # per-batch estimates for several averaging depths; a batch the
-        # estimator refuses for a non-positive difference is an empty cell
-        skipped = 0
-        with open(out_dir / "averaging_curves.csv", "w", encoding="utf-8", newline="") as fp:
-            fp.write("batch_size,batch_index,mbps\n")
-            for batch_size in AVERAGING_BATCH_SIZES:
-                for index in range(len(pairs) // batch_size):
-                    batch = pairs[index * batch_size : (index + 1) * batch_size]
-                    try:
-                        mbps = repr(estimator.estimate_batch(batch, batch_size).value.mbps)
-                    except NonPositiveDelayDifference:
-                        skipped += 1
-                        mbps = ""
-                    fp.write(f"{batch_size},{index},{mbps}\n")
+    # per-batch estimates for several averaging depths; a batch the
+    # estimator refuses for a non-positive difference is an empty cell
+    skipped = 0
+    with open(out_dir / "averaging_curves.csv", "w", encoding="utf-8", newline="") as fp:
+        fp.write("batch_size,batch_index,mbps\n")
+        for batch_size in AVERAGING_BATCH_SIZES:
+            for index in range(len(pairs) // batch_size):
+                batch = pairs[index * batch_size : (index + 1) * batch_size]
+                try:
+                    mbps = repr(estimator.estimate_batch(batch, batch_size).value.mbps)
+                except NonPositiveDelayDifference:
+                    skipped += 1
+                    mbps = ""
+                fp.write(f"{batch_size},{index},{mbps}\n")
 
-        query = planner.PlanQuery(
-            var_delay_rate=cfg.path.var_delay_rate,
-            mean_delay_diff_s=8e-4,
-            target_error=0.244,
-        )
-        plan = planner.required_measurements(query)
-        with open(out_dir / "plan.json", "w", encoding="utf-8") as fp:
-            json.dump(plan.to_json_dict(), fp)
-            fp.write("\n")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write outputs: {exc}")
+    query = planner.PlanQuery(
+        var_delay_rate=cfg.path.var_delay_rate,
+        mean_delay_diff_s=8e-4,
+        target_error=0.244,
+    )
+    plan = planner.required_measurements(query)
+    with open(out_dir / "plan.json", "w", encoding="utf-8") as fp:
+        json.dump(plan.to_json_dict(), fp)
+        fp.write("\n")
 
     return _report(
         args,
@@ -507,7 +471,7 @@ def cmd_reproduce(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="vpsband", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(required=True, metavar="COMMAND", parser_class=_CommandParser)
+    sub = parser.add_subparsers(required=True, metavar="COMMAND")
 
     p = sub.add_parser("parse", help="parse sender/receiver logs into delay samples")
     p.add_argument("sender", help="sender-side log (SNDP lines)")
@@ -574,16 +538,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the only place where a failure becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except argparse.ArgumentError as exc:
         args.command_parser.error(str(exc))
     except VpsbandError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
-    except BrokenPipeError:
+        code, message = EXIT_DOMAIN, exc
+    except BrokenPipeError:  # the reader closed stdout and wants no more output
         return EXIT_IO
+    except OSError as exc:  # its text names the path
+        code, message = EXIT_IO, exc
+    print(f"vpsband: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ class ZeroPrecision(VpsbandError):
 
 
 class InvalidQuery(VpsbandError):
-    """Planner query with non-positive rate, delay difference, or target."""
+    """Planner query with a non-positive input, or a count no float can hold."""
 
 
 class MalformedLine(VpsbandError):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -214,6 +216,26 @@ def ascii_number(text: str, kind=float):
     return value
 
 
+_INT_TEXT = re.compile(r"\s*([+-]?)0*([0-9]+)\s*", re.ASCII)
+
+
+def ascii_int(text: str, what: str, top: int | None = None) -> int:
+    """``ascii_number(text, int)``, naming ``what`` where ``int()``'s digit limit stops it.
+
+    Unsigned digits that, leading zeros aside, outnumber ``top``'s are reported as above ``top``.
+    """
+    try:
+        return ascii_number(text, int)
+    except ValueError:
+        m = _INT_TEXT.fullmatch(text)
+        if m is None:  # malformed, not too long: ascii_number's own message
+            raise
+        sign, digits = m.groups()
+        if top is not None and sign != "-" and len(digits) > len(str(top)):
+            raise ValueError(f"{what} must be at most {top}") from None
+        raise ValueError(f"{what} must have at most {sys.get_int_max_str_digits()} digits") from None
+
+
 def sample_to_row(sample: DelaySample) -> list[str]:
     return [
         SAMPLE_DIRECTION,
@@ -229,9 +251,9 @@ def sample_from_row(row: list[str]) -> DelaySample:
     if direction != SAMPLE_DIRECTION:
         raise ValueError(f"direction must be {SAMPLE_DIRECTION!r}, got {direction!r}")
     return DelaySample(
-        packet_size=PacketSize(ascii_number(nbytes, int)),
+        packet_size=PacketSize(ascii_int(nbytes, "packet size", MAX_UDP_PAYLOAD)),
         delay=Delay(ascii_number(delay_s)),
-        serial=ascii_number(serial, int),
+        serial=ascii_int(serial, "serial", MAX_SERIAL),
         sent_at=ascii_number(sent_at),
     )
 

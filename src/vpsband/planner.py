@@ -117,15 +117,23 @@ class PlanResult:
         }
 
 
+def _count(c: float, target: float, what: str) -> int:
+    """Smallest n >= 1 with c/sqrt(n) <= target, or InvalidQuery if a float cannot hold it."""
+    try:
+        return max(1, math.ceil((c / target) ** 2))
+    except (OverflowError, ValueError, ZeroDivisionError):  # the square overflows; target is 0 or NaN
+        raise InvalidQuery(f"the {what} measurement count is out of floating-point range") from None
+
+
 def analytic_required_measurements(query: PlanQuery) -> int:
     """Closed-form count for ideal exponential variable delay.
 
     The averaged delay difference of n pairs has spread
     sqrt(2)/(rate*sqrt(n)); requiring spread/diff <= target and solving
-    for n gives the bound below.
+    for n gives n >= (sqrt(2)/(rate*diff*target))**2.
     """
-    n = (math.sqrt(2.0) / (query.var_delay_rate * query.mean_delay_diff_s * query.target_error)) ** 2
-    return max(1, math.ceil(n))
+    scaled_target = query.var_delay_rate * query.mean_delay_diff_s * query.target_error
+    return _count(math.sqrt(2.0), scaled_target, "analytic")
 
 
 def required_measurements(query: PlanQuery, table: ReferenceTable = REFERENCE_TABLE) -> PlanResult:
@@ -141,8 +149,7 @@ def required_measurements(query: PlanQuery, table: ReferenceTable = REFERENCE_TA
         query.mean_delay_diff_s / table.mean_delay_diff_s
     )
     scaled_target = scale * query.target_error
-    c = table.sqrt_n_coefficient
-    n = max(1, math.ceil((c / scaled_target) ** 2))
+    n = _count(table.sqrt_n_coefficient, scaled_target, "planned")
     extrapolated = not (table.min_error <= scaled_target <= table.max_error)
     return PlanResult(
         n=n,

@@ -34,6 +34,7 @@ from .model import (
 HEADER = struct.Struct(">QQ")  # serial, monotonic send time in ns
 MIN_PROBE_BYTES = HEADER.size
 RECV_POLL_S = 0.05
+MAX_WAIT_S = 1.0  # longest select wait in probe: select rejects timeouts past ~292 years
 
 RTT_CAVEAT = (
     "delays are round trips timed by the sender's monotonic clock; the "
@@ -193,7 +194,7 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
         while len(rtt_ns) < total:
             # Drain before every send too, so echoes are not left queued
             # (and timed late) while a slipped schedule catches up.
-            if select.select([sock], [], [], max(due - time.monotonic(), 0.0))[0]:
+            if select.select([sock], [], [], min(max(due - time.monotonic(), 0.0), MAX_WAIT_S))[0]:
                 unknown += _drain(sock, send_ns, rtt_ns)
             if time.monotonic() < due:
                 continue

@@ -25,6 +25,7 @@ from .model import (
     PacketSize,
     PathModel,
     ProbePair,
+    ascii_int,
     ascii_number,
     bytes_to_bits,
 )
@@ -59,6 +60,8 @@ class SimConfig:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not fixed_delay(self.path, w2).seconds > fixed_delay(self.path, w1).seconds:
+            raise ValueError("path model gives no positive delay difference between sizes")
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +153,6 @@ def error_vs_n(cfg: SimConfig, ns: Sequence[int]) -> list[ErrorPoint]:
     """
     w1, w2 = cfg.packet_sizes
     true_diff = fixed_delay(cfg.path, w2).seconds - fixed_delay(cfg.path, w1).seconds
-    if true_diff <= 0:
-        raise ValueError("path model gives no positive delay difference between sizes")
     points = []
     for n in ns:
         sd = sd_of_delay_diff(cfg, n)
@@ -227,14 +228,14 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
     )
     cfg = SimConfig(
         path=path,
-        packet_sizes=(PacketSize(ascii_number(values["w1_bytes"], int)),
-                      PacketSize(ascii_number(values["w2_bytes"], int))),
-        n_pairs=ascii_number(values.get("n_pairs", "3000"), int),
-        n_trials=ascii_number(values.get("n_trials", "10000"), int),
-        seed=ascii_number(values.get("seed", "0"), int),
+        packet_sizes=(PacketSize(ascii_int(values["w1_bytes"], "w1_bytes")),
+                      PacketSize(ascii_int(values["w2_bytes"], "w2_bytes"))),
+        n_pairs=ascii_int(values.get("n_pairs", "3000"), "n_pairs"),
+        n_trials=ascii_int(values.get("n_trials", "10000"), "n_trials"),
+        seed=ascii_int(values.get("seed", "0"), "seed"),
     )
     if values.get("ns"):
-        ns = tuple(ascii_number(v, int) for v in values["ns"].split(",") if v.strip())
+        ns = tuple(ascii_int(v, "ns") for v in values["ns"].split(",") if v.strip())
     else:
         ns = DEFAULT_NS
     if any(n < 2 for n in ns):

@@ -1,18 +1,22 @@
 """End-to-end command-line behaviour, driven in-process via main(argv)."""
 
+import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import vpsband
 from vpsband.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from vpsband.errors import InvalidQuery
 from vpsband.model import MAX_SERIAL, MAX_UDP_PAYLOAD, read_samples_csv
+from vpsband.planner import PlanQuery, PlanResult, required_measurements
 from vpsband.prober import ProbeConfig, Reflector, probe
 from vpsband.testbox import match_sessions, parse_receiver_file, parse_sender_file
 
@@ -34,6 +38,11 @@ def write_config(tmp_path, text=SIM_CONFIG):
     path = tmp_path / "sim.conf"
     path.write_text(text)
     return str(path)
+
+
+def no_such_file(path) -> str:
+    """What ``main`` prints for a missing input: the OS message, which names the path."""
+    return f"vpsband: [Errno {errno.ENOENT}] No such file or directory: {str(path)!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +143,10 @@ def test_parse_without_matches_exits_domain(tmp_path, capsys):
     assert "matched" in capsys.readouterr().err
 
 
-def test_parse_missing_file_exits_io(tmp_path):
+def test_parse_missing_file_exits_io(tmp_path, capsys):
     code = main(["parse", str(tmp_path / "nope.log"), str(tmp_path / "nope2.log")])
     assert code == EXIT_IO
+    assert capsys.readouterr() == ("", no_such_file(tmp_path / "nope.log"))
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +247,38 @@ SAMPLES_HEADER = b"direction,serial,sent_at,bytes,delay_s\n"
 
 
 @pytest.mark.parametrize(
-    "content, line",
+    "content, message",
     [
-        (b"\xff\xfe", 1),
-        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1100,0.0098\xff\n", 3),
-        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1100," + b"9" * 200_000 + b"\n", 3),
-        (SAMPLES_HEADER + "forward,\u0661,0.0,100,0.009\n".encode(), 2),
-        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1_100,0.0098\n", 3),
+        (b"\xff\xfe", "line 1:"),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1100,0.0098\xff\n", "line 3:"),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1100," + b"9" * 200_000 + b"\n", "line 3:"),
+        (SAMPLES_HEADER + "forward,\u0661,0.0,100,0.009\n".encode(), "line 2:"),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1,1_100,0.0098\n", "line 3:"),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward," + b"9" * 5000 + b",0.1,1100,0.0098\n",
+         f"line 3: serial must be at most {MAX_SERIAL}\n"),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,2,0.1," + b"9" * 5000 + b",0.0098\n",
+         f"line 3: packet size must be at most {MAX_UDP_PAYLOAD}\n"),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward,-" + b"9" * 5000 + b",0.1,1100,0.0098\n",
+         "line 3: serial must have at most 4300 digits\n"),
+        (SAMPLES_HEADER + b"forward,1,0.0,100,0.009\nforward," + b"0" * 5000 + b"2,0.1,1100,0.0098\n",
+         "line 3: serial must have at most 4300 digits\n"),
     ],
-    ids=["not-utf8-header", "not-utf8-field", "field-over-csv-limit", "non-ascii-digit", "underscore"],
+    ids=["not-utf8-header", "not-utf8-field", "field-over-csv-limit", "non-ascii-digit", "underscore",
+         "serial-past-int-digit-limit", "bytes-past-int-digit-limit", "negative-past-int-digit-limit",
+         "zero-padded-past-int-digit-limit"],
 )
-def test_estimate_bad_samples_file_names_its_line(tmp_path, capsys, content, line):
+def test_estimate_bad_samples_file_names_its_line(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"
     path.write_bytes(content)
     assert main(["estimate", str(path)]) == EXIT_DOMAIN
     err = capsys.readouterr().err
-    assert f"bad samples file: line {line}:" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"vpsband: bad samples file: {message}")
+    assert err.count("\n") == 1
 
 
-def test_estimate_missing_file_exits_io(tmp_path):
+def test_estimate_missing_file_exits_io(tmp_path, capsys):
     assert main(["estimate", str(tmp_path / "nope.csv")]) == EXIT_IO
+    assert capsys.readouterr() == ("", no_such_file(tmp_path / "nope.csv"))
 
 
 def test_estimate_bad_header_exits_domain(tmp_path, capsys):
@@ -331,7 +352,14 @@ def test_simulate_bad_config_exits_domain(tmp_path, capsys):
     assert "missing required key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old,new", [("ns = 5,10", "ns = 1,5"), ("seed = 0", "seed = -3")])
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("ns = 5,10", "ns = 1,5"),
+        ("seed = 0", "seed = -3"),
+        ("capacity_bps = 10e6", "capacity_bps = 10e6\npropagation_s = 1e300"),  # sizes' delays round equal
+    ],
+)
 def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new):
     config = write_config(tmp_path, SIM_CONFIG.replace(old, new))
     out_dir = tmp_path / "out"
@@ -340,8 +368,9 @@ def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new):
     assert not out_dir.exists()
 
 
-def test_simulate_missing_config_exits_io(tmp_path):
+def test_simulate_missing_config_exits_io(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.conf"), "--out-dir", str(tmp_path)]) == EXIT_IO
+    assert capsys.readouterr() == ("", no_such_file(tmp_path / "nope.conf"))
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +401,30 @@ def test_plan_tight_target_is_flagged_extrapolated(capsys):
     assert plan["n"] > 200
 
 
-def test_plan_rejects_bad_targets(capsys):
-    assert main(["plan", "--var-rate", "1000", "--diff", "0.0008", "--eta", "-0.1"]) == EXIT_USAGE
-    assert main(["plan", "--var-rate", "-5", "--diff", "0.0008", "--eta", "0.2"]) == EXIT_USAGE
-    capsys.readouterr()
+POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rate=POSITIVE_FLOATS, diff=POSITIVE_FLOATS,
+       eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(rate=1000.0, diff=1e-300, eta=0.1)  # the count overflows a float
+@example(rate=1e-200, diff=1e-200, eta=0.1)  # the scaled target underflows to zero
+@example(rate=5e-324, diff=1e306, eta=0.5)  # its two scale factors are 0 and inf
+def test_plan_is_total_over_finite_inputs(rate, diff, eta, capsys):
+    query = PlanQuery(var_delay_rate=rate, mean_delay_diff_s=diff, target_error=eta)
+    try:
+        assert isinstance(required_measurements(query), PlanResult)
+        expected = EXIT_OK
+    except InvalidQuery as exc:
+        assert "measurement count is out of floating-point range" in str(exc)
+        expected = EXIT_DOMAIN
+    argv = ["plan", "--var-rate", repr(rate), "--diff", repr(diff), "--eta", repr(eta), "--json"]
+    assert main(argv) == expected
+    out, err = capsys.readouterr()
+    if expected == EXIT_OK:
+        assert json.loads(out)["n"] >= 1 and err == ""
+    else:
+        assert out == "" and err.startswith("vpsband: the ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +451,6 @@ def test_probe_cli_loopback_with_csv(tmp_path, capsys):
 
 
 def test_probe_cli_silent_target_exits_domain(capsys):
-    import socket
-
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as black_hole:
         black_hole.bind(("127.0.0.1", 0))
         port = black_hole.getsockname()[1]
@@ -424,16 +471,19 @@ def test_probe_cli_refused_send_exits_domain(capsys):
     assert "Traceback" not in err
 
 
-def test_probe_cli_rejects_bad_shape(capsys):
-    code = main(["probe", "--target", "127.0.0.1:6000", "--w1", "8"])
-    assert code == EXIT_USAGE
-    assert "header" in capsys.readouterr().err
-
-
 def test_probe_cli_rejects_target_without_port():
     with pytest.raises(SystemExit) as exc_info:
         main(["probe", "--target", "localhost"])
     assert exc_info.value.code == EXIT_USAGE
+
+
+def test_probe_cli_socket_failure_exits_io(monkeypatch, capsys):
+    def no_sockets(*args):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(socket, "socket", no_sockets)
+    assert main(["probe", "--target", "127.0.0.1:9", "--count", "1"]) == EXIT_IO
+    assert capsys.readouterr().err == f"vpsband: [Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}\n"
 
 
 def test_reflect_bind_conflict_exits_domain(capsys):
@@ -639,6 +689,13 @@ def test_usage_errors_exit_64(argv):
         (["parse", "s.log", "r.log", "--bogus", "--json"], "unrecognized arguments: --bogus"),
         (["plan", "--var-rate", "1", "--diff", "1", "--eta", "0.1", "--bogus"], "unrecognized arguments: --bogus"),
         (["estimate", SAMPLES_CSV, "--w1", "100"], "--w1 and --w2 must be given together"),  # found after parsing
+        (["plan", "--var-rate", "1000", "--diff", "0.0008", "--eta", "-0.1"],
+         "target_error must be in (0, 1), got -0.1"),
+        (["plan", "--var-rate", "-5", "--diff", "0.0008", "--eta", "0.2"],
+         "var_delay_rate must be > 0 per second, got -5.0"),
+        (["probe", "--target", "127.0.0.1:6000", "--w1", "8"], "w1 must fit the 16-byte probe header"),
+        (["probe", "--target", "127.0.0.1:6000", "--w1", "0"],
+         "packet size must be in [1, 65507] bytes, got 0"),
     ],
 )
 def test_usage_error_of_a_command_shows_that_commands_usage(argv, message, capsys):
@@ -659,6 +716,45 @@ def test_unknown_option_before_the_command_stays_a_top_level_error(capsys):
     )
 
 
+# ---------------------------------------------------------------------------
+# I/O failures
+# ---------------------------------------------------------------------------
+
+def test_reproduce_unwritable_out_dir_exits_io(tmp_path, capsys):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("a file where the directory should go\n")
+    assert main(["reproduce-paper", "--out-dir", str(occupied)]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"vpsband: [Errno {errno.EEXIST}] File exists: {str(occupied)!r}\n")
+
+
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    package_root = str(Path(vpsband.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [PARSE_DEMO, PARSE_DEMO + ["--json"], ["plan", "--var-rate", "1000", "--diff", "8e-4", "--eta", "0.244"]],
+    ids=["parse", "parse-json", "plan"],
+)
+def test_closed_stdout_exits_io_silently(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "vpsband", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_package_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_IO, b"")
+
+
 def test_installed_script_entry_point():
     # Checks the console script that pyproject.toml declares without
     # installing the package: the declared target is run in a fresh
@@ -672,15 +768,12 @@ def test_installed_script_entry_point():
         f"import sys\nfrom {module} import {attr}\n"
         f"sys.argv[0] = 'vpsband'\nsys.exit({attr}())"
     )
-    package_root = str(Path(vpsband.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", wrapper,
          "plan", "--var-rate", "2000", "--diff", "0.0008", "--eta", "0.244", "--json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_package_env(),
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert json.loads(done.stdout)["n"] == 13

@@ -8,6 +8,7 @@ and bookkeeping, not bandwidth values.
 import socket
 import statistics
 import threading
+import time
 
 import pytest
 
@@ -19,7 +20,8 @@ from vpsband.errors import (
 )
 from vpsband.estimator import estimate_batch
 from vpsband.model import PacketSize
-from vpsband.prober import HEADER, ProbeConfig, Reflector, probe
+from vpsband import prober
+from vpsband.prober import HEADER, MAX_WAIT_S, ProbeConfig, Reflector, probe
 
 
 class ScriptedReflector:
@@ -137,6 +139,26 @@ def test_send_spacing_is_respected():
     assert len(gaps) == 19
     median_error = statistics.median(abs(g - 0.02) for g in gaps)
     assert median_error < 0.002  # within 10% of the schedule
+
+
+def test_long_timeout_waits_in_capped_steps_and_ends_with_the_last_echo(monkeypatch):
+    # select rejects a timeout past ~292 years; every wait stays under
+    # MAX_WAIT_S, and the session still ends once every echo is in.
+    waits = []
+    real_select = prober.select.select
+    started = time.monotonic()
+
+    def capped_select(rlist, wlist, xlist, timeout):
+        waits.append(timeout)
+        assert 0.0 <= timeout <= MAX_WAIT_S
+        assert time.monotonic() - started < 10.0, "the session outlived its last echo"
+        return real_select(rlist, wlist, xlist, timeout)
+
+    monkeypatch.setattr(prober.select, "select", capped_select)
+    with Reflector(host="127.0.0.1") as reflector:
+        result = probe(loopback_config(reflector.address[1], count=5, spacing_s=0.001, timeout_s=1e10))
+    assert result.received == 10 and len(result.pairs) == 5
+    assert waits
 
 
 # ---------------------------------------------------------------------------

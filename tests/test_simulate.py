@@ -214,6 +214,14 @@ def test_error_vs_n_survives_near_zero_true_diff():
     assert points[0].rel_error > 1e6
 
 
+def test_sim_config_rejects_a_path_without_a_positive_delay_difference():
+    # Propagation this long absorbs the sizes' serialization times, so
+    # both sizes get the same delay; nothing can be simulated from that.
+    path = PathModel(hops=(Hop(Bandwidth(10e6), Delay(1e300)),), var_delay_rate=1000.0)
+    with pytest.raises(ValueError, match="no positive delay difference"):
+        SimConfig(path=path, packet_sizes=(W1, W2), n_pairs=10, n_trials=10, seed=0)
+
+
 def test_write_error_table_csv_round_trips_floats():
     cfg = reference_sim_config(seed=2, n_trials=200)
     points = error_vs_n(cfg, ns=(5, 10))
@@ -306,6 +314,21 @@ def test_parse_config_multi_hop():
             "ASCII digits",
         ),
         ("capacity_bps=1_0e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\n", "ASCII digits"),
+        pytest.param(
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nseed=" + "7" * 5000 + "\n",
+            "^seed must have at most 4300 digits$",
+            id="seed-past-int-digit-limit",
+        ),
+        pytest.param(
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=" + "1" * 5000 + "\nw2_bytes=1100\n",
+            "^w1_bytes must have at most 4300 digits$",
+            id="w1-past-int-digit-limit",
+        ),
+        pytest.param(
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nns=5," + "9" * 5000 + "\n",
+            "^ns must have at most 4300 digits$",
+            id="ns-past-int-digit-limit",
+        ),
     ],
 )
 def test_parse_config_rejects_malformed(text, message):
