@@ -13,6 +13,7 @@ so the factor of 8 cannot be applied twice.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 import sys
@@ -38,7 +39,7 @@ def bytes_to_bits(n_bytes: float) -> float:
 # scalar wrappers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketSize:
     """Probe packet payload size in bytes."""
 
@@ -51,7 +52,7 @@ class PacketSize:
             raise ValueError(f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {self.bytes}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delay:
     """One-way or round-trip delay in seconds."""
 
@@ -84,7 +85,7 @@ class Bandwidth:
 # measurement records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelaySample:
     """One delay measurement of one probe packet."""
 
@@ -100,7 +101,7 @@ class DelaySample:
             raise ValueError(f"sent_at must be finite, got {self.sent_at!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbePair:
     """A small-packet and a large-packet sample measured close in time."""
 
@@ -268,18 +269,65 @@ def write_samples_csv(samples: Iterable[DelaySample], fp: TextIO) -> None:
     fp.writelines(",".join(sample_to_row(sample)) + "\r\n" for sample in samples)
 
 
+# Canonical lines, as write_samples_csv writes them, with ASCII digits
+# only.  Integer parts of at most 308 digits keep every time and delay
+# below 10**308, so finite; the value constructors check the rest.  The
+# first line that misses goes, with the rest of the file, to the
+# csv.reader route, the one source of messages for rows of other shapes.
+_HEADER_LINE = re.compile(",".join(SAMPLE_CSV_FIELDS) + r"(?:\r?\n)?")
+_SAMPLE_LINE = re.compile(
+    SAMPLE_DIRECTION
+    + r",([0-9]{1,20}),([0-9]{1,308}\.[0-9]{1,308}),([0-9]{1,5}),([0-9]{1,308}(?:\.[0-9]{1,308})?)(?:\r?\n)?",
+    re.ASCII,
+)
+
+
 def read_samples_csv(fp: TextIO) -> list[DelaySample]:
     """Read samples written by :func:`write_samples_csv`.
 
     Raises ValueError with the offending line number on a bad header or row.
     """
-    reader = csv.reader(fp)
+    samples: list[DelaySample] = []
+    lines = iter(fp)
+    line = next(lines, None)
+    lineno = 1
+    if line is not None and _HEADER_LINE.fullmatch(line):
+        sizes: dict[str, PacketSize] = {}
+        for lineno, line in enumerate(lines, start=2):
+            match = _SAMPLE_LINE.fullmatch(line)
+            if match is None:
+                break
+            serial, sent_at, nbytes, delay_s = match.groups()
+            try:
+                size = sizes.get(nbytes)
+                if size is None:
+                    size = sizes[nbytes] = PacketSize(int(nbytes))
+                samples.append(DelaySample(size, Delay(float(delay_s)), int(serial), float(sent_at)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+        else:
+            return samples
+    if line is not None:
+        lines = itertools.chain((line,), lines)
+    _read_csv_rows(lines, lineno, samples)
+    return samples
+
+
+def _read_csv_rows(lines: Iterable[str], first: int, samples: list[DelaySample]) -> None:
+    """Append to ``samples`` the rows of ``lines``, the file from its line ``first`` on.
+
+    Line ``first`` is the header when ``first`` is 1.  Every line before
+    it was one record, so line numbers carry on from ``first``.
+    """
+    offset = first - 1
+    reader = csv.reader(lines)
     try:
-        header = next(reader, None)
-        if header != list(SAMPLE_CSV_FIELDS):
-            raise ValueError(f"line 1: expected header {','.join(SAMPLE_CSV_FIELDS)!r}, got {header!r}")
-        samples = []
-        for lineno, row in enumerate(reader, start=2):
+        if first == 1:
+            header = next(reader, None)
+            if header != list(SAMPLE_CSV_FIELDS):
+                raise ValueError(f"line 1: expected header {','.join(SAMPLE_CSV_FIELDS)!r}, got {header!r}")
+            first = 2
+        for lineno, row in enumerate(reader, start=first):
             if not row:
                 continue
             if len(row) != len(SAMPLE_CSV_FIELDS):
@@ -289,5 +337,4 @@ def read_samples_csv(fp: TextIO) -> list[DelaySample]:
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    return samples
+        raise ValueError(f"line {offset + reader.line_num}: {exc}") from exc

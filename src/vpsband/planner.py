@@ -149,6 +149,8 @@ def required_measurements(query: PlanQuery, table: ReferenceTable = REFERENCE_TA
         query.mean_delay_diff_s / table.mean_delay_diff_s
     )
     scaled_target = scale * query.target_error
+    if not math.isfinite(scaled_target):  # a scale factor overflowed to inf, or was 0 times inf
+        raise InvalidQuery("the scaled error target is out of floating-point range")
     n = _count(table.sqrt_n_coefficient, scaled_target, "planned")
     extrapolated = not (table.min_error <= scaled_target <= table.max_error)
     return PlanResult(

@@ -12,6 +12,7 @@ independent of call order.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -39,6 +40,9 @@ INTRA_PAIR_GAP_S = 0.05
 _PAIRS_STREAM = 0
 _SD_STREAM = 1
 
+# the largest variable delay at rate 1/s: -ln(1 - u) at the largest u below 1
+_MAX_UNIT_DRAW = -math.log1p(-(1.0 - 2.0**-53))
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -62,6 +66,13 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not fixed_delay(self.path, w2).seconds > fixed_delay(self.path, w1).seconds:
             raise ValueError("path model gives no positive delay difference between sizes")
+        # the spread sums n_trials squared deviations, each below (2 * largest draw)**2
+        largest = _MAX_UNIT_DRAW / self.path.var_delay_rate
+        if not math.isfinite(4 * largest * largest * self.n_trials):
+            raise ValueError(
+                f"var_delay_rate {self.path.var_delay_rate!r} per second is too small for "
+                f"{self.n_trials} trials: delay draws reach {largest!r} s, and their spread passes float range"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +103,8 @@ def simulate_pairs(cfg: SimConfig) -> list[ProbePair]:
     fixed1 = fixed_delay(cfg.path, w1).seconds
     fixed2 = fixed_delay(cfg.path, w2).seconds
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _PAIRS_STREAM]))
-    var1 = variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng)
-    var2 = variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng)
+    var1 = variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng).tolist()
+    var2 = variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng).tolist()
 
     pairs = []
     for i in range(cfg.n_pairs):
@@ -240,7 +251,19 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
         ns = DEFAULT_NS
     if any(n < 2 for n in ns):
         raise ValueError(f"ns values must be >= 2 pairs, got {min(ns)}")
+    for n in ns:
+        if not _finite_product(n, path.var_delay_rate):
+            raise ValueError(
+                f"ns values times var_delay_rate must be a finite float, got an n of {len(str(n))} digits"
+            )
     return cfg, ns
+
+
+def _finite_product(n: int, rate: float) -> bool:
+    try:
+        return math.isfinite(n * rate)
+    except OverflowError:  # n is past float range itself
+        return False
 
 
 def load_config(path: str) -> tuple[SimConfig, tuple[int, ...]]:

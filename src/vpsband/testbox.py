@@ -33,6 +33,7 @@ from .model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, Pa
 
 DEFAULT_PAIR_WINDOW_S = 60.0
 _SENT_AT = attrgetter("sent_at")
+_SEND_ORDER = attrgetter("sent_at", "serial")
 
 _TOKEN_RE = re.compile(r"\S+")
 _UINT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() takes any Unicode digit
@@ -302,6 +303,7 @@ def match_sessions(sent: Iterable[SenderRecord], received: Iterable[ReceiverReco
             by_serial[rec.serial] = rec
 
     samples = []
+    sizes: dict[int, PacketSize] = {}
     seen: set[int] = set()
     duplicate_received = 0
     unmatched_received = 0
@@ -314,15 +316,11 @@ def match_sessions(sent: Iterable[SenderRecord], received: Iterable[ReceiverReco
             unmatched_received += 1
             continue
         seen.add(rec.serial)
-        samples.append(
-            DelaySample(
-                packet_size=PacketSize(snd.packet_bytes),
-                delay=Delay(rec.delay_s),
-                serial=rec.serial,
-                sent_at=snd.timestamp,
-            )
-        )
-    samples.sort(key=lambda s: (s.sent_at, s.serial))
+        size = sizes.get(snd.packet_bytes)
+        if size is None:
+            size = sizes[snd.packet_bytes] = PacketSize(snd.packet_bytes)
+        samples.append(DelaySample(size, Delay(rec.delay_s), rec.serial, snd.timestamp))
+    samples.sort(key=_SEND_ORDER)
     return MatchResult(
         samples=samples,
         unmatched_sent=len(by_serial) - len(seen),
@@ -361,9 +359,16 @@ def pair_by_size(
     if not (math.isfinite(window_s) and window_s > 0):
         raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
 
-    ordered = sorted(samples, key=lambda s: (s.sent_at, s.serial))
-    smalls = [s for s in ordered if s.packet_size == w1]
-    larges = [s for s in ordered if s.packet_size == w2]
+    ordered = sorted(samples, key=_SEND_ORDER)
+    small_bytes, large_bytes = w1.bytes, w2.bytes
+    smalls: list[DelaySample] = []
+    larges: list[DelaySample] = []
+    for sample in ordered:
+        nbytes = sample.packet_size.bytes
+        if nbytes == small_bytes:
+            smalls.append(sample)
+        elif nbytes == large_bytes:
+            larges.append(sample)
     other = len(ordered) - len(smalls) - len(larges)
 
     # Unpaired smalls sent at or before the large wait in `left`; the

@@ -358,13 +358,17 @@ def test_simulate_bad_config_exits_domain(tmp_path, capsys):
         ("ns = 5,10", "ns = 1,5"),
         ("seed = 0", "seed = -3"),
         ("capacity_bps = 10e6", "capacity_bps = 10e6\npropagation_s = 1e300"),  # sizes' delays round equal
+        ("ns = 5,10", "ns = 5,1" + "0" * 400),  # n * var_delay_rate is past float range
+        ("var_delay_rate = 1000", "var_delay_rate = 1e-300"),  # the spread of its draws overflows
+        ("var_delay_rate = 1000", "var_delay_rate = 5e-324"),  # its draws are inf
     ],
 )
 def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new):
     config = write_config(tmp_path, SIM_CONFIG.replace(old, new))
     out_dir = tmp_path / "out"
     assert main(["simulate", config, "--out-dir", str(out_dir)]) == EXIT_DOMAIN
-    assert "bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("vpsband: bad config: ") and err.count("\n") == 1
     assert not out_dir.exists()
 
 
@@ -404,25 +408,34 @@ def test_plan_tight_target_is_flagged_extrapolated(capsys):
 POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+def _reject_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rate=POSITIVE_FLOATS, diff=POSITIVE_FLOATS,
        eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
 @example(rate=1000.0, diff=1e-300, eta=0.1)  # the count overflows a float
 @example(rate=1e-200, diff=1e-200, eta=0.1)  # the scaled target underflows to zero
 @example(rate=5e-324, diff=1e306, eta=0.5)  # its two scale factors are 0 and inf
+@example(rate=1e300, diff=1e300, eta=0.1)  # the scaled target overflows to inf
 def test_plan_is_total_over_finite_inputs(rate, diff, eta, capsys):
     query = PlanQuery(var_delay_rate=rate, mean_delay_diff_s=diff, target_error=eta)
     try:
         assert isinstance(required_measurements(query), PlanResult)
         expected = EXIT_OK
     except InvalidQuery as exc:
-        assert "measurement count is out of floating-point range" in str(exc)
+        assert str(exc) in (
+            "the planned measurement count is out of floating-point range",
+            "the analytic measurement count is out of floating-point range",
+            "the scaled error target is out of floating-point range",
+        )
         expected = EXIT_DOMAIN
     argv = ["plan", "--var-rate", repr(rate), "--diff", repr(diff), "--eta", repr(eta), "--json"]
     assert main(argv) == expected
     out, err = capsys.readouterr()
     if expected == EXIT_OK:
-        assert json.loads(out)["n"] >= 1 and err == ""
+        assert json.loads(out, parse_constant=_reject_json_constant)["n"] >= 1 and err == ""
     else:
         assert out == "" and err.startswith("vpsband: the ") and err.count("\n") == 1
 

@@ -1,11 +1,13 @@
 """Value-type validation and sample serialization round trips."""
 
+import csv
 import io
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vpsband import model
 from vpsband.model import (
     Bandwidth,
     BandwidthEstimate,
@@ -14,6 +16,7 @@ from vpsband.model import (
     Hop,
     MAX_SERIAL,
     MAX_UDP_PAYLOAD,
+    SAMPLE_CSV_FIELDS,
     PacketSize,
     PathModel,
     ProbePair,
@@ -220,3 +223,115 @@ def test_row_round_trip_never_grows_error(delay_s, nbytes, serial):
     # quantization is idempotent
     twice = sample_from_row(sample_to_row(once))
     assert twice == once
+
+
+def test_value_objects_have_no_instance_dict():
+    sample = DelaySample(PacketSize(100), Delay(0.01), serial=1, sent_at=0.0)
+    pair = make_pair(0.009, 0.0098)
+    for value in (sample, sample.packet_size, sample.delay, pair):
+        assert not hasattr(value, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# the canonical-row fast path against the csv reader
+# ---------------------------------------------------------------------------
+
+def csv_only_read(fp):
+    """Every row through csv.reader and sample_from_row: what read_samples_csv did before its fast path."""
+    reader = csv.reader(fp)
+    try:
+        header = next(reader, None)
+        if header != list(SAMPLE_CSV_FIELDS):
+            raise ValueError(f"line 1: expected header {','.join(SAMPLE_CSV_FIELDS)!r}, got {header!r}")
+        samples = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(SAMPLE_CSV_FIELDS):
+                raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
+            try:
+                samples.append(sample_from_row(row))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
+    return samples
+
+
+def read_outcome(read, blob):
+    """``read``'s samples from ``blob`` decoded as ``vpsband estimate`` decodes a file, or its ValueError text."""
+    fp = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", errors="surrogateescape", newline="")
+    try:
+        return read(fp)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Digit runs at and past the fast path's bounds, and fields of other
+# shapes that csv.reader and sample_from_row take or reject.
+OFF_SHAPE = [b"+1", b" 1", b"1 ", b"1_0", b"nan", b"-1", b"", b'"1"', b'"1\n0"', b"\xd9\xa1", b"\xff", b"1e3"]
+SERIAL_TEXT = st.one_of(
+    st.integers(0, 2**64 + 5).map(lambda n: str(n).encode()),
+    st.sampled_from([b"0" * 19 + b"7", b"9" * 20, b"0" * 20 + b"7", b"1" * 21, str(2**64 - 1).encode()] + OFF_SHAPE),
+)
+SENT_AT_TEXT = st.one_of(
+    st.floats(0, 2e9).map(lambda x: f"{x:.6f}".encode()),
+    st.sampled_from(
+        [b"9" * 308 + b".5", b"9" * 309 + b".5", b"1." + b"9" * 308, b"1." + b"9" * 309, b"12", b"12."] + OFF_SHAPE
+    ),
+)
+SIZE_TEXT = st.sampled_from([b"0", b"1", b"100", b"1100", b"65507", b"65508", b"99999", b"100000", b"0100"] + OFF_SHAPE)
+DELAY_TEXT = st.one_of(
+    st.floats(0, 10).map(lambda x: format_delay_s(x).encode()),
+    st.sampled_from([b"9" * 308, b"9" * 309, b"9" * 308 + b"." + b"9" * 308, b"0." + b"0" * 309, b"5"] + OFF_SHAPE),
+)
+
+
+@st.composite
+def sample_lines(draw):
+    """One samples-CSV line: mostly five fields, with an ending or none."""
+    direction = draw(st.sampled_from([b"forward", b"forward", b"reverse", b'"forward"', b"Forward"]))
+    fields = [direction, draw(SERIAL_TEXT), draw(SENT_AT_TEXT), draw(SIZE_TEXT), draw(DELAY_TEXT)]
+    if draw(st.integers(0, 7)) == 0:
+        fields = fields[: draw(st.integers(0, 4))] + draw(st.lists(SIZE_TEXT, max_size=2))
+    return b",".join(fields) + draw(st.sampled_from([b"\r\n", b"\r\n", b"\n", b"\r", b""]))
+
+
+HEADER = ",".join(SAMPLE_CSV_FIELDS).encode()
+HEADERS = st.sampled_from(
+    [HEADER + b"\r\n", HEADER + b"\n", HEADER + b"\r", HEADER, b'"direction"' + HEADER[9:] + b"\r\n",
+     HEADER + b",x\r\n", b"\r\n", b""]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HEADERS, st.lists(st.one_of(sample_lines(), st.sampled_from([b"\r\n", b"\n", b'"\n"\r\n'])), max_size=8))
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100,0.0098"])
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b'forward,2,0.5,"11\n00",0.0098\r\n', b"x,\"\r\n"])
+@example(HEADER + b"\n", [b"forward,1,0.5,100,0.009\n", b"\n", b"forward,18446744073709551616,0.5,100,0.009\n"])
+@example(HEADER + b"\r\n", [b"forward,1,0.5,65508,0.009\r\n"])
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100," + b"9" * 200_000])  # csv.Error
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r", b"forward,2,0.5,1100,0.0098\r"])
+def test_read_samples_csv_matches_the_csv_reader(header, lines):
+    blob = header + b"".join(lines)
+    assert read_outcome(read_samples_csv, blob) == read_outcome(csv_only_read, blob)
+
+
+def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path):
+    samples = [
+        DelaySample(PacketSize(1), Delay(0.0), serial=0, sent_at=0.0),
+        DelaySample(PacketSize(100), Delay(0.009001), serial=1353080554, sent_at=1263374005.779364),
+        DelaySample(PacketSize(MAX_UDP_PAYLOAD), Delay(1e300), serial=MAX_SERIAL, sent_at=1e300),
+        DelaySample(PacketSize(1100), Delay(12.5), serial=7, sent_at=0.1),
+    ]
+    expected = [sample_from_row(sample_to_row(s)) for s in samples]
+    path = tmp_path / "samples.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        write_samples_csv(samples, fp)
+
+    def refuse(row):
+        raise AssertionError(f"canonical row {row!r} took the csv.reader route")
+
+    monkeypatch.setattr(model, "sample_from_row", refuse)
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
+        assert read_samples_csv(fp) == expected
