@@ -16,8 +16,9 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import estimator, planner, prober, simulate, testbox
+from . import estimator, planner, prober, testbox
 from .errors import EmptyInput, InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
 from .model import (
     MAX_PORT,
@@ -29,6 +30,9 @@ from .model import (
     read_samples_csv,
     write_samples_csv,
 )
+
+if TYPE_CHECKING:
+    from . import simulate
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -247,6 +251,18 @@ def cmd_estimate(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _simulate_module():
+    """``vpsband.simulate``, imported by the commands that draw and by no other:
+    it is the one module that needs numpy, so the rest run without numpy installed."""
+    try:
+        from . import simulate
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise VpsbandError("simulation needs numpy, which is not installed") from exc
+    return simulate
+
+
 def _samples(pairs):
     """The samples of each pair, small then large, in pair order."""
     return (s for pair in pairs for s in (pair.small, pair.large))
@@ -257,6 +273,7 @@ def _write_simulation(cfg: simulate.SimConfig, ns, out_dir: Path):
 
     Returns the pairs, the error points and the table's path (None if skipped).
     """
+    simulate = _simulate_module()
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = simulate.simulate_pairs(cfg)
     with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as fp:
@@ -284,6 +301,7 @@ def _error_lines(points) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    simulate = _simulate_module()
     out_dir = Path(args.out_dir)
     try:
         cfg, ns = simulate.load_config(args.config)
@@ -406,6 +424,7 @@ def cmd_reflect(args) -> int:
 
 def _reference_config(seed: int) -> simulate.SimConfig:
     """Simulation conditions behind the bundled reference error table."""
+    simulate = _simulate_module()
     path = PathModel(
         hops=(Hop(capacity=Bandwidth(10e6), propagation_delay=Delay(0.0)),),
         var_delay_rate=1000.0,
@@ -420,6 +439,7 @@ def _reference_config(seed: int) -> simulate.SimConfig:
 
 
 def cmd_reproduce(args) -> int:
+    simulate = _simulate_module()
     out_dir = Path(args.out_dir)
     cfg = _reference_config(args.seed)
     pairs, points, _ = _write_simulation(cfg, simulate.DEFAULT_NS, out_dir)
