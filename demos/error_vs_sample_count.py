@@ -1,34 +1,28 @@
 #!/usr/bin/env python3
 """How fast does averaging shrink the estimate error?
 
-We simulate a 10 Mbit/s path whose variable delay is exponential with
-mean 1 ms, measure the spread of the averaged delay difference at a
-range of sample counts, and compare it against the closed-form
-sqrt(2)/(rate*sqrt(n)) line the planner uses as its cross-check.
+We simulate the paper's reference experiment, a 10 Mbit/s path whose
+variable delay is exponential with mean 1 ms, measure the spread of the
+averaged delay difference at the paper's sample counts, and compare it
+against the closed-form sqrt(2)/(rate*sqrt(n)) line the planner uses as
+its cross-check.
 """
 
 import math
 
-from vpsband.model import Bandwidth, Delay, Hop, PacketSize, PathModel
-from vpsband.simulate import SimConfig, error_vs_n, fixed_delay
+from vpsband.simulate import DEFAULT_NS, error_vs_n, fixed_delay, reference_config
 
-RATE = 1000.0  # 1/s, i.e. mean variable delay 1 ms per direction
-
-path = PathModel(
-    hops=(Hop(capacity=Bandwidth(10e6), propagation_delay=Delay(0.0)),),
-    var_delay_rate=RATE,
-)
-cfg = SimConfig(path=path, packet_sizes=(PacketSize(100), PacketSize(1100)),
-                n_pairs=1, n_trials=10_000, seed=42)
+cfg = reference_config(seed=42)
+rate = cfg.path.var_delay_rate
 
 w1, w2 = cfg.packet_sizes
-true_diff = fixed_delay(path, w2).seconds - fixed_delay(path, w1).seconds
+true_diff = fixed_delay(cfg.path, w2).seconds - fixed_delay(cfg.path, w1).seconds
 print(f"true delay difference on this path: {true_diff * 1e3:.3f} ms")
 print()
 print("     n   spread (ms)   rel. error   analytic sqrt(2)/(rate*sqrt(n))")
 
-for point in error_vs_n(cfg, (5, 10, 20, 30, 50, 100, 200)):
-    analytic = math.sqrt(2.0) / (RATE * math.sqrt(point.n))
+for point in error_vs_n(cfg, DEFAULT_NS):
+    analytic = math.sqrt(2.0) / (rate * math.sqrt(point.n))
     print(f"  {point.n:4d}   {point.sd_s * 1e3:11.4f}   {point.rel_error:10.1%}   "
           f"{analytic * 1e3:.4f} ms ({point.sd_s / analytic:.3f}x)")
 

@@ -9,7 +9,7 @@ them up, and turn each pair's delay difference into a bandwidth figure.
 from pathlib import Path
 
 from vpsband.estimator import estimate_pair
-from vpsband.model import PacketSize
+from vpsband.planner import REFERENCE_SIZES
 from vpsband.testbox import match_sessions, pair_by_size, parse_receiver_file, parse_sender_file
 
 data = Path(__file__).parent / "data"
@@ -32,8 +32,9 @@ for sample in matched.samples:
     print(f"  serial {sample.serial}: {sample.packet_size.bytes:5d} B  "
           f"delay {sample.delay.seconds * 1e3:.3f} ms")
 
-# Pair small with large, nearest in send time first.
-paired = pair_by_size(matched.samples, PacketSize(100), PacketSize(1100))
+# Pair small with large, nearest in send time first.  The logs use the
+# paper's reference sizes.
+paired = pair_by_size(matched.samples, *REFERENCE_SIZES)
 for pair in paired.pairs:
     bw = estimate_pair(pair)
     print(f"pair: delay difference {pair.delay_diff_s * 1e3:.3f} ms "

@@ -20,16 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import estimator, planner, prober, testbox
 from .errors import EmptyInput, InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
-from .model import (
-    MAX_PORT,
-    Bandwidth,
-    Delay,
-    Hop,
-    PacketSize,
-    PathModel,
-    read_samples_csv,
-    write_samples_csv,
-)
+from .model import MAX_PORT, PacketSize, read_samples_csv, write_samples_csv
 
 if TYPE_CHECKING:
     from . import simulate
@@ -422,26 +413,10 @@ def cmd_reflect(args) -> int:
 # reproduce-paper
 # ---------------------------------------------------------------------------
 
-def _reference_config(seed: int) -> simulate.SimConfig:
-    """Simulation conditions behind the bundled reference error table."""
-    simulate = _simulate_module()
-    path = PathModel(
-        hops=(Hop(capacity=Bandwidth(10e6), propagation_delay=Delay(0.0)),),
-        var_delay_rate=1000.0,
-    )
-    return simulate.SimConfig(
-        path=path,
-        packet_sizes=(PacketSize(100), PacketSize(1100)),
-        n_pairs=3000,
-        n_trials=10_000,
-        seed=seed,
-    )
-
-
 def cmd_reproduce(args) -> int:
     simulate = _simulate_module()
     out_dir = Path(args.out_dir)
-    cfg = _reference_config(args.seed)
+    cfg = simulate.reference_config(args.seed)
     pairs, points, _ = _write_simulation(cfg, simulate.DEFAULT_NS, out_dir)
 
     # per-batch estimates for several averaging depths; a batch the
@@ -460,9 +435,9 @@ def cmd_reproduce(args) -> int:
                 fp.write(f"{batch_size},{index},{mbps}\n")
 
     query = planner.PlanQuery(
-        var_delay_rate=cfg.path.var_delay_rate,
-        mean_delay_diff_s=8e-4,
-        target_error=0.244,
+        var_delay_rate=planner.REFERENCE_VAR_DELAY_RATE,
+        mean_delay_diff_s=planner.REFERENCE_DELAY_DIFF_S,
+        target_error=planner.REFERENCE_TARGET_ERROR,
     )
     plan = planner.required_measurements(query)
     with open(out_dir / "plan.json", "w", encoding="utf-8") as fp:
@@ -524,14 +499,17 @@ def build_parser() -> _Parser:
                    help="relative error target, fraction ('0.244') or percent ('24.4%%')")
     p.set_defaults(run=cmd_plan)
 
+    probe_defaults = {f.name: f.default for f in dataclasses.fields(prober.ProbeConfig)}
     p = sub.add_parser("probe", help="probe a UDP reflector with two packet sizes")
     p.add_argument("--target", type=_parse_host_port, required=True, help="reflector host:port")
-    p.add_argument("--w1", type=int, default=100, help="small packet payload, bytes")
-    p.add_argument("--w2", type=int, default=1100, help="large packet payload, bytes")
-    p.add_argument("--count", type=int, default=100, help="number of probe pairs")
-    p.add_argument("--spacing", type=_parse_positive_float, default=0.1,
+    p.add_argument("--w1", type=int, default=probe_defaults["w1"].bytes,
+                   help="small packet payload, bytes")
+    p.add_argument("--w2", type=int, default=probe_defaults["w2"].bytes,
+                   help="large packet payload, bytes")
+    p.add_argument("--count", type=int, default=probe_defaults["count"], help="number of probe pairs")
+    p.add_argument("--spacing", type=_parse_positive_float, default=probe_defaults["spacing_s"],
                    help="seconds between sends")
-    p.add_argument("--timeout", type=_parse_positive_float, default=2.0,
+    p.add_argument("--timeout", type=_parse_positive_float, default=probe_defaults["timeout_s"],
                    help="seconds to wait for stragglers")
     p.add_argument("--out", help="write round-trip samples CSV here, - for stdout")
     p.set_defaults(run=cmd_probe)

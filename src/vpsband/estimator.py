@@ -18,6 +18,7 @@ Two relative-error conventions exist side by side:
 
 from __future__ import annotations
 
+import math
 import statistics
 from typing import Sequence
 
@@ -113,11 +114,11 @@ def relative_error(precision_s: float, mean_diff_s: float) -> float:
     Both delays of a pair carry up to ``precision_s`` of quantization
     error, hence the factor two on top of the delay difference.
     """
-    if precision_s < 0:
-        raise ValueError(f"precision must be >= 0 s, got {precision_s!r}")
-    if mean_diff_s <= 0:
+    if not (math.isfinite(precision_s) and precision_s >= 0):
+        raise ValueError(f"precision must be finite and >= 0 s, got {precision_s!r}")
+    if not (math.isfinite(mean_diff_s) and mean_diff_s > 0):
         raise NonPositiveDelayDifference(
-            f"mean delay difference must be > 0 s, got {mean_diff_s!r}"
+            f"mean delay difference must be finite and > 0 s, got {mean_diff_s!r}"
         )
     return 2.0 * precision_s / mean_diff_s
 
@@ -135,9 +136,13 @@ def upper_measurable_bandwidth(
         raise ValueError(
             f"w2 must exceed w1, got {w1.bytes} and {w2.bytes} bytes"
         )
-    if precision_s <= 0:
-        raise ZeroPrecision(f"precision must be > 0 s, got {precision_s!r}")
+    if not (math.isfinite(precision_s) and precision_s > 0):
+        raise ZeroPrecision(f"precision must be finite and > 0 s, got {precision_s!r}")
     if not 0 < rel_error < 1:
         raise InvalidEta(f"relative error target must be in (0, 1), got {rel_error!r}")
-    diff_bits = bytes_to_bits(w2.bytes - w1.bytes)
-    return Bandwidth(diff_bits * rel_error / (2.0 * precision_s))
+    bound = bytes_to_bits(w2.bytes - w1.bytes) * rel_error / (2.0 * precision_s)
+    if not 0 < bound < math.inf:
+        raise ZeroPrecision(
+            f"precision {precision_s!r} s at target {rel_error!r} puts the bound out of float range"
+        )
+    return Bandwidth(bound)

@@ -1,16 +1,18 @@
-"""Measurement-count planning from a tabulated error-vs-n reference.
+"""The paper's reference experiment, and measurement-count planning from it.
 
-The reference table lists, for its own conditions (variable-delay rate
-and true delay difference), the relative estimate error left after
-averaging n probe pairs.  A query under different conditions is mapped
-onto the table by scaling its error target with
+The reference experiment sends 100- and 1100-byte probes over one
+10 Mbit/s hop whose variable delay is exponential at 1000/s, so the
+true delay difference is 0.8 ms.  ``REFERENCE_ROWS`` lists the relative
+estimate error the paper published for it after averaging n probe
+pairs.  A query under different conditions is mapped onto those rows by
+scaling its error target with
 
     (rate / rate_ref) * (diff / diff_ref)
 
 since the relative error is proportional to the variable-delay spread
 (1/rate) and inversely proportional to the delay difference.  Between
-and beyond the tabulated rows the error is modelled as c/sqrt(n), with
-c fitted to all rows in log space; results outside the tabulated error
+and beyond the published rows the error is modelled as c/sqrt(n), with
+c fitted to all rows in log space; results outside the published error
 range are flagged as extrapolated because the scaling law is unverified
 there.  An analytic closed form for ideal exponential noise is provided
 as an independent cross-check.
@@ -20,65 +22,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InvalidQuery
+from .model import PacketSize, bytes_to_bits
 
+REFERENCE_SIZES = (PacketSize(100), PacketSize(1100))
+REFERENCE_CAPACITY_BPS = 10e6
+REFERENCE_VAR_DELAY_RATE = 1000.0  # 1/s
+REFERENCE_DELAY_DIFF_S = (
+    bytes_to_bits(REFERENCE_SIZES[1].bytes - REFERENCE_SIZES[0].bytes) / REFERENCE_CAPACITY_BPS
+)
 
-@dataclass(frozen=True)
-class TableRow:
-    """Relative error remaining after averaging ``n`` pairs."""
+# (n, relative error after averaging n pairs), rising in n
+REFERENCE_ROWS = (
+    (5, 0.826),
+    (10, 0.611),
+    (20, 0.442),
+    (30, 0.355),
+    (50, 0.244),
+    (100, 0.139),
+    (200, 0.094),
+)
+# the paper's worked example asks for the error of its n = 50 row
+REFERENCE_TARGET_ERROR = dict(REFERENCE_ROWS)[50]
 
-    n: int
-    rel_error: float
-
-
-@dataclass(frozen=True)
-class ReferenceTable:
-    """Error-vs-n rows measured under fixed reference conditions."""
-
-    rows: tuple[TableRow, ...]
-    var_delay_rate: float = 1000.0   # 1/s
-    mean_delay_diff_s: float = 8e-4
-
-    def __post_init__(self):
-        if len(self.rows) < 2:
-            raise ValueError("reference table needs at least two rows")
-        for row in self.rows:
-            if row.n < 1 or not 0 < row.rel_error < 1:
-                raise ValueError(f"bad table row {row}")
-        ns = [row.n for row in self.rows]
-        errs = [row.rel_error for row in self.rows]
-        if sorted(set(ns)) != ns or sorted(set(errs), reverse=True) != errs:
-            raise ValueError("table rows must have strictly increasing n and decreasing error")
-        if self.var_delay_rate <= 0 or self.mean_delay_diff_s <= 0:
-            raise ValueError("reference conditions must be positive")
-
-    @cached_property
-    def sqrt_n_coefficient(self) -> float:
-        """c of the error model c/sqrt(n), log-space least squares over all rows."""
-        logs = [math.log(row.rel_error * math.sqrt(row.n)) for row in self.rows]
-        return math.exp(sum(logs) / len(logs))
-
-    @property
-    def min_error(self) -> float:
-        return self.rows[-1].rel_error
-
-    @property
-    def max_error(self) -> float:
-        return self.rows[0].rel_error
-
-
-REFERENCE_TABLE = ReferenceTable(
-    rows=(
-        TableRow(5, 0.826),
-        TableRow(10, 0.611),
-        TableRow(20, 0.442),
-        TableRow(30, 0.355),
-        TableRow(50, 0.244),
-        TableRow(100, 0.139),
-        TableRow(200, 0.094),
-    )
+# c of the error model c/sqrt(n), log-space least squares over all rows
+SQRT_N_COEFFICIENT = math.exp(
+    sum(math.log(error * math.sqrt(n)) for n, error in REFERENCE_ROWS) / len(REFERENCE_ROWS)
 )
 
 
@@ -136,23 +106,23 @@ def analytic_required_measurements(query: PlanQuery) -> int:
     return _count(math.sqrt(2.0), scaled_target, "analytic")
 
 
-def required_measurements(query: PlanQuery, table: ReferenceTable = REFERENCE_TABLE) -> PlanResult:
+def required_measurements(query: PlanQuery) -> PlanResult:
     """Smallest n whose modelled relative error meets the query target.
 
-    The query's target is first rescaled to the table's reference
-    conditions; the fitted c/sqrt(n) model is then inverted for n.
-    Tightening the target never decreases n; raising the rate or the
-    delay difference never increases it.  ``extrapolated`` is set when
-    the rescaled target falls outside the tabulated error range.
+    The query's target is first rescaled to the reference conditions;
+    the fitted c/sqrt(n) model is then inverted for n.  Tightening the
+    target never decreases n; raising the rate or the delay difference
+    never increases it.  ``extrapolated`` is set when the rescaled
+    target falls outside the published error range.
     """
-    scale = (query.var_delay_rate / table.var_delay_rate) * (
-        query.mean_delay_diff_s / table.mean_delay_diff_s
+    scale = (query.var_delay_rate / REFERENCE_VAR_DELAY_RATE) * (
+        query.mean_delay_diff_s / REFERENCE_DELAY_DIFF_S
     )
     scaled_target = scale * query.target_error
     if not math.isfinite(scaled_target):  # a scale factor overflowed to inf, or was 0 times inf
         raise InvalidQuery("the scaled error target is out of floating-point range")
-    n = _count(table.sqrt_n_coefficient, scaled_target, "planned")
-    extrapolated = not (table.min_error <= scaled_target <= table.max_error)
+    n = _count(SQRT_N_COEFFICIENT, scaled_target, "planned")
+    extrapolated = not (REFERENCE_ROWS[-1][1] <= scaled_target <= REFERENCE_ROWS[0][1])
     return PlanResult(
         n=n,
         analytic_n=analytic_required_measurements(query),

@@ -30,6 +30,7 @@ from .model import (
     PacketSize,
     ProbePair,
 )
+from .planner import REFERENCE_SIZES
 
 HEADER = struct.Struct(">QQ")  # serial, monotonic send time in ns
 MIN_PROBE_BYTES = HEADER.size
@@ -49,8 +50,8 @@ class ProbeConfig:
 
     host: str
     port: int
-    w1: PacketSize = PacketSize(100)
-    w2: PacketSize = PacketSize(1100)
+    w1: PacketSize = REFERENCE_SIZES[0]
+    w2: PacketSize = REFERENCE_SIZES[1]
     count: int = 100
     spacing_s: float = 0.1
     timeout_s: float = 2.0

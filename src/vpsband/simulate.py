@@ -30,6 +30,7 @@ from .model import (
     ascii_number,
     bytes_to_bits,
 )
+from .planner import REFERENCE_CAPACITY_BPS, REFERENCE_ROWS, REFERENCE_SIZES, REFERENCE_VAR_DELAY_RATE
 
 # seconds between consecutive simulated pairs, and between the two
 # packets of a pair; synthetic timestamps only matter for pairing
@@ -73,6 +74,15 @@ class SimConfig:
                 f"var_delay_rate {self.path.var_delay_rate!r} per second is too small for "
                 f"{self.n_trials} trials: delay draws reach {largest!r} s, and their spread passes float range"
             )
+
+
+def reference_config(seed: int) -> SimConfig:
+    """The paper's reference experiment (see ``planner``) at the given seed."""
+    path = PathModel(
+        hops=(Hop(capacity=Bandwidth(REFERENCE_CAPACITY_BPS), propagation_delay=Delay(0.0)),),
+        var_delay_rate=REFERENCE_VAR_DELAY_RATE,
+    )
+    return SimConfig(path=path, packet_sizes=REFERENCE_SIZES, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +201,7 @@ _ALL_KEYS = _REQUIRED_KEYS + (
     "ns",
 )
 
-DEFAULT_NS = (5, 10, 20, 30, 50, 100, 200)
+DEFAULT_NS = tuple(n for n, _ in REFERENCE_ROWS)
 
 
 def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
@@ -241,12 +251,13 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
         path=path,
         packet_sizes=(PacketSize(ascii_int(values["w1_bytes"], "w1_bytes")),
                       PacketSize(ascii_int(values["w2_bytes"], "w2_bytes"))),
-        n_pairs=ascii_int(values.get("n_pairs", "3000"), "n_pairs"),
-        n_trials=ascii_int(values.get("n_trials", "10000"), "n_trials"),
-        seed=ascii_int(values.get("seed", "0"), "seed"),
+        # an absent count takes SimConfig's default; a present one must parse
+        **{key: ascii_int(values[key], key) for key in ("n_pairs", "n_trials", "seed") if key in values},
     )
     if values.get("ns"):
         ns = tuple(ascii_int(v, "ns") for v in values["ns"].split(",") if v.strip())
+        if not ns:
+            raise ValueError(f"ns must list at least one n, got {values['ns']!r}")
     else:
         ns = DEFAULT_NS
     if any(n < 2 for n in ns):

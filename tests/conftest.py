@@ -3,28 +3,19 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from pathlib import Path
 
 import pytest
 
-from vpsband.model import (
-    SAMPLE_CSV_FIELDS,
-    Bandwidth,
-    Delay,
-    DelaySample,
-    Hop,
-    PacketSize,
-    PathModel,
-    ProbePair,
-    sample_to_row,
-)
-from vpsband.simulate import SimConfig
+from vpsband.model import SAMPLE_CSV_FIELDS, Delay, DelaySample, PacketSize, ProbePair, sample_to_row
+from vpsband.planner import REFERENCE_SIZES
+from vpsband.simulate import SimConfig, reference_config
 
 DATA_DIR = Path(__file__).parent / "data"
 
-W1 = PacketSize(100)
-W2 = PacketSize(1100)
+W1, W2 = REFERENCE_SIZES
 
 
 @pytest.fixture
@@ -66,27 +57,9 @@ def csv_module_text(samples) -> str:
     return buf.getvalue()
 
 
-def ten_mbit_path(var_delay_rate: float = 1000.0) -> PathModel:
-    """Single 10 Mbit/s hop with no propagation delay.
-
-    With 100/1100-byte probes the true delay difference is 0.8 ms.
-    """
-    return PathModel(
-        hops=(Hop(capacity=Bandwidth(10e6), propagation_delay=Delay(0.0)),),
-        var_delay_rate=var_delay_rate,
-    )
-
-
-def reference_sim_config(
-    seed: int = 42,
-    n_pairs: int = 3000,
-    n_trials: int = 10_000,
-    var_delay_rate: float = 1000.0,
-) -> SimConfig:
-    return SimConfig(
-        path=ten_mbit_path(var_delay_rate),
-        packet_sizes=(W1, W2),
-        n_pairs=n_pairs,
-        n_trials=n_trials,
-        seed=seed,
-    )
+def reference_sim_config(seed: int = 42, var_delay_rate: float | None = None, **counts) -> SimConfig:
+    """The reference experiment at ``seed``, with any of its counts or its variable-delay rate replaced."""
+    cfg = dataclasses.replace(reference_config(seed), **counts)
+    if var_delay_rate is None:
+        return cfg
+    return dataclasses.replace(cfg, path=dataclasses.replace(cfg.path, var_delay_rate=var_delay_rate))

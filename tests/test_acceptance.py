@@ -9,7 +9,7 @@ Checks 3 and 4 hold the simulator to the paper's error-vs-n result.
 Each row of the simulated spread must follow the closed-form law
 sqrt(2)/(rate*sqrt(n)) to within 5%.  The published table enters in the
 form the planner uses it: the coefficient c of the fitted model c/sqrt(n)
-(``REFERENCE_TABLE.sqrt_n_coefficient``, the geometric mean of
+(``planner.SQRT_N_COEFFICIENT``, the geometric mean of
 error*sqrt(n) over the rows), since that fit, not any single row, is
 what ``required_measurements`` inverts.  The raw published rows are not
 gated one by one.  They scatter around the law by +4% to +12% for
@@ -36,7 +36,18 @@ import pytest
 from vpsband.errors import NonPositiveDelayDifference
 from vpsband.estimator import estimate_batch, estimate_pair, upper_measurable_bandwidth
 from vpsband.model import PacketSize, read_samples_csv, write_samples_csv
-from vpsband.planner import REFERENCE_TABLE, PlanQuery, analytic_required_measurements, required_measurements
+from vpsband.planner import (
+    REFERENCE_CAPACITY_BPS,
+    REFERENCE_DELAY_DIFF_S,
+    REFERENCE_ROWS,
+    REFERENCE_SIZES,
+    REFERENCE_TARGET_ERROR,
+    REFERENCE_VAR_DELAY_RATE,
+    SQRT_N_COEFFICIENT,
+    PlanQuery,
+    analytic_required_measurements,
+    required_measurements,
+)
 from vpsband.simulate import sd_of_delay_diff, simulate_pairs, variable_delays
 from vpsband.testbox import (
     match_sessions,
@@ -47,9 +58,7 @@ from vpsband.testbox import (
 
 from conftest import make_pair, reference_sim_config
 
-REFERENCE_RATE = 1000.0       # 1/s, conditions behind the bundled table
-REFERENCE_DIFF_S = 8e-4       # true delay difference at those conditions
-TABLE_NS = (5, 10, 20, 30, 50, 100, 200)
+TABLE_NS = tuple(n for n, _ in REFERENCE_ROWS)
 
 # Published spreads of the averaged delay difference (ms) that the bundled
 # error table's percentages were derived from (sd = eta * 0.8 ms).
@@ -66,7 +75,7 @@ def report(ok: bool, name: str, detail: str) -> None:
 @pytest.fixture(scope="module")
 def reference_spreads():
     """Simulated spread of the averaged delay difference, shared by 3/4/9."""
-    cfg = reference_sim_config(seed=42)  # 10 Mbit/s hop, rate 1000/s, 10^4 trials
+    cfg = reference_sim_config(seed=42)  # the reference experiment
     return {n: sd_of_delay_diff(cfg, n) for n in TABLE_NS}
 
 
@@ -103,15 +112,15 @@ def test_check_2_measurability_bound():
 def test_check_3_spread_table(reference_spreads):
     # Gates: (a) simulated sd within +-5% of the analytic oracle
     # sqrt(2)/(rate*sqrt(n)) for every tabulated n; (b) the c/sqrt(n)
-    # coefficient fitted to the simulated spreads the way ReferenceTable
+    # coefficient fitted to the simulated spreads the way the planner
     # fits its rows (geometric mean of sd*sqrt(n)) within +-5% of the
-    # published one, sqrt_n_coefficient * 0.8 ms.  The raw published
+    # published one, SQRT_N_COEFFICIENT * 0.8 ms.  The raw published
     # spread of each row is printed, not gated.
     rows = []
     failures = []
     for n in TABLE_NS:
         sd = reference_spreads[n]
-        analytic = math.sqrt(2.0) / (REFERENCE_RATE * math.sqrt(n))
+        analytic = math.sqrt(2.0) / (REFERENCE_VAR_DELAY_RATE * math.sqrt(n))
         published = REFERENCE_SD_MS[n] / 1e3
         vs_analytic = sd / analytic
         vs_published = sd / published
@@ -121,7 +130,7 @@ def test_check_3_spread_table(reference_spreads):
     simulated_coef = math.exp(
         statistics.fmean(math.log(reference_spreads[n] * math.sqrt(n)) for n in TABLE_NS)
     )
-    published_coef = REFERENCE_TABLE.sqrt_n_coefficient * REFERENCE_DIFF_S
+    published_coef = SQRT_N_COEFFICIENT * REFERENCE_DELAY_DIFF_S
     coef_ratio = published_coef / simulated_coef
     if not 0.95 <= coef_ratio <= 1.05:
         failures.append(
@@ -138,20 +147,19 @@ def test_check_3_spread_table(reference_spreads):
 
 def test_check_4_error_percentage_table(reference_spreads):
     # Gate: simulated error percentage within +-5 points of the planner's
-    # fitted value 100 * sqrt_n_coefficient / sqrt(n) at each tabulated n,
+    # fitted value 100 * SQRT_N_COEFFICIENT / sqrt(n) at each tabulated n,
     # the figure required_measurements inverts.  The gap to each raw table
     # row is printed, not gated.
-    coef = REFERENCE_TABLE.sqrt_n_coefficient
     failures = []
     rows = []
-    for n, row in zip(TABLE_NS, REFERENCE_TABLE.rows):
-        eta_pct = 100.0 * reference_spreads[n] / REFERENCE_DIFF_S
-        fitted_pct = 100.0 * coef / math.sqrt(n)
+    for n, row_error in REFERENCE_ROWS:
+        eta_pct = 100.0 * reference_spreads[n] / REFERENCE_DELAY_DIFF_S
+        fitted_pct = 100.0 * SQRT_N_COEFFICIENT / math.sqrt(n)
         gap = abs(eta_pct - fitted_pct)
-        raw_gap = abs(eta_pct - 100.0 * row.rel_error)
+        raw_gap = abs(eta_pct - 100.0 * row_error)
         rows.append(
             f"n={n}: {eta_pct:.2f}% vs fitted {fitted_pct:.2f}% (gap {gap:.2f}), "
-            f"row {100 * row.rel_error:.1f}% (raw gap {raw_gap:.2f})"
+            f"row {100 * row_error:.1f}% (raw gap {raw_gap:.2f})"
         )
         if gap > 5.0:
             failures.append(f"n={n} is {gap:.2f} points from the fitted value (allow 5)")
@@ -176,7 +184,7 @@ def test_check_5_averaging_behaviour():
         if sds[0] > sds[1] > sds[2]:
             decreasing += 1
         batch100_values.append(estimate_batch(pairs, 100).value.bits_per_second)
-    mean_dev = abs(statistics.fmean(batch100_values) - 10e6) / 10e6
+    mean_dev = abs(statistics.fmean(batch100_values) - REFERENCE_CAPACITY_BPS) / REFERENCE_CAPACITY_BPS
     ok = decreasing >= 27 and mean_dev <= 0.05
     report(ok, "check 5 (averaging tightens estimates)",
            f"spread decreasing in {decreasing}/30 seeds (need >=27); "
@@ -184,7 +192,9 @@ def test_check_5_averaging_behaviour():
 
 
 def test_check_6_planner_identity_and_sweep():
-    identity = required_measurements(PlanQuery(REFERENCE_RATE, REFERENCE_DIFF_S, 0.244))
+    identity = required_measurements(
+        PlanQuery(REFERENCE_VAR_DELAY_RATE, REFERENCE_DELAY_DIFF_S, REFERENCE_TARGET_ERROR)
+    )
     ok = identity.n == 50 and identity.analytic_n == 53
 
     # 5x5x5 log grid over the documented validity box.
@@ -214,7 +224,7 @@ def test_check_7_log_parse_golden_chain(data_dir):
     by_serial = {s.serial: s for s in matched.samples}
     small = by_serial.get(1353080554)
     large = by_serial.get(1353091581)
-    paired = pair_by_size(matched.samples, PacketSize(100), PacketSize(1100))
+    paired = pair_by_size(matched.samples, *REFERENCE_SIZES)
     diff = paired.pairs[0].delay_diff_s
     ok = (
         small is not None
@@ -236,8 +246,8 @@ def test_check_8_end_to_end_pipeline():
     # estimate at the planned batch size; the measured relative error
     # (spread of batch delay differences over their mean) must be within
     # 1.25x the target in >=80 of the 100 seeded runs.
-    target = 0.244
-    planned = required_measurements(PlanQuery(REFERENCE_RATE, REFERENCE_DIFF_S, target)).n
+    target = REFERENCE_TARGET_ERROR
+    planned = required_measurements(PlanQuery(REFERENCE_VAR_DELAY_RATE, REFERENCE_DELAY_DIFF_S, target)).n
     ok_runs = 0
     raised = 0
     for seed in range(100):
@@ -245,9 +255,7 @@ def test_check_8_end_to_end_pipeline():
         buf = io.StringIO()
         write_samples_csv((s for p in pairs for s in (p.small, p.large)), buf)
         buf.seek(0)
-        paired = pair_by_size(
-            read_samples_csv(buf), PacketSize(100), PacketSize(1100)
-        )
+        paired = pair_by_size(read_samples_csv(buf), *REFERENCE_SIZES)
         try:
             est = estimate_batch(paired.pairs, planned)
         except NonPositiveDelayDifference:
@@ -268,9 +276,10 @@ def test_check_9_property_suite(reference_spreads):
 
     # (b) exponential moments: mean and sd equal 1/rate within 1% at 1e5 draws.
     rng = np.random.default_rng(123)
-    draws = variable_delays(1000.0, 100_000, rng).tolist()
-    mean_dev = abs(statistics.fmean(draws) - 1e-3) / 1e-3
-    sd_dev = abs(statistics.stdev(draws) - 1e-3) / 1e-3
+    draws = variable_delays(REFERENCE_VAR_DELAY_RATE, 100_000, rng).tolist()
+    mean = 1.0 / REFERENCE_VAR_DELAY_RATE
+    mean_dev = abs(statistics.fmean(draws) - mean) / mean
+    sd_dev = abs(statistics.stdev(draws) - mean) / mean
     moments_ok = mean_dev <= 0.01 and sd_dev <= 0.01
 
     # (c) parser totality on arbitrary byte lines: never an uncaught error.

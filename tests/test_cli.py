@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, driven in-process via main(argv)."""
 
 import errno
+import hashlib
 import json
 import os
 import socket
@@ -16,7 +17,7 @@ import vpsband
 from vpsband.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from vpsband.errors import InvalidQuery
 from vpsband.model import MAX_SERIAL, MAX_UDP_PAYLOAD, read_samples_csv
-from vpsband.planner import PlanQuery, PlanResult, required_measurements
+from vpsband.planner import REFERENCE_ROWS, REFERENCE_TARGET_ERROR, PlanQuery, PlanResult, required_measurements
 from vpsband.prober import ProbeConfig, Reflector, probe
 from vpsband.testbox import match_sessions, parse_receiver_file, parse_sender_file
 
@@ -361,6 +362,7 @@ def test_simulate_bad_config_exits_domain(tmp_path, capsys):
         ("ns = 5,10", "ns = 5,1" + "0" * 400),  # n * var_delay_rate is past float range
         ("var_delay_rate = 1000", "var_delay_rate = 1e-300"),  # the spread of its draws overflows
         ("var_delay_rate = 1000", "var_delay_rate = 5e-324"),  # its draws are inf
+        ("ns = 5,10", "ns = ,"),  # a list with no n in it
     ],
 )
 def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new):
@@ -529,6 +531,15 @@ def test_reflect_subprocess_answers_probes():
 # reproduce-paper
 # ---------------------------------------------------------------------------
 
+# the seed-42 reference outputs, byte for byte
+REFERENCE_OUTPUT_SHA256 = {
+    "samples.csv": "2c0777c9d49d1ac4029085e6422f8fe8c9d3a1e83127965ac1d810f1bf1543a2",
+    "error_vs_n.csv": "9a9ac7f019c0ad1f69c581d273e4fcef554537e5ef1e0633015b1e3c73d58f7f",
+    "averaging_curves.csv": "30ace768daaa3c2998d3b1654a98fee3aeb3ac699f7ed967081654c4de4c64f2",
+    "plan.json": "62fad8dae0a1d93753cf704a2ed5c66999a5720005e724d5bac8c5bedaa2f40b",
+}
+
+
 def test_reproduce_outputs_and_reruns_identically(tmp_path, capsys):
     first = tmp_path / "ref_a"
     second = tmp_path / "ref_b"
@@ -536,12 +547,12 @@ def test_reproduce_outputs_and_reruns_identically(tmp_path, capsys):
     assert code == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
     assert summary["seed"] == 42
-    assert [p["n"] for p in summary["error_vs_n"]] == [5, 10, 20, 30, 50, 100, 200]
+    assert [p["n"] for p in summary["error_vs_n"]] == [n for n, _ in REFERENCE_ROWS]
     assert summary["plan"] == {
         "n": 50,
         "analytic_n": 53,
         "extrapolated": False,
-        "scaled_target": 0.244,
+        "scaled_target": REFERENCE_TARGET_ERROR,
     }
     curves = (first / "averaging_curves.csv").read_text().splitlines()
     blank = [line for line in curves[1:] if line.endswith(",")]
@@ -549,8 +560,9 @@ def test_reproduce_outputs_and_reruns_identically(tmp_path, capsys):
 
     assert main(["reproduce-paper", "--out-dir", str(second)]) == EXIT_OK
     capsys.readouterr()
-    for name in ("samples.csv", "error_vs_n.csv", "averaging_curves.csv", "plan.json"):
+    for name, sha256 in REFERENCE_OUTPUT_SHA256.items():
         assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert hashlib.sha256((first / name).read_bytes()).hexdigest() == sha256, name
 
     assert curves[0] == "batch_size,batch_index,mbps"
     assert len(curves) == 1 + 150 + 60 + 30  # batches of 20, 50, 100 over 3000 pairs

@@ -21,6 +21,7 @@ from vpsband.estimator import (
     upper_measurable_bandwidth,
 )
 from vpsband.model import PacketSize
+from vpsband.planner import REFERENCE_CAPACITY_BPS, REFERENCE_TARGET_ERROR
 from vpsband.simulate import simulate_pairs
 
 from conftest import make_pair, reference_sim_config
@@ -119,7 +120,7 @@ def test_batch_spread_near_reference_row():
     # error should land on the n=50 reference row (24.4%).
     pairs = simulate_pairs(reference_sim_config(seed=42))
     est = estimate_batch(pairs, batch_size=50)
-    assert abs(est.relative_error - 0.244) < 0.05
+    assert abs(est.relative_error - REFERENCE_TARGET_ERROR) < 0.05
 
 
 def test_batch_rejects_empty_and_undersized_input():
@@ -199,7 +200,7 @@ def test_estimates_average_close_to_true_bandwidth():
     for seed in range(30):
         pairs = simulate_pairs(reference_sim_config(seed=seed, n_pairs=3000))
         values.append(estimate_batch(pairs, batch_size=100).value.bits_per_second)
-    assert statistics.fmean(values) == pytest.approx(10e6, rel=0.05)
+    assert statistics.fmean(values) == pytest.approx(REFERENCE_CAPACITY_BPS, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,12 @@ def test_relative_error_input_checks():
         relative_error(precision_s=-1e-6, mean_diff_s=8e-4)
     with pytest.raises(NonPositiveDelayDifference):
         relative_error(precision_s=1e-6, mean_diff_s=0.0)
+    for precision in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            relative_error(precision_s=precision, mean_diff_s=8e-4)
+    for diff in (math.nan, math.inf):
+        with pytest.raises(NonPositiveDelayDifference, match="finite"):
+            relative_error(precision_s=1e-6, mean_diff_s=diff)
 
 
 def test_upper_measurable_bandwidth_fast_clock():
@@ -238,5 +245,11 @@ def test_upper_measurable_bandwidth_input_checks():
         upper_measurable_bandwidth(w2, w1, precision_s=1e-6, rel_error=0.1)
     with pytest.raises(ZeroPrecision):
         upper_measurable_bandwidth(w1, w2, precision_s=0.0, rel_error=0.1)
+    for precision in (math.nan, math.inf):
+        with pytest.raises(ZeroPrecision, match="finite"):
+            upper_measurable_bandwidth(w1, w2, precision_s=precision, rel_error=0.1)
+    for precision in (5e-324, 1e308):  # the bound overflows, or rounds to zero
+        with pytest.raises(ZeroPrecision, match="float range"):
+            upper_measurable_bandwidth(w1, w2, precision_s=precision, rel_error=0.1)
     with pytest.raises(InvalidEta):
         upper_measurable_bandwidth(w1, w2, precision_s=1e-6, rel_error=1.0)

@@ -1,4 +1,4 @@
-"""Planner table fit, scaling behaviour, and input validation."""
+"""Planner fit to the reference rows, scaling behaviour, and input validation."""
 
 import math
 
@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 
 from vpsband.errors import InvalidQuery
 from vpsband.planner import (
-    REFERENCE_TABLE,
+    REFERENCE_DELAY_DIFF_S,
+    REFERENCE_ROWS,
+    REFERENCE_TARGET_ERROR,
+    REFERENCE_VAR_DELAY_RATE,
+    SQRT_N_COEFFICIENT,
     PlanQuery,
-    ReferenceTable,
-    TableRow,
     analytic_required_measurements,
     required_measurements,
 )
 
-REFERENCE_RATE = 1000.0
-REFERENCE_DIFF = 8e-4
 
-
-def plan(rate=REFERENCE_RATE, diff=REFERENCE_DIFF, target=0.244):
+def plan(rate=REFERENCE_VAR_DELAY_RATE, diff=REFERENCE_DELAY_DIFF_S, target=REFERENCE_TARGET_ERROR):
     return required_measurements(PlanQuery(rate, diff, target))
 
 
@@ -34,7 +33,7 @@ def test_identity_query_reproduces_tabulated_count():
     assert result.n == 50
     assert result.analytic_n == 53
     assert not result.extrapolated
-    assert result.scaled_target == pytest.approx(0.244)
+    assert result.scaled_target == pytest.approx(REFERENCE_TARGET_ERROR)
 
 
 def test_doubling_the_rate_needs_fewer_measurements():
@@ -51,10 +50,10 @@ def test_doubling_the_diff_matches_doubling_the_rate():
 def test_coefficient_matches_independent_fit():
     # Geometric mean of rel_error * sqrt(n) over the seven rows.
     product = 1.0
-    for row in REFERENCE_TABLE.rows:
-        product *= row.rel_error * math.sqrt(row.n)
-    independent = product ** (1.0 / len(REFERENCE_TABLE.rows))
-    assert REFERENCE_TABLE.sqrt_n_coefficient == pytest.approx(independent, rel=1e-12)
+    for n, rel_error in REFERENCE_ROWS:
+        product *= rel_error * math.sqrt(n)
+    independent = product ** (1.0 / len(REFERENCE_ROWS))
+    assert SQRT_N_COEFFICIENT == pytest.approx(independent, rel=1e-12)
 
 
 def test_result_json_shape():
@@ -79,8 +78,8 @@ def test_above_table_targets_are_flagged():
 
 
 def test_table_edges_are_not_extrapolated():
-    assert not plan(target=REFERENCE_TABLE.max_error).extrapolated
-    assert not plan(target=REFERENCE_TABLE.min_error).extrapolated
+    assert not plan(target=REFERENCE_ROWS[0][1]).extrapolated
+    assert not plan(target=REFERENCE_ROWS[-1][1]).extrapolated
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,7 @@ def test_analytic_count_closed_form():
 def test_planned_and_analytic_counts_agree_within_half():
     # The table was produced by near-ideal exponential noise, so the two
     # routes should never disagree wildly.
-    for target in (0.10, 0.244, 0.40, 0.826):
+    for target in (0.10, REFERENCE_TARGET_ERROR, 0.40, REFERENCE_ROWS[0][1]):
         result = plan(target=target)
         assert 0.5 <= result.n / result.analytic_n <= 2.0
 
@@ -121,8 +120,8 @@ def test_tighter_targets_never_need_fewer_measurements(rate, diff, target):
 
 @given(st.floats(min_value=100.0, max_value=10_000.0))
 def test_faster_variable_delay_never_needs_more(rate):
-    base = required_measurements(PlanQuery(rate, REFERENCE_DIFF, 0.244))
-    faster = required_measurements(PlanQuery(rate * 2, REFERENCE_DIFF, 0.244))
+    base = required_measurements(PlanQuery(rate, REFERENCE_DELAY_DIFF_S, REFERENCE_TARGET_ERROR))
+    faster = required_measurements(PlanQuery(rate * 2, REFERENCE_DELAY_DIFF_S, REFERENCE_TARGET_ERROR))
     assert faster.n <= base.n
 
 
@@ -133,13 +132,13 @@ def test_faster_variable_delay_never_needs_more(rate):
 @pytest.mark.parametrize(
     "rate,diff,target",
     [
-        (0.0, REFERENCE_DIFF, 0.2),
-        (-5.0, REFERENCE_DIFF, 0.2),
-        (REFERENCE_RATE, 0.0, 0.2),
-        (REFERENCE_RATE, REFERENCE_DIFF, 0.0),
-        (REFERENCE_RATE, REFERENCE_DIFF, 1.0),
-        (REFERENCE_RATE, REFERENCE_DIFF, float("nan")),
-        (float("inf"), REFERENCE_DIFF, 0.2),
+        (0.0, REFERENCE_DELAY_DIFF_S, 0.2),
+        (-5.0, REFERENCE_DELAY_DIFF_S, 0.2),
+        (REFERENCE_VAR_DELAY_RATE, 0.0, 0.2),
+        (REFERENCE_VAR_DELAY_RATE, REFERENCE_DELAY_DIFF_S, 0.0),
+        (REFERENCE_VAR_DELAY_RATE, REFERENCE_DELAY_DIFF_S, 1.0),
+        (REFERENCE_VAR_DELAY_RATE, REFERENCE_DELAY_DIFF_S, float("nan")),
+        (float("inf"), REFERENCE_DELAY_DIFF_S, 0.2),
     ],
 )
 def test_bad_queries_raise(rate, diff, target):
@@ -147,24 +146,9 @@ def test_bad_queries_raise(rate, diff, target):
         PlanQuery(rate, diff, target)
 
 
-def test_reference_table_shape_is_validated():
-    with pytest.raises(ValueError, match="at least two rows"):
-        ReferenceTable(rows=(TableRow(5, 0.8),))
-    with pytest.raises(ValueError, match="increasing n"):
-        ReferenceTable(rows=(TableRow(10, 0.8), TableRow(5, 0.5)))
-    with pytest.raises(ValueError, match="decreasing error"):
-        ReferenceTable(rows=(TableRow(5, 0.5), TableRow(10, 0.8)))
-    with pytest.raises(ValueError, match="bad table row"):
-        ReferenceTable(rows=(TableRow(5, 1.5), TableRow(10, 0.5)))
-
-
-def test_custom_table_is_usable():
-    table = ReferenceTable(
-        rows=(TableRow(4, 0.5), TableRow(16, 0.25), TableRow(64, 0.125)),
-        var_delay_rate=500.0,
-        mean_delay_diff_s=1e-3,
-    )
-    assert table.sqrt_n_coefficient == pytest.approx(1.0, rel=1e-12)
-    result = required_measurements(PlanQuery(500.0, 1e-3, 0.25), table=table)
-    assert result.n == 16
-    assert not result.extrapolated
+def test_reference_rows_rise_in_n_and_fall_in_error():
+    ns = [n for n, _ in REFERENCE_ROWS]
+    errors = [error for _, error in REFERENCE_ROWS]
+    assert len(REFERENCE_ROWS) >= 2
+    assert ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:]))
+    assert 0 < errors[-1] and errors[0] < 1 and all(a > b for a, b in zip(errors, errors[1:]))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpsband.model import Bandwidth, Delay, Hop, PacketSize, PathModel
+from vpsband.planner import REFERENCE_DELAY_DIFF_S
 from vpsband.simulate import (
     DEFAULT_NS,
     SimConfig,
@@ -23,7 +24,7 @@ from vpsband.simulate import (
     write_error_table_csv,
 )
 
-from conftest import W1, W2, reference_sim_config, ten_mbit_path
+from conftest import W1, W2, reference_sim_config
 
 
 class _ZeroRng:
@@ -38,11 +39,11 @@ class _ZeroRng:
 # ---------------------------------------------------------------------------
 
 def test_fixed_delay_single_hop():
-    path = ten_mbit_path()
+    path = reference_sim_config().path
     assert fixed_delay(path, W1).seconds == pytest.approx(8e-5, rel=1e-12)
     assert fixed_delay(path, W2).seconds == pytest.approx(8.8e-4, rel=1e-12)
     diff = fixed_delay(path, W2).seconds - fixed_delay(path, W1).seconds
-    assert diff == pytest.approx(8e-4, rel=1e-12)
+    assert diff == pytest.approx(REFERENCE_DELAY_DIFF_S, rel=1e-12)
 
 
 def test_fixed_delay_sums_over_hops():
@@ -58,8 +59,8 @@ def test_fixed_delay_sums_over_hops():
 
 
 def test_variable_delays_with_zero_uniform_are_pure_fixed():
-    path = ten_mbit_path()
-    assert variable_delays(1000.0, 3, _ZeroRng()).tolist() == [0.0, 0.0, 0.0]
+    path = reference_sim_config().path
+    assert variable_delays(path.var_delay_rate, 3, _ZeroRng()).tolist() == [0.0, 0.0, 0.0]
     delays = fixed_delay(path, W2).seconds + variable_delays(path.var_delay_rate, (2, 2), _ZeroRng())
     assert (delays == fixed_delay(path, W2).seconds).all()
 
@@ -131,7 +132,7 @@ def test_sd_matches_analytic_law(n):
     # var(d2 - d1) = 2/rate^2, so the sd of a mean of n diffs is
     # sqrt(2)/(rate*sqrt(n)).
     cfg = reference_sim_config(seed=42)
-    analytic = math.sqrt(2.0) / (1000.0 * math.sqrt(n))
+    analytic = math.sqrt(2.0) / (cfg.path.var_delay_rate * math.sqrt(n))
     assert sd_of_delay_diff(cfg, n) == pytest.approx(analytic, rel=0.05)
 
 
@@ -184,9 +185,7 @@ def test_sd_input_checks():
     cfg = reference_sim_config(seed=0)
     with pytest.raises(ValueError, match="n must be"):
         sd_of_delay_diff(cfg, 1)
-    one_trial = SimConfig(
-        path=ten_mbit_path(), packet_sizes=(W1, W2), n_pairs=10, n_trials=1, seed=0
-    )
+    one_trial = reference_sim_config(seed=0, n_pairs=10, n_trials=1)
     with pytest.raises(ValueError, match="n_trials"):
         sd_of_delay_diff(one_trial, 10)
 
@@ -196,7 +195,7 @@ def test_error_vs_n_relative_to_true_diff():
     points = error_vs_n(cfg, ns=(10, 50))
     assert [p.n for p in points] == [10, 50]
     for p in points:
-        assert p.rel_error == pytest.approx(p.sd_s / 8e-4, rel=1e-12)
+        assert p.rel_error == pytest.approx(p.sd_s / REFERENCE_DELAY_DIFF_S, rel=1e-12)
     assert points[0].rel_error > points[1].rel_error
 
 
@@ -304,6 +303,12 @@ def test_parse_config_multi_hop():
             "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nseed=-3\n",
             "seed must be >= 0",
         ),
+        (
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nns=,\n",
+            "ns must list at least one n",
+        ),
+        # a count that is present but empty is an error, not its default
+        ("capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nn_pairs=\n", "invalid literal"),
         (
             "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\n"
             "n_pairs=\u0661\u0660\n",
