@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import estimator, planner, prober, testbox
 from .errors import EmptyInput, InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
-from .model import MAX_PORT, PacketSize, read_samples_csv, write_samples_csv
+from .model import MAX_PORT, PacketSize, Samples, read_samples_csv, write_samples_csv
 
 if TYPE_CHECKING:
     from . import simulate
@@ -186,8 +186,8 @@ def _flag_sizes(args) -> tuple[PacketSize, PacketSize] | None:
     return w1, w2
 
 
-def _sizes_in(samples) -> tuple[PacketSize, PacketSize]:
-    sizes = sorted({s.packet_size.bytes for s in samples})
+def _sizes_in(samples: Samples) -> tuple[PacketSize, PacketSize]:
+    sizes = sorted(set(samples.bytes))
     if len(sizes) == 1:
         # no flags can pair such a file, so it is the data at fault
         raise NoPairsFound(f"samples contain one packet size {sizes}; two are needed to pair")

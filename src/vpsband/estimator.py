@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Sequence
+from typing import Iterable
 
 from .errors import (
     EmptyInput,
@@ -29,7 +29,7 @@ from .errors import (
     NonPositiveDelayDifference,
     ZeroPrecision,
 )
-from .model import Bandwidth, BandwidthEstimate, PacketSize, ProbePair, bytes_to_bits
+from .model import Bandwidth, BandwidthEstimate, PacketSize, Pairs, ProbePair, bytes_to_bits
 
 
 def estimate_pair(pair: ProbePair) -> Bandwidth:
@@ -47,15 +47,7 @@ def estimate_pair(pair: ProbePair) -> Bandwidth:
     return Bandwidth(bytes_to_bits(pair.size_diff_bytes) / diff_s)
 
 
-def _check_uniform_sizes(pairs: Sequence[ProbePair]) -> None:
-    sizes = {(p.small.packet_size.bytes, p.large.packet_size.bytes) for p in pairs}
-    if len(sizes) > 1:
-        raise MixedPacketSizes(
-            f"pairs mix size classes {sorted(sizes)}; batch them separately"
-        )
-
-
-def estimate_batch(pairs: Sequence[ProbePair], batch_size: int) -> BandwidthEstimate:
+def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> BandwidthEstimate:
     """Estimate bandwidth from pairs averaged in consecutive batches.
 
     Pairs are split into consecutive non-overlapping batches of
@@ -70,9 +62,16 @@ def estimate_batch(pairs: Sequence[ProbePair], batch_size: int) -> BandwidthEsti
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    pairs = Pairs.of(pairs)
     if not pairs:
         raise EmptyInput("no pairs to estimate from")
-    _check_uniform_sizes(pairs)
+    size_of = pairs.samples.bytes.__getitem__
+    small_sizes, large_sizes = set(map(size_of, pairs.small)), set(map(size_of, pairs.large))
+    if len(small_sizes) > 1 or len(large_sizes) > 1:
+        sizes = set(zip(map(size_of, pairs.small), map(size_of, pairs.large)))
+        raise MixedPacketSizes(
+            f"pairs mix size classes {sorted(sizes)}; batch them separately"
+        )
 
     n_batches = len(pairs) // batch_size
     if n_batches == 0:
@@ -80,14 +79,15 @@ def estimate_batch(pairs: Sequence[ProbePair], batch_size: int) -> BandwidthEsti
             f"{len(pairs)} pairs is fewer than one batch of {batch_size}"
         )
 
-    used = pairs[: n_batches * batch_size]
-    diff_bits = bytes_to_bits(used[0].size_diff_bytes)
+    diff_bits = bytes_to_bits(large_sizes.pop() - small_sizes.pop())
+    delay = pairs.samples.delay.__getitem__
     batch_values = []
     batch_diffs = []
     for b in range(n_batches):
-        batch = used[b * batch_size : (b + 1) * batch_size]
-        mean_small = statistics.fmean(p.small.delay.seconds for p in batch)
-        mean_large = statistics.fmean(p.large.delay.seconds for p in batch)
+        lo, hi = b * batch_size, (b + 1) * batch_size
+        # the sums statistics.fmean takes, divided as it divides them
+        mean_small = math.fsum(map(delay, pairs.small[lo:hi])) / batch_size
+        mean_large = math.fsum(map(delay, pairs.large[lo:hi])) / batch_size
         diff_s = mean_large - mean_small
         if diff_s <= 0:
             raise NonPositiveDelayDifference(
@@ -101,7 +101,7 @@ def estimate_batch(pairs: Sequence[ProbePair], batch_size: int) -> BandwidthEsti
     sd = statistics.stdev(batch_values) if n_batches >= 2 else None
     return BandwidthEstimate(
         value=Bandwidth(value),
-        n_pairs=len(used),
+        n_pairs=n_batches * batch_size,
         sd_bps=sd,
         relative_error=None if sd is None else statistics.stdev(batch_diffs) / mean_diff,
         mean_delay_diff_s=mean_diff,

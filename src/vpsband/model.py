@@ -17,8 +17,9 @@ import itertools
 import math
 import re
 import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 BITS_PER_BYTE = 8
 MAX_UDP_PAYLOAD = 65507          # 65535 - 8 UDP - 20 IP
@@ -122,6 +123,110 @@ class ProbePair:
     @property
     def delay_diff_s(self) -> float:
         return self.large.delay.seconds - self.small.delay.seconds
+
+
+# ---------------------------------------------------------------------------
+# samples and pairs as columns
+# ---------------------------------------------------------------------------
+
+class Samples:
+    """Delay samples held as four ``array.array`` columns, one entry per sample.
+
+    ``serial`` (``Q``), ``sent_at`` (``d``), ``bytes`` (``H``) and
+    ``delay`` (``d``, seconds) hold about 26 bytes per sample and no
+    object the garbage collector tracks.  Item ``i`` is a
+    :class:`DelaySample` built when asked for.
+    """
+
+    __slots__ = ("serial", "sent_at", "bytes", "delay")
+
+    def __init__(self):
+        self.serial = array("Q")
+        self.sent_at = array("d")
+        self.bytes = array("H")
+        self.delay = array("d")
+
+    @classmethod
+    def of(cls, samples: Samples | Iterable[DelaySample]) -> Samples:
+        """``samples`` as they are if they are columns already, else their columns."""
+        if isinstance(samples, cls):
+            return samples
+        out = cls()
+        append = out.append
+        for s in samples:
+            append(s.serial, s.sent_at, s.packet_size.bytes, s.delay.seconds)
+        return out
+
+    def append(self, serial: int, sent_at: float, nbytes: int, delay_s: float) -> None:
+        """Add one sample, with the checks and messages of
+        ``DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)``."""
+        if not (
+            type(nbytes) is int and 1 <= nbytes <= MAX_UDP_PAYLOAD and 0 <= delay_s < math.inf
+            and 0 <= serial <= MAX_SERIAL and -math.inf < sent_at < math.inf
+        ):
+            DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)  # raises its own ValueError
+        self.serial.append(serial)  # first: the one column that refuses a value the checks let through
+        self.sent_at.append(sent_at)
+        self.bytes.append(nbytes)
+        self.delay.append(delay_s)
+
+    def send_order(self) -> list[int]:
+        """Indices of the samples in ``(sent_at, serial)`` order; ties keep their order."""
+        order = sorted(range(len(self.serial)), key=self.serial.__getitem__)
+        order.sort(key=self.sent_at.__getitem__)
+        return order
+
+    def take(self, indices: list[int]) -> Samples:
+        """The samples at ``indices``, in that order."""
+        out = Samples()
+        for name in self.__slots__:
+            column = getattr(self, name)
+            getattr(out, name).extend(map(column.__getitem__, indices))
+        return out
+
+    def __len__(self) -> int:
+        return len(self.serial)
+
+    def __getitem__(self, i: int) -> DelaySample:
+        return DelaySample(PacketSize(self.bytes[i]), Delay(self.delay[i]), self.serial[i], self.sent_at[i])
+
+    def __iter__(self) -> Iterator[DelaySample]:
+        for serial, sent_at, nbytes, delay_s in zip(self.serial, self.sent_at, self.bytes, self.delay):
+            yield DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)
+
+
+class Pairs:
+    """Probe pairs as two index columns into one :class:`Samples`.
+
+    Pair ``i`` is the :class:`ProbePair` of ``samples[small[i]]`` and
+    ``samples[large[i]]``, built when asked for.
+    """
+
+    __slots__ = ("samples", "small", "large")
+
+    def __init__(self, samples: Samples, small: array, large: array):
+        self.samples = samples
+        self.small = small
+        self.large = large
+
+    @classmethod
+    def of(cls, pairs: Pairs | Iterable[ProbePair]) -> Pairs:
+        """``pairs`` as they are if they are columns already, else their columns."""
+        if isinstance(pairs, cls):
+            return pairs
+        samples = Samples.of(s for pair in pairs for s in (pair.small, pair.large))
+        return cls(samples, array("Q", range(0, len(samples), 2)), array("Q", range(1, len(samples), 2)))
+
+    def __len__(self) -> int:
+        return len(self.small)
+
+    def __getitem__(self, i: int) -> ProbePair:
+        return ProbePair(self.samples[self.small[i]], self.samples[self.large[i]])
+
+    def __iter__(self) -> Iterator[ProbePair]:
+        samples = self.samples
+        for small, large in zip(self.small, self.large):
+            yield ProbePair(samples[small], samples[large])
 
 
 # ---------------------------------------------------------------------------
@@ -237,83 +342,91 @@ def ascii_int(text: str, what: str, top: int | None = None) -> int:
         raise ValueError(f"{what} must have at most {sys.get_int_max_str_digits()} digits") from None
 
 
-def sample_to_row(sample: DelaySample) -> list[str]:
-    return [
-        SAMPLE_DIRECTION,
-        str(sample.serial),
-        f"{sample.sent_at:.6f}",
-        str(sample.packet_size.bytes),
-        format_delay_s(sample.delay.seconds),
-    ]
+def sample_from_row(row: list[str]) -> tuple[int, float, int, float]:
+    """A CSV row's serial, sent_at, bytes and delay, the arguments of :meth:`Samples.append`.
 
-
-def sample_from_row(row: list[str]) -> DelaySample:
+    Fields are parsed and checked in the order a ``DelaySample`` built
+    from them checked them, so a row bad in two fields fails on the same one.
+    """
     direction, serial, sent_at, nbytes, delay_s = row
     if direction != SAMPLE_DIRECTION:
         raise ValueError(f"direction must be {SAMPLE_DIRECTION!r}, got {direction!r}")
-    return DelaySample(
-        packet_size=PacketSize(ascii_int(nbytes, "packet size", MAX_UDP_PAYLOAD)),
-        delay=Delay(ascii_number(delay_s)),
-        serial=ascii_int(serial, "serial", MAX_SERIAL),
-        sent_at=ascii_number(sent_at),
-    )
+    size = PacketSize(ascii_int(nbytes, "packet size", MAX_UDP_PAYLOAD)).bytes
+    delay = Delay(ascii_number(delay_s)).seconds
+    return ascii_int(serial, "serial", MAX_SERIAL), ascii_number(sent_at), size, delay
 
 
-def write_samples_csv(samples: Iterable[DelaySample], fp: TextIO) -> None:
+def write_samples_csv(samples: Samples | Iterable[DelaySample], fp: TextIO) -> None:
     """Write samples in the package CSV format, header included.
 
     No field ever needs quoting, so rows are joined by hand, ended with
     CRLF as ``csv.writer`` ends them.
     """
+    samples = Samples.of(samples)
     fp.write(",".join(SAMPLE_CSV_FIELDS) + "\r\n")
-    fp.writelines(",".join(sample_to_row(sample)) + "\r\n" for sample in samples)
+    fp.writelines(
+        f"{SAMPLE_DIRECTION},{serial},{sent_at:.6f},{nbytes},{format_delay_s(delay_s)}\r\n"
+        for serial, sent_at, nbytes, delay_s in zip(samples.serial, samples.sent_at, samples.bytes, samples.delay)
+    )
 
 
-# Canonical lines, as write_samples_csv writes them, with ASCII digits
-# only.  Integer parts of at most 308 digits keep every time and delay
-# below 10**308, so finite; the value constructors check the rest.  The
-# first line that misses goes, with the rest of the file, to the
-# csv.reader route, the one source of messages for rows of other shapes.
+# Canonical rows, as write_samples_csv writes them, with ASCII digits
+# only, read a block of lines at a time.  Integer parts of at most 308
+# digits keep every time and delay below 10**308, so finite.  A block
+# with a line that misses, or with a serial or size out of range, goes
+# with the rest of the file to the csv.reader route, the one source of
+# messages.  No pattern character matches a line break, so each line of
+# a block holds at most one row, and the block is canonical exactly when
+# there are as many rows as lines.
 _HEADER_LINE = re.compile(",".join(SAMPLE_CSV_FIELDS) + r"(?:\r?\n)?")
-_SAMPLE_LINE = re.compile(
-    SAMPLE_DIRECTION
-    + r",([0-9]{1,20}),([0-9]{1,308}\.[0-9]{1,308}),([0-9]{1,5}),([0-9]{1,308}(?:\.[0-9]{1,308})?)(?:\r?\n)?",
-    re.ASCII,
+_SAMPLE_ROWS = re.compile(
+    "^" + SAMPLE_DIRECTION
+    + r",([0-9]{1,20}),([0-9]{1,308}\.[0-9]{1,308}),([0-9]{1,5}),([0-9]{1,308}(?:\.[0-9]{1,308})?)\r?$",
+    re.ASCII | re.MULTILINE,
 )
+_BLOCK_LINES = 1024
 
 
-def read_samples_csv(fp: TextIO) -> list[DelaySample]:
+def _canonical_columns(block: list[str]) -> tuple[array, array, array, array] | None:
+    """The serial, sent_at, bytes and delay columns of ``block``'s lines, or None
+    if a line is not a canonical row or holds a serial or size out of range."""
+    rows = _SAMPLE_ROWS.findall("".join(block))
+    if len(rows) != len(block):
+        return None
+    serials, sent_at, nbytes, delays = zip(*rows)
+    try:  # past 2**64 - 1 or 65535 a column refuses the value
+        serials, nbytes = array("Q", map(int, serials)), array("H", map(int, nbytes))
+    except OverflowError:
+        return None
+    if min(nbytes) < 1 or max(nbytes) > MAX_UDP_PAYLOAD:
+        return None
+    return serials, array("d", map(float, sent_at)), nbytes, array("d", map(float, delays))
+
+
+def read_samples_csv(fp: TextIO) -> Samples:
     """Read samples written by :func:`write_samples_csv`.
 
     Raises ValueError with the offending line number on a bad header or row.
     """
-    samples: list[DelaySample] = []
+    samples = Samples()
     lines = iter(fp)
-    line = next(lines, None)
-    lineno = 1
-    if line is not None and _HEADER_LINE.fullmatch(line):
-        sizes: dict[str, PacketSize] = {}
-        for lineno, line in enumerate(lines, start=2):
-            match = _SAMPLE_LINE.fullmatch(line)
-            if match is None:
-                break
-            serial, sent_at, nbytes, delay_s = match.groups()
-            try:
-                size = sizes.get(nbytes)
-                if size is None:
-                    size = sizes[nbytes] = PacketSize(int(nbytes))
-                samples.append(DelaySample(size, Delay(float(delay_s)), int(serial), float(sent_at)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-        else:
-            return samples
-    if line is not None:
-        lines = itertools.chain((line,), lines)
-    _read_csv_rows(lines, lineno, samples)
+    header = next(lines, None)
+    if header is None or not _HEADER_LINE.fullmatch(header):
+        _read_csv_rows(itertools.chain(() if header is None else (header,), lines), 1, samples)
+        return samples
+    lineno = 2
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        columns = _canonical_columns(block)
+        if columns is None:
+            _read_csv_rows(itertools.chain(block, lines), lineno, samples)
+            break
+        for name, column in zip(Samples.__slots__, columns):
+            getattr(samples, name).extend(column)
+        lineno += len(block)
     return samples
 
 
-def _read_csv_rows(lines: Iterable[str], first: int, samples: list[DelaySample]) -> None:
+def _read_csv_rows(lines: Iterable[str], first: int, samples: Samples) -> None:
     """Append to ``samples`` the rows of ``lines``, the file from its line ``first`` on.
 
     Line ``first`` is the header when ``first`` is 1.  Every line before
@@ -333,7 +446,7 @@ def _read_csv_rows(lines: Iterable[str], first: int, samples: list[DelaySample])
             if len(row) != len(SAMPLE_CSV_FIELDS):
                 raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
             try:
-                samples.append(sample_from_row(row))
+                samples.append(*sample_from_row(row))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     except csv.Error as exc:

@@ -23,17 +23,15 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import InsufficientData, MalformedLine, MixedPacketSizes, NoPairsFound
-from .model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize, ProbePair
+from .model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, DelaySample, PacketSize, Pairs, Samples
 
 DEFAULT_PAIR_WINDOW_S = 60.0
-_SENT_AT = attrgetter("sent_at")
-_SEND_ORDER = attrgetter("sent_at", "serial")
 
 _TOKEN_RE = re.compile(r"\S+")
 _UINT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() takes any Unicode digit
@@ -276,7 +274,7 @@ def parse_receiver_file(raw: BinaryIO) -> ParsedLog:
 class MatchResult:
     """Delay samples joined on serial, with bookkeeping counters."""
 
-    samples: list[DelaySample]
+    samples: Samples
     unmatched_sent: int
     unmatched_received: int
     duplicate_sent: int
@@ -292,7 +290,7 @@ def match_sessions(sent: Iterable[SenderRecord], received: Iterable[ReceiverReco
 
     Duplicate serials on either side resolve to the first occurrence;
     the surplus is counted.  Unmatched records are dropped and counted.
-    Returned samples are sorted by send time.
+    Returned samples are sorted by send time, then serial.
     """
     by_serial: dict[int, SenderRecord] = {}
     duplicate_sent = 0
@@ -302,8 +300,7 @@ def match_sessions(sent: Iterable[SenderRecord], received: Iterable[ReceiverReco
         else:
             by_serial[rec.serial] = rec
 
-    samples = []
-    sizes: dict[int, PacketSize] = {}
+    samples = Samples()
     seen: set[int] = set()
     duplicate_received = 0
     unmatched_received = 0
@@ -316,13 +313,9 @@ def match_sessions(sent: Iterable[SenderRecord], received: Iterable[ReceiverReco
             unmatched_received += 1
             continue
         seen.add(rec.serial)
-        size = sizes.get(snd.packet_bytes)
-        if size is None:
-            size = sizes[snd.packet_bytes] = PacketSize(snd.packet_bytes)
-        samples.append(DelaySample(size, Delay(rec.delay_s), rec.serial, snd.timestamp))
-    samples.sort(key=_SEND_ORDER)
+        samples.append(rec.serial, snd.timestamp, snd.packet_bytes, rec.delay_s)
     return MatchResult(
-        samples=samples,
+        samples=samples.take(samples.send_order()),
         unmatched_sent=len(by_serial) - len(seen),
         unmatched_received=unmatched_received,
         duplicate_sent=duplicate_sent,
@@ -334,14 +327,14 @@ def match_sessions(sent: Iterable[SenderRecord], received: Iterable[ReceiverReco
 class PairResult:
     """Probe pairs formed from two size classes, with leftovers counted."""
 
-    pairs: list[ProbePair]
+    pairs: Pairs
     unpaired_small: int
     unpaired_large: int
     other_sizes: int
 
 
 def pair_by_size(
-    samples: Iterable[DelaySample],
+    samples: Samples | Iterable[DelaySample],
     w1: PacketSize,
     w2: PacketSize,
     window_s: float = DEFAULT_PAIR_WINDOW_S,
@@ -359,50 +352,52 @@ def pair_by_size(
     if not (math.isfinite(window_s) and window_s > 0):
         raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
 
-    ordered = sorted(samples, key=_SEND_ORDER)
+    samples = Samples.of(samples)
+    order = samples.send_order()
+    nbytes, sent_at = samples.bytes, samples.sent_at
     small_bytes, large_bytes = w1.bytes, w2.bytes
-    smalls: list[DelaySample] = []
-    larges: list[DelaySample] = []
-    for sample in ordered:
-        nbytes = sample.packet_size.bytes
-        if nbytes == small_bytes:
-            smalls.append(sample)
-        elif nbytes == large_bytes:
-            larges.append(sample)
-    other = len(ordered) - len(smalls) - len(larges)
+    smalls = [i for i in order if nbytes[i] == small_bytes]
+    larges = [i for i in order if nbytes[i] == large_bytes]
+    other = len(order) - len(smalls) - len(larges)
 
-    # Unpaired smalls sent at or before the large wait in `left`; the
-    # nearest is the earliest at its latest time.  Smalls taken as an
-    # earlier large's later candidate are a prefix of those sent after
-    # this large, so smalls[nxt] is the first unpaired one.
-    pairs = []
-    left: list[DelaySample] = []
+    # Positions in `smalls` of the unpaired smalls sent at or before the
+    # large wait in `left`; the nearest is the earliest at its latest
+    # time.  Smalls taken as an earlier large's later candidate are a
+    # prefix of those sent after this large, so smalls[nxt] is the first
+    # unpaired one.
+    times = [sent_at[i] for i in smalls]
+    time_of = times.__getitem__
+    paired_small: list[int] = []
+    paired_large: list[int] = []
+    left: list[int] = []
     nxt = 0
-    for large in larges:
-        t = large.sent_at
-        while nxt < len(smalls) and smalls[nxt].sent_at <= t:
-            left.append(smalls[nxt])
+    for large, t in zip(larges, map(sent_at.__getitem__, larges)):
+        while nxt < len(times) and times[nxt] <= t:
+            left.append(nxt)
             nxt += 1
         k = -1
-        if left and left[-1].sent_at >= t - window_s:
-            k = bisect_left(left, left[-1].sent_at, key=_SENT_AT)
-        if nxt < len(smalls) and smalls[nxt].sent_at <= t + window_s and (
-            k < 0 or smalls[nxt].sent_at - t < t - left[k].sent_at
-        ):
-            pairs.append(ProbePair(small=smalls[nxt], large=large))
+        if left:
+            latest = times[left[-1]]
+            if latest >= t - window_s:
+                k = bisect_left(left, latest, key=time_of)
+        if nxt < len(times) and times[nxt] <= t + window_s and (k < 0 or times[nxt] - t < t - times[left[k]]):
+            paired_small.append(smalls[nxt])
             nxt += 1
         elif k >= 0:
-            pairs.append(ProbePair(small=left.pop(k), large=large))
+            paired_small.append(smalls[left.pop(k)])
+        else:
+            continue
+        paired_large.append(large)
 
-    if not pairs:
+    if not paired_large:
         raise NoPairsFound(
             f"no pairs of {w1.bytes}/{w2.bytes} bytes "
             f"({len(smalls)} small, {len(larges)} large samples)"
         )
     return PairResult(
-        pairs=pairs,
-        unpaired_small=len(smalls) - len(pairs),
-        unpaired_large=len(larges) - len(pairs),
+        pairs=Pairs(samples, array("Q", paired_small), array("Q", paired_large)),
+        unpaired_small=len(smalls) - len(paired_large),
+        unpaired_large=len(larges) - len(paired_large),
         other_sizes=other,
     )
 
@@ -411,7 +406,7 @@ def pair_by_size(
 # variable-delay rate estimation
 # ---------------------------------------------------------------------------
 
-def estimate_var_delay_rate(samples: Iterable[DelaySample]) -> float:
+def estimate_var_delay_rate(samples: Samples | Iterable[DelaySample]) -> float:
     """Variable-delay rate (1/s) from delays of a single size class.
 
     The smallest observed delay stands in for the fixed-delay floor, so
@@ -419,9 +414,9 @@ def estimate_var_delay_rate(samples: Iterable[DelaySample]) -> float:
     is overestimated and the rate with it; feed enough samples that the
     minimum has stabilized.
     """
-    samples = list(samples)
-    delays = [s.delay.seconds for s in samples]
-    sizes = {s.packet_size.bytes for s in samples}
+    samples = Samples.of(samples)
+    delays = samples.delay
+    sizes = set(samples.bytes)
     if len(sizes) > 1:
         raise MixedPacketSizes(f"rate estimation needs one size class, got {sorted(sizes)}")
     if len(delays) < 2:

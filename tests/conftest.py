@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from vpsband.model import SAMPLE_CSV_FIELDS, Delay, DelaySample, PacketSize, ProbePair, sample_to_row
+from vpsband.model import SAMPLE_CSV_FIELDS, SAMPLE_DIRECTION, Delay, DelaySample, PacketSize, ProbePair, format_delay_s
 from vpsband.planner import REFERENCE_SIZES
 from vpsband.simulate import SimConfig, reference_config
 
@@ -48,12 +48,23 @@ def make_pair(
     )
 
 
+def sample_row(sample: DelaySample) -> list[str]:
+    """The CSV fields of one sample, as the samples format defines them."""
+    return [
+        SAMPLE_DIRECTION,
+        str(sample.serial),
+        f"{sample.sent_at:.6f}",
+        str(sample.packet_size.bytes),
+        format_delay_s(sample.delay.seconds),
+    ]
+
+
 def csv_module_text(samples) -> str:
     """The samples CSV as the csv module writes it: the reference for write_samples_csv."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SAMPLE_CSV_FIELDS)
-    writer.writerows(sample_to_row(s) for s in samples)
+    writer.writerows(sample_row(s) for s in samples)
     return buf.getvalue()
 
 

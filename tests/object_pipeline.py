@@ -1,0 +1,175 @@
+"""The object-per-sample pipeline, as it was before samples became columns.
+
+``read_samples_csv``, ``match_sessions`` and ``pair_by_size`` here build
+one ``DelaySample`` (with its ``PacketSize`` and ``Delay``) per sample and
+one ``ProbePair`` per pair.  They are the reference the differential
+tests hold the columnar pipeline to: same samples, pairs, counts and
+messages.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+import re
+from bisect import bisect_left
+from operator import attrgetter
+
+from vpsband.errors import NoPairsFound
+from vpsband.model import (
+    MAX_SERIAL,
+    MAX_UDP_PAYLOAD,
+    SAMPLE_CSV_FIELDS,
+    SAMPLE_DIRECTION,
+    Delay,
+    DelaySample,
+    PacketSize,
+    ProbePair,
+    ascii_int,
+    ascii_number,
+)
+
+_SENT_AT = attrgetter("sent_at")
+_SEND_ORDER = attrgetter("sent_at", "serial")
+
+
+def sample_from_row(row: list[str]) -> DelaySample:
+    direction, serial, sent_at, nbytes, delay_s = row
+    if direction != SAMPLE_DIRECTION:
+        raise ValueError(f"direction must be {SAMPLE_DIRECTION!r}, got {direction!r}")
+    return DelaySample(
+        packet_size=PacketSize(ascii_int(nbytes, "packet size", MAX_UDP_PAYLOAD)),
+        delay=Delay(ascii_number(delay_s)),
+        serial=ascii_int(serial, "serial", MAX_SERIAL),
+        sent_at=ascii_number(sent_at),
+    )
+
+
+_HEADER_LINE = re.compile(",".join(SAMPLE_CSV_FIELDS) + r"(?:\r?\n)?")
+_SAMPLE_LINE = re.compile(
+    SAMPLE_DIRECTION
+    + r",([0-9]{1,20}),([0-9]{1,308}\.[0-9]{1,308}),([0-9]{1,5}),([0-9]{1,308}(?:\.[0-9]{1,308})?)(?:\r?\n)?",
+    re.ASCII,
+)
+
+
+def read_samples_csv(fp) -> list[DelaySample]:
+    samples: list[DelaySample] = []
+    lines = iter(fp)
+    line = next(lines, None)
+    lineno = 1
+    if line is not None and _HEADER_LINE.fullmatch(line):
+        sizes: dict[str, PacketSize] = {}
+        for lineno, line in enumerate(lines, start=2):
+            match = _SAMPLE_LINE.fullmatch(line)
+            if match is None:
+                break
+            serial, sent_at, nbytes, delay_s = match.groups()
+            try:
+                size = sizes.get(nbytes)
+                if size is None:
+                    size = sizes[nbytes] = PacketSize(int(nbytes))
+                samples.append(DelaySample(size, Delay(float(delay_s)), int(serial), float(sent_at)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+        else:
+            return samples
+    if line is not None:
+        lines = itertools.chain((line,), lines)
+    _read_csv_rows(lines, lineno, samples)
+    return samples
+
+
+def _read_csv_rows(lines, first: int, samples: list[DelaySample]) -> None:
+    offset = first - 1
+    reader = csv.reader(lines)
+    try:
+        if first == 1:
+            header = next(reader, None)
+            if header != list(SAMPLE_CSV_FIELDS):
+                raise ValueError(f"line 1: expected header {','.join(SAMPLE_CSV_FIELDS)!r}, got {header!r}")
+            first = 2
+        for lineno, row in enumerate(reader, start=first):
+            if not row:
+                continue
+            if len(row) != len(SAMPLE_CSV_FIELDS):
+                raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
+            try:
+                samples.append(sample_from_row(row))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    except csv.Error as exc:
+        raise ValueError(f"line {offset + reader.line_num}: {exc}") from exc
+
+
+def match_sessions(sent, received) -> tuple[list[DelaySample], int, int, int, int]:
+    """Samples, unmatched sent, unmatched received, duplicate sent, duplicate received."""
+    by_serial = {}
+    duplicate_sent = 0
+    for rec in sent:
+        if rec.serial in by_serial:
+            duplicate_sent += 1
+        else:
+            by_serial[rec.serial] = rec
+
+    samples = []
+    sizes: dict[int, PacketSize] = {}
+    seen: set[int] = set()
+    duplicate_received = 0
+    unmatched_received = 0
+    for rec in received:
+        if rec.serial in seen:
+            duplicate_received += 1
+            continue
+        snd = by_serial.get(rec.serial)
+        if snd is None:
+            unmatched_received += 1
+            continue
+        seen.add(rec.serial)
+        size = sizes.get(snd.packet_bytes)
+        if size is None:
+            size = sizes[snd.packet_bytes] = PacketSize(snd.packet_bytes)
+        samples.append(DelaySample(size, Delay(rec.delay_s), rec.serial, snd.timestamp))
+    samples.sort(key=_SEND_ORDER)
+    return samples, len(by_serial) - len(seen), unmatched_received, duplicate_sent, duplicate_received
+
+
+def pair_by_size(samples, w1: PacketSize, w2: PacketSize, window_s: float) -> tuple[list[ProbePair], int, int, int]:
+    """Pairs, unpaired small, unpaired large, other sizes; NoPairsFound as the package raises it."""
+    ordered = sorted(samples, key=_SEND_ORDER)
+    small_bytes, large_bytes = w1.bytes, w2.bytes
+    smalls: list[DelaySample] = []
+    larges: list[DelaySample] = []
+    for sample in ordered:
+        nbytes = sample.packet_size.bytes
+        if nbytes == small_bytes:
+            smalls.append(sample)
+        elif nbytes == large_bytes:
+            larges.append(sample)
+    other = len(ordered) - len(smalls) - len(larges)
+
+    pairs = []
+    left: list[DelaySample] = []
+    nxt = 0
+    for large in larges:
+        t = large.sent_at
+        while nxt < len(smalls) and smalls[nxt].sent_at <= t:
+            left.append(smalls[nxt])
+            nxt += 1
+        k = -1
+        if left and left[-1].sent_at >= t - window_s:
+            k = bisect_left(left, left[-1].sent_at, key=_SENT_AT)
+        if nxt < len(smalls) and smalls[nxt].sent_at <= t + window_s and (
+            k < 0 or smalls[nxt].sent_at - t < t - left[k].sent_at
+        ):
+            pairs.append(ProbePair(small=smalls[nxt], large=large))
+            nxt += 1
+        elif k >= 0:
+            pairs.append(ProbePair(small=left.pop(k), large=large))
+
+    if not pairs:
+        raise NoPairsFound(
+            f"no pairs of {w1.bytes}/{w2.bytes} bytes "
+            f"({len(smalls)} small, {len(larges)} large samples)"
+        )
+    return pairs, len(smalls) - len(pairs), len(larges) - len(pairs), other

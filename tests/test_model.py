@@ -24,11 +24,17 @@ from vpsband.model import (
     format_delay_s,
     read_samples_csv,
     sample_from_row,
-    sample_to_row,
     write_samples_csv,
 )
 
-from conftest import csv_module_text, make_pair
+import object_pipeline
+from conftest import csv_module_text, make_pair, sample_row
+
+
+def row_round_trip(sample: DelaySample) -> DelaySample:
+    """``sample`` written as a CSV row and read back."""
+    serial, sent_at, nbytes, delay_s = sample_from_row(sample_row(sample))
+    return DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)
 
 
 def test_bytes_to_bits():
@@ -145,7 +151,8 @@ def test_sample_row_round_trip():
         serial=1353091581,
         sent_at=1263374005.779364,
     )
-    assert sample_from_row(sample_to_row(sample)) == sample
+    assert sample_from_row(sample_row(sample)) == (1353091581, 1263374005.779364, 1100, 0.027033)
+    assert row_round_trip(sample) == sample
 
 
 def test_csv_round_trip_quantizes_to_nanoseconds(tmp_path):
@@ -171,7 +178,7 @@ def test_csv_round_trip_quantizes_to_nanoseconds(tmp_path):
     buf = io.StringIO()
     write_samples_csv(parsed, buf)
     buf.seek(0)
-    assert read_samples_csv(buf) == parsed
+    assert list(read_samples_csv(buf)) == list(parsed)
 
 
 SAMPLES = st.lists(
@@ -218,10 +225,10 @@ def test_read_samples_csv_reports_bad_row_line():
 )
 def test_row_round_trip_never_grows_error(delay_s, nbytes, serial):
     sample = DelaySample(PacketSize(nbytes), Delay(delay_s), serial=serial, sent_at=0.0)
-    once = sample_from_row(sample_to_row(sample))
+    once = row_round_trip(sample)
     assert abs(once.delay.seconds - delay_s) <= 6e-10  # half a nanosecond plus float slack
     # quantization is idempotent
-    twice = sample_from_row(sample_to_row(once))
+    twice = row_round_trip(once)
     assert twice == once
 
 
@@ -250,7 +257,7 @@ def csv_only_read(fp):
             if len(row) != len(SAMPLE_CSV_FIELDS):
                 raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
             try:
-                samples.append(sample_from_row(row))
+                samples.append(object_pipeline.sample_from_row(row))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     except csv.Error as exc:
@@ -262,7 +269,7 @@ def read_outcome(read, blob):
     """``read``'s samples from ``blob`` decoded as ``vpsband estimate`` decodes a file, or its ValueError text."""
     fp = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", errors="surrogateescape", newline="")
     try:
-        return read(fp)
+        return list(read(fp))
     except ValueError as exc:
         return str(exc)
 
@@ -324,7 +331,7 @@ def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path):
         DelaySample(PacketSize(MAX_UDP_PAYLOAD), Delay(1e300), serial=MAX_SERIAL, sent_at=1e300),
         DelaySample(PacketSize(1100), Delay(12.5), serial=7, sent_at=0.1),
     ]
-    expected = [sample_from_row(sample_to_row(s)) for s in samples]
+    expected = [row_round_trip(s) for s in samples]
     path = tmp_path / "samples.csv"
     with open(path, "w", encoding="utf-8", newline="") as fp:
         write_samples_csv(samples, fp)
@@ -334,4 +341,4 @@ def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path):
 
     monkeypatch.setattr(model, "sample_from_row", refuse)
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
-        assert read_samples_csv(fp) == expected
+        assert list(read_samples_csv(fp)) == expected
