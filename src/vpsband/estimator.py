@@ -52,9 +52,12 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
 
     Pairs are split into consecutive non-overlapping batches of
     ``batch_size`` (a trailing short batch is discarded).  Within each
-    batch the two delay series are averaged first and the estimate is
-    taken from the difference of the averages; the result is the mean
-    of the batch estimates with their sample standard deviation.
+    batch the two delay series are averaged first, giving the batch's
+    delay difference.  The result is the size difference in bits over
+    the mean of the batch differences: a ratio of means, which the
+    noise in single batches does not bias, where a mean of per-batch
+    estimates is biased upward by it.  ``sd_bps`` is the sample
+    standard deviation of the per-batch estimates.
 
     A batch whose mean delay difference is not positive raises
     NonPositiveDelayDifference instead of being skipped, so noisy or
@@ -96,11 +99,10 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
         batch_diffs.append(diff_s)
         batch_values.append(diff_bits / diff_s)
 
-    value = statistics.fmean(batch_values)
     mean_diff = statistics.fmean(batch_diffs)
     sd = statistics.stdev(batch_values) if n_batches >= 2 else None
     return BandwidthEstimate(
-        value=Bandwidth(value),
+        value=Bandwidth(diff_bits / mean_diff),
         n_pairs=n_batches * batch_size,
         sd_bps=sd,
         relative_error=None if sd is None else statistics.stdev(batch_diffs) / mean_diff,

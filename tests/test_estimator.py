@@ -76,6 +76,18 @@ def test_batch_averages_delays_before_dividing():
     assert est.mean_delay_diff_s == pytest.approx(0.002, rel=1e-12)
 
 
+def test_batch_headline_is_a_ratio_of_means():
+    # Batch diffs of 1 and 3 ms: 8000 bits over their mean, 2 ms, is
+    # 4 Mbit/s; the mean of the per-batch estimates, (8 + 8/3)/2 = 5.33
+    # Mbit/s, is what noise in single batches biases upward.
+    pairs = [make_pair(0.010, 0.011, serial_base=0), make_pair(0.010, 0.013, serial_base=2)]
+    est = estimate_batch(pairs, batch_size=1)
+    assert est.value.bits_per_second == pytest.approx(4e6, rel=1e-12)
+    assert est.value.bits_per_second == pytest.approx(8000 / est.mean_delay_diff_s, rel=1e-15)
+    assert est.sd_bps == pytest.approx(statistics.stdev([8e6, 8e6 / 3]))
+    assert est.relative_error == pytest.approx(statistics.stdev([0.001, 0.003]) / 0.002)
+
+
 def test_batch_drops_trailing_partial_batch():
     pairs = [make_pair(0.010, 0.011, serial_base=2 * i) for i in range(7)]
     est = estimate_batch(pairs, batch_size=3)
