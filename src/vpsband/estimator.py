@@ -54,10 +54,11 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
     ``batch_size`` (a trailing short batch is discarded).  Within each
     batch the two delay series are averaged first, giving the batch's
     delay difference.  The result is the size difference in bits over
-    the mean of the batch differences: a ratio of means, which the
-    noise in single batches does not bias, where a mean of per-batch
-    estimates is biased upward by it.  ``sd_bps`` is the sample
-    standard deviation of the per-batch estimates.
+    the mean of the batch differences: a ratio of means, whose bias
+    fades as batches are added, where the mean of the per-batch
+    estimates stays biased upward, as bandwidth is convex in the delay
+    difference.  ``sd_bps`` is the sample standard deviation of the
+    per-batch estimates.
 
     A batch whose mean delay difference is not positive raises
     NonPositiveDelayDifference instead of being skipped, so noisy or
@@ -122,7 +123,12 @@ def relative_error(precision_s: float, mean_diff_s: float) -> float:
         raise NonPositiveDelayDifference(
             f"mean delay difference must be finite and > 0 s, got {mean_diff_s!r}"
         )
-    return 2.0 * precision_s / mean_diff_s
+    error = 2.0 * precision_s / mean_diff_s
+    if error == math.inf:
+        raise ValueError(
+            f"precision {precision_s!r} s over difference {mean_diff_s!r} s puts the relative error out of float range"
+        )
+    return error
 
 
 def upper_measurable_bandwidth(

@@ -19,7 +19,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 BITS_PER_BYTE = 8
 MAX_UDP_PAYLOAD = 65507          # 65535 - 8 UDP - 20 IP
@@ -129,13 +129,14 @@ class ProbePair:
 # samples and pairs as columns
 # ---------------------------------------------------------------------------
 
+
 class Samples:
     """Delay samples held as four ``array.array`` columns, one entry per sample.
 
     ``serial`` (``Q``), ``sent_at`` (``d``), ``bytes`` (``H``) and
     ``delay`` (``d``, seconds) hold about 26 bytes per sample and no
-    object the garbage collector tracks.  Item ``i`` is a
-    :class:`DelaySample` built when asked for.
+    object the garbage collector tracks.  Item ``i``, and each item in
+    turn when iterated, is a :class:`DelaySample` built when asked for.
     """
 
     __slots__ = ("serial", "sent_at", "bytes", "delay")
@@ -148,13 +149,17 @@ class Samples:
 
     @classmethod
     def of(cls, samples: Samples | Iterable[DelaySample]) -> Samples:
-        """``samples`` as they are if they are columns already, else their columns."""
+        """``samples`` as they are if they are columns already, else the columns
+        of the ``DelaySample`` objects, whose constructor checked their values."""
         if isinstance(samples, cls):
             return samples
         out = cls()
-        append = out.append
+        serial, sent_at, nbytes, delay = (column.append for column in out.columns())
         for s in samples:
-            append(s.serial, s.sent_at, s.packet_size.bytes, s.delay.seconds)
+            serial(s.serial)
+            sent_at(s.sent_at)
+            nbytes(s.packet_size.bytes)
+            delay(s.delay.seconds)
         return out
 
     def append(self, serial: int, sent_at: float, nbytes: int, delay_s: float) -> None:
@@ -176,12 +181,15 @@ class Samples:
         order.sort(key=self.sent_at.__getitem__)
         return order
 
+    def columns(self) -> tuple[array, array, array, array]:
+        """The serial, sent_at, bytes and delay columns, in that order."""
+        return self.serial, self.sent_at, self.bytes, self.delay
+
     def take(self, indices: list[int]) -> Samples:
         """The samples at ``indices``, in that order."""
         out = Samples()
-        for name in self.__slots__:
-            column = getattr(self, name)
-            getattr(out, name).extend(map(column.__getitem__, indices))
+        for column, source in zip(out.columns(), self.columns()):
+            column.extend(map(source.__getitem__, indices))
         return out
 
     def __len__(self) -> int:
@@ -190,16 +198,13 @@ class Samples:
     def __getitem__(self, i: int) -> DelaySample:
         return DelaySample(PacketSize(self.bytes[i]), Delay(self.delay[i]), self.serial[i], self.sent_at[i])
 
-    def __iter__(self) -> Iterator[DelaySample]:
-        for serial, sent_at, nbytes, delay_s in zip(self.serial, self.sent_at, self.bytes, self.delay):
-            yield DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)
-
 
 class Pairs:
     """Probe pairs as two index columns into one :class:`Samples`.
 
-    Pair ``i`` is the :class:`ProbePair` of ``samples[small[i]]`` and
-    ``samples[large[i]]``, built when asked for.
+    Pair ``i``, and each pair in turn when iterated, is the
+    :class:`ProbePair` of ``samples[small[i]]`` and ``samples[large[i]]``,
+    built when asked for.
     """
 
     __slots__ = ("samples", "small", "large")
@@ -222,11 +227,6 @@ class Pairs:
 
     def __getitem__(self, i: int) -> ProbePair:
         return ProbePair(self.samples[self.small[i]], self.samples[self.large[i]])
-
-    def __iter__(self) -> Iterator[ProbePair]:
-        samples = self.samples
-        for small, large in zip(self.small, self.large):
-            yield ProbePair(samples[small], samples[large])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def write_samples_csv(samples: Samples | Iterable[DelaySample], fp: TextIO) -> N
     fp.write(",".join(SAMPLE_CSV_FIELDS) + "\r\n")
     fp.writelines(
         f"{SAMPLE_DIRECTION},{serial},{sent_at:.6f},{nbytes},{format_delay_s(delay_s)}\r\n"
-        for serial, sent_at, nbytes, delay_s in zip(samples.serial, samples.sent_at, samples.bytes, samples.delay)
+        for serial, sent_at, nbytes, delay_s in zip(*samples.columns())
     )
 
 
@@ -420,8 +420,8 @@ def read_samples_csv(fp: TextIO) -> Samples:
         if columns is None:
             _read_csv_rows(itertools.chain(block, lines), lineno, samples)
             break
-        for name, column in zip(Samples.__slots__, columns):
-            getattr(samples, name).extend(column)
+        for column, values in zip(samples.columns(), columns):
+            column.extend(values)
         lineno += len(block)
     return samples
 

@@ -204,6 +204,14 @@ _ALL_KEYS = _REQUIRED_KEYS + (
 DEFAULT_NS = tuple(n for n, _ in REFERENCE_ROWS)
 
 
+def _entries(key: str, text: str) -> list[str]:
+    """The entries of a comma list; an empty one is an error, not skipped."""
+    entries = text.split(",")
+    if not all(entry.strip() for entry in entries):
+        raise ValueError(f"{key} has an empty entry in {text!r}")
+    return entries
+
+
 def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
     """Parse the flat key=value simulation config format.
 
@@ -232,9 +240,9 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
         if key not in values or not values[key]:
             raise ValueError(f"config is missing required key {key!r}")
 
-    capacities = [ascii_number(v) for v in values["capacity_bps"].split(",") if v.strip()]
+    capacities = [ascii_number(v) for v in _entries("capacity_bps", values["capacity_bps"])]
     if "propagation_s" in values and values["propagation_s"]:
-        propagations = [ascii_number(v) for v in values["propagation_s"].split(",") if v.strip()]
+        propagations = [ascii_number(v) for v in _entries("propagation_s", values["propagation_s"])]
         if len(propagations) != len(capacities):
             raise ValueError("propagation_s must list one value per capacity_bps entry")
     else:
@@ -255,9 +263,9 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
         **{key: ascii_int(values[key], key) for key in ("n_pairs", "n_trials", "seed") if key in values},
     )
     if values.get("ns"):
-        ns = tuple(ascii_int(v, "ns") for v in values["ns"].split(",") if v.strip())
-        if not ns:
+        if not values["ns"].replace(",", "").strip():
             raise ValueError(f"ns must list at least one n, got {values['ns']!r}")
+        ns = tuple(ascii_int(v, "ns") for v in _entries("ns", values["ns"]))
     else:
         ns = DEFAULT_NS
     if any(n < 2 for n in ns):

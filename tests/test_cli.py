@@ -363,6 +363,8 @@ def test_simulate_bad_config_exits_domain(tmp_path, capsys):
         ("var_delay_rate = 1000", "var_delay_rate = 1e-300"),  # the spread of its draws overflows
         ("var_delay_rate = 1000", "var_delay_rate = 5e-324"),  # its draws are inf
         ("ns = 5,10", "ns = ,"),  # a list with no n in it
+        ("ns = 5,10", "ns = 5,,10"),  # an empty entry in a list
+        ("capacity_bps = 10e6", "capacity_bps = 10e6,\npropagation_s = 0.001,"),
     ],
 )
 def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new):

@@ -32,7 +32,7 @@ W1, W2 = PacketSize(100), PacketSize(1100)
 
 def columns(samples: Samples) -> list[tuple]:
     """Each sample's values as the columns hold them."""
-    return list(zip(samples.serial, samples.sent_at, samples.bytes, samples.delay))
+    return list(zip(*samples.columns()))
 
 
 def values(samples) -> list[tuple]:
@@ -49,7 +49,7 @@ def test_samples_columns_and_views():
         DelaySample(PacketSize(100), Delay(0.01), serial=MAX_SERIAL, sent_at=2.5),
         DelaySample(PacketSize(65507), Delay(0.0), serial=0, sent_at=-1.0),
     ])
-    assert [c.typecode for c in (samples.serial, samples.sent_at, samples.bytes, samples.delay)] == list("QdHd")
+    assert [c.typecode for c in samples.columns()] == list("QdHd")
     assert columns(samples) == [(MAX_SERIAL, 2.5, 100, 0.01), (0, -1.0, 65507, 0.0)]
     assert len(samples) == 2
     assert samples[1] == DelaySample(PacketSize(65507), Delay(0.0), serial=0, sent_at=-1.0)

@@ -235,6 +235,9 @@ def test_relative_error_input_checks():
     for diff in (math.nan, math.inf):
         with pytest.raises(NonPositiveDelayDifference, match="finite"):
             relative_error(precision_s=1e-6, mean_diff_s=diff)
+    for precision, diff in ((1e308, 1e-3), (1e-3, 5e-324)):  # finite inputs, quotient past float range
+        with pytest.raises(ValueError, match="out of float range"):
+            relative_error(precision_s=precision, mean_diff_s=diff)
 
 
 def test_upper_measurable_bandwidth_fast_clock():

@@ -307,6 +307,22 @@ def test_parse_config_multi_hop():
             "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nns=,\n",
             "ns must list at least one n",
         ),
+        # an empty entry in a list is an error, not skipped
+        (
+            "capacity_bps=10e6,,5e6\npropagation_s=0.001,0.002,\n"
+            "var_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\n",
+            "^capacity_bps has an empty entry in '10e6,,5e6'$",
+        ),
+        (
+            "capacity_bps=10e6,5e6\npropagation_s=0.001,0.002,\n"
+            "var_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\n",
+            "^propagation_s has an empty entry in '0.001,0.002,'$",
+        ),
+        (
+            "capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nns=5,,10\n",
+            "^ns has an empty entry in '5,,10'$",
+        ),
+        ("capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nns=5, \n", "ns has an empty entry"),
         # a count that is present but empty is an error, not its default
         ("capacity_bps=10e6\nvar_delay_rate=1000\nw1_bytes=100\nw2_bytes=1100\nn_pairs=\n", "invalid literal"),
         (
