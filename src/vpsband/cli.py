@@ -254,29 +254,23 @@ def _simulate_module():
     return simulate
 
 
-def _samples(pairs):
-    """The samples of each pair, small then large, in pair order."""
-    return (s for pair in pairs for s in (pair.small, pair.large))
-
-
 def _write_simulation(cfg: simulate.SimConfig, ns, out_dir: Path):
-    """Write ``samples.csv`` and, given two or more trials, ``error_vs_n.csv``.
-
-    Returns the pairs, the error points and the table's path (None if skipped).
-    """
+    """Write ``samples.csv`` and, given two or more trials, ``error_vs_n.csv``, both
+    drawn before either is written.  Returns the pairs, the error points and the
+    table's path (None if skipped)."""
     simulate = _simulate_module()
-    out_dir.mkdir(parents=True, exist_ok=True)
     pairs = simulate.simulate_pairs(cfg)
+    points = simulate.error_vs_n(cfg, ns) if cfg.n_trials >= 2 else None
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as fp:
-        write_samples_csv(_samples(pairs), fp)
-    if cfg.n_trials < 2:
+        write_samples_csv(pairs.samples, fp)
+    if points is None:
         print(
             "vpsband: warning: n_trials < 2 makes the error spread undefined; "
             "skipping the error table",
             file=sys.stderr,
         )
         return pairs, [], None
-    points = simulate.error_vs_n(cfg, ns)
     table_path = out_dir / "error_vs_n.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fp:
         simulate.write_error_table_csv(points, fp)
@@ -363,7 +357,7 @@ def cmd_probe(args) -> int:
     result = prober.probe(cfg)
     if result.pairs and args.out is not None:
         with _open_out(args.out) as fp:
-            write_samples_csv(_samples(result.pairs), fp)
+            write_samples_csv(result.pairs.samples, fp)
 
     estimate = None
     if result.pairs:
@@ -464,17 +458,13 @@ def cmd_reproduce(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="vpsband", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(required=True, metavar="COMMAND")
-
-    p = sub.add_parser("parse", help="parse sender/receiver logs into delay samples")
+def _parse_options(p: _Parser) -> None:
     p.add_argument("sender", help="sender-side log (SNDP lines)")
     p.add_argument("receiver", help="receiver-side log (RCDP lines)")
     p.add_argument("--out", default="-", help="samples CSV path, - for stdout (default)")
-    p.set_defaults(run=cmd_parse)
 
-    p = sub.add_parser("estimate", help="estimate available bandwidth from a samples CSV")
+
+def _estimate_options(p: _Parser) -> None:
     p.add_argument("samples", help="samples CSV produced by parse, simulate, or probe")
     p.add_argument("--w1", type=int, help="small packet size, bytes")
     p.add_argument("--w2", type=int, help="large packet size, bytes")
@@ -482,25 +472,25 @@ def build_parser() -> _Parser:
                    help="pairs averaged per batch, or 'auto' (min of 50 and the pair count)")
     p.add_argument("--window", type=_parse_positive_float, default=testbox.DEFAULT_PAIR_WINDOW_S,
                    help="pairing window in seconds")
-    p.set_defaults(run=cmd_estimate)
 
-    p = sub.add_parser("simulate", help="generate synthetic samples and an error-vs-n table")
+
+def _simulate_options(p: _Parser) -> None:
     p.add_argument("config", help="flat key=value simulation config file")
     p.add_argument("--out-dir", required=True, help="directory for samples.csv and error_vs_n.csv")
     p.add_argument("--seed", type=_parse_seed, help="override the config seed")
-    p.set_defaults(run=cmd_simulate)
 
-    p = sub.add_parser("plan", help="measurements needed for a relative-error target")
+
+def _plan_options(p: _Parser) -> None:
     p.add_argument("--var-rate", type=float, required=True,
                    help="variable-delay rate on the path, 1/s")
     p.add_argument("--diff", type=float, required=True,
                    help="expected delay difference of the two sizes, seconds")
     p.add_argument("--eta", type=_parse_error_target, required=True,
                    help="relative error target, fraction ('0.244') or percent ('24.4%%')")
-    p.set_defaults(run=cmd_plan)
 
+
+def _probe_options(p: _Parser) -> None:
     probe_defaults = {f.name: f.default for f in dataclasses.fields(prober.ProbeConfig)}
-    p = sub.add_parser("probe", help="probe a UDP reflector with two packet sizes")
     p.add_argument("--target", type=_parse_host_port, required=True, help="reflector host:port")
     p.add_argument("--w1", type=int, default=probe_defaults["w1"].bytes,
                    help="small packet payload, bytes")
@@ -512,32 +502,51 @@ def build_parser() -> _Parser:
     p.add_argument("--timeout", type=_parse_positive_float, default=probe_defaults["timeout_s"],
                    help="seconds to wait for stragglers")
     p.add_argument("--out", help="write round-trip samples CSV here, - for stdout")
-    p.set_defaults(run=cmd_probe)
 
-    p = sub.add_parser("reflect", help="run the UDP echo reflector")
+
+def _reflect_options(p: _Parser) -> None:
     p.add_argument("--listen", type=_parse_host_port, default=("0.0.0.0", 9000),
                    help="bind address as host:port (default 0.0.0.0:9000)")
-    p.set_defaults(run=cmd_reflect)
 
-    p = sub.add_parser(
-        "reproduce-paper",
-        help="regenerate the reference error tables and averaging curves",
-    )
+
+def _reproduce_options(p: _Parser) -> None:
     p.add_argument("--out-dir", required=True, help="directory for the generated CSV/JSON files")
     p.add_argument("--seed", type=_parse_seed, default=REFERENCE_SEED, help="simulation seed")
-    p.set_defaults(run=cmd_reproduce)
 
-    # Added last rather than through parents=, which would move --json to
-    # the front of every usage line that usage errors print.
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true", help="print the result as one JSON object")
-        p.set_defaults(command_parser=p)
+
+# each command's help line, the function that adds its arguments, and the one that runs it
+_COMMANDS = {
+    "parse": ("parse sender/receiver logs into delay samples", _parse_options, cmd_parse),
+    "estimate": ("estimate available bandwidth from a samples CSV", _estimate_options, cmd_estimate),
+    "simulate": ("generate synthetic samples and an error-vs-n table", _simulate_options, cmd_simulate),
+    "plan": ("measurements needed for a relative-error target", _plan_options, cmd_plan),
+    "probe": ("probe a UDP reflector with two packet sizes", _probe_options, cmd_probe),
+    "reflect": ("run the UDP echo reflector", _reflect_options, cmd_reflect),
+    "reproduce-paper": ("regenerate the reference error tables and averaging curves",
+                        _reproduce_options, cmd_reproduce),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``vpsband`` parser with ``command``'s subparser alone, or every command's
+    (as the root's help and errors list them) if None."""
+    parser = _Parser(prog="vpsband", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(required=True, metavar="COMMAND")
+    for name, (help_text, add_options, run) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_options(p)
+            # Added last rather than through parents=, which would move --json to
+            # the front of every usage line that usage errors print.
+            p.add_argument("--json", action="store_true", help="print the result as one JSON object")
+            p.set_defaults(run=run, command_parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command: the only place where a failure becomes an exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.run(args)
     except argparse.ArgumentError as exc:

@@ -204,7 +204,8 @@ class Pairs:
 
     Pair ``i``, and each pair in turn when iterated, is the
     :class:`ProbePair` of ``samples[small[i]]`` and ``samples[large[i]]``,
-    built when asked for.
+    built when asked for.  A slice is the :class:`Pairs` of those pairs
+    over the same ``samples``.
     """
 
     __slots__ = ("samples", "small", "large")
@@ -219,13 +220,19 @@ class Pairs:
         """``pairs`` as they are if they are columns already, else their columns."""
         if isinstance(pairs, cls):
             return pairs
-        samples = Samples.of(s for pair in pairs for s in (pair.small, pair.large))
+        return cls.interleaved(Samples.of(s for pair in pairs for s in (pair.small, pair.large)))
+
+    @classmethod
+    def interleaved(cls, samples: Samples) -> Pairs:
+        """The pairs of samples 0 and 1, 2 and 3, and so on: each small followed by its large."""
         return cls(samples, array("Q", range(0, len(samples), 2)), array("Q", range(1, len(samples), 2)))
 
     def __len__(self) -> int:
         return len(self.small)
 
-    def __getitem__(self, i: int) -> ProbePair:
+    def __getitem__(self, i: int | slice) -> ProbePair | Pairs:
+        if isinstance(i, slice):
+            return Pairs(self.samples, self.small[i], self.large[i])
         return ProbePair(self.samples[self.small[i]], self.samples[self.large[i]])
 
 

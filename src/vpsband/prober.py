@@ -22,14 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BindFailure, ClockError, Unreachable
-from .model import (
-    MAX_PORT,
-    MAX_UNFRAGMENTED_PAYLOAD,
-    Delay,
-    DelaySample,
-    PacketSize,
-    ProbePair,
-)
+from .model import MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, PacketSize, Pairs, Samples
 from .planner import REFERENCE_SIZES
 
 HEADER = struct.Struct(">QQ")  # serial, monotonic send time in ns
@@ -78,7 +71,7 @@ class ProbeConfig:
 class ProbeResult:
     """Paired round-trip samples plus loss accounting."""
 
-    pairs: list[ProbePair]
+    pairs: Pairs
     sent: int
     received: int
     lost_pairs: int
@@ -176,7 +169,7 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
     system clock steps.
     """
     if cfg.count == 0:
-        return ProbeResult(pairs=[], sent=0, received=0, lost_pairs=0, unknown_serials=0)
+        return ProbeResult(pairs=Pairs.interleaved(Samples()), sent=0, received=0, lost_pairs=0, unknown_serials=0)
 
     try:
         target = (socket.gethostbyname(cfg.host), cfg.port)
@@ -213,24 +206,16 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
     if not rtt_ns:
         raise Unreachable(f"no echoes from {cfg.host}:{cfg.port} after {len(send_ns)} probes")
 
-    def sample(serial: int, size: PacketSize) -> DelaySample:
-        return DelaySample(
-            packet_size=size,
-            delay=Delay(rtt_ns[serial] / 1e9),
-            serial=serial,
-            sent_at=wall0 + (send_ns[serial - 1] - mono0) / 1e9,
-        )
-
-    pairs = [
-        ProbePair(small=sample(s, cfg.w1), large=sample(s + 1, cfg.w2))
-        for s in range(1, total, 2)
-        if s in rtt_ns and s + 1 in rtt_ns
-    ]
+    samples = Samples()
+    for small in range(1, total, 2):
+        if small in rtt_ns and small + 1 in rtt_ns:
+            for serial, size in zip((small, small + 1), sizes):
+                samples.append(serial, wall0 + (send_ns[serial - 1] - mono0) / 1e9, size, rtt_ns[serial] / 1e9)
     return ProbeResult(
-        pairs=pairs,
+        pairs=Pairs.interleaved(samples),
         sent=len(send_ns),
         received=len(rtt_ns),
-        lost_pairs=cfg.count - len(pairs),
+        lost_pairs=cfg.count - len(samples) // 2,
         unknown_serials=unknown,
         send_monotonic_ns=send_ns,
     )

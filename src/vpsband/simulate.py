@@ -21,11 +21,11 @@ import numpy as np
 from .model import (
     Bandwidth,
     Delay,
-    DelaySample,
     Hop,
     PacketSize,
+    Pairs,
     PathModel,
-    ProbePair,
+    Samples,
     ascii_int,
     ascii_number,
     bytes_to_bits,
@@ -107,32 +107,25 @@ def variable_delays(rate_per_s: float, shape, rng: np.random.Generator) -> np.nd
 # simulation runs
 # ---------------------------------------------------------------------------
 
-def simulate_pairs(cfg: SimConfig) -> list[ProbePair]:
-    """Draw ``cfg.n_pairs`` probe pairs with independent delays per packet."""
+def simulate_pairs(cfg: SimConfig) -> Pairs:
+    """Draw ``cfg.n_pairs`` probe pairs, small then large, with independent delays per packet.
+    A drawn delay that ``Delay`` refuses raises ``Delay``'s ValueError."""
     w1, w2 = cfg.packet_sizes
-    fixed1 = fixed_delay(cfg.path, w1).seconds
-    fixed2 = fixed_delay(cfg.path, w2).seconds
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _PAIRS_STREAM]))
-    var1 = variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng).tolist()
-    var2 = variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng).tolist()
+    # rows: the smalls' draws, then the larges', as two calls drew them; .T interleaves them
+    fixed = np.array([[fixed_delay(cfg.path, w1).seconds], [fixed_delay(cfg.path, w2).seconds]])
+    delays = (fixed + variable_delays(cfg.path.var_delay_rate, (2, cfg.n_pairs), rng)).T.ravel()
+    refused = ~(np.isfinite(delays) & (delays >= 0))
+    if refused.any():
+        Delay(float(delays[refused.argmax()]))  # raises its own ValueError
+    sent_at = np.arange(cfg.n_pairs)[:, None] * PAIR_SPACING_S + np.array([0.0, INTRA_PAIR_GAP_S])
 
-    pairs = []
-    for i in range(cfg.n_pairs):
-        t0 = i * PAIR_SPACING_S
-        small = DelaySample(
-            packet_size=w1,
-            delay=Delay(fixed1 + var1[i]),
-            serial=2 * i + 1,
-            sent_at=t0,
-        )
-        large = DelaySample(
-            packet_size=w2,
-            delay=Delay(fixed2 + var2[i]),
-            serial=2 * i + 2,
-            sent_at=t0 + INTRA_PAIR_GAP_S,
-        )
-        pairs.append(ProbePair(small=small, large=large))
-    return pairs
+    samples = Samples()
+    samples.serial.extend(range(1, 2 * cfg.n_pairs + 1))
+    samples.sent_at.frombytes(sent_at.tobytes())
+    samples.bytes.extend((w1.bytes, w2.bytes) * cfg.n_pairs)
+    samples.delay.frombytes(delays.tobytes())
+    return Pairs.interleaved(samples)
 
 
 def sd_of_delay_diff(cfg: SimConfig, n: int) -> float:
@@ -143,7 +136,8 @@ def sd_of_delay_diff(cfg: SimConfig, n: int) -> float:
     its law, Gamma(n, 1/(n*rate)), so time and memory are O(n_trials)
     whatever ``n``.  Returned is the sample standard deviation of those
     averages, in seconds.  Results are deterministic per ``(seed, n)``
-    regardless of which other ``n`` values were computed before.
+    regardless of which other ``n`` values were computed before.  A
+    spread past float range raises ValueError.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 pairs, got {n}")
@@ -155,7 +149,11 @@ def sd_of_delay_diff(cfg: SimConfig, n: int) -> float:
     scale = 1.0 / (n * cfg.path.var_delay_rate)
     mean1 = rng.gamma(n, scale, cfg.n_trials)
     mean2 = rng.gamma(n, scale, cfg.n_trials)
-    return float(np.std(fixed_diff + (mean2 - mean1), ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        sd = float(np.std(fixed_diff + (mean2 - mean1), ddof=1))
+    if not math.isfinite(sd):
+        raise ValueError(f"the spread of {n}-pair averages passes float range (delay difference {fixed_diff!r} s)")
+    return sd
 
 
 class ErrorPoint(NamedTuple):

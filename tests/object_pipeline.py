@@ -2,9 +2,10 @@
 
 ``read_samples_csv``, ``match_sessions`` and ``pair_by_size`` here build
 one ``DelaySample`` (with its ``PacketSize`` and ``Delay``) per sample and
-one ``ProbePair`` per pair.  They are the reference the differential
-tests hold the columnar pipeline to: same samples, pairs, counts and
-messages.
+one ``ProbePair`` per pair, and so do the producers ``simulate_pairs``
+and ``probe_pairs`` (the pairs ``prober.probe`` built from its timings).
+They are the reference the differential tests hold the columnar pipeline
+to: same samples, pairs, counts and messages.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import re
 from bisect import bisect_left
 from operator import attrgetter
 
+import numpy as np
+
+from vpsband import simulate
 from vpsband.errors import NoPairsFound
 from vpsband.model import (
     MAX_SERIAL,
@@ -173,3 +177,49 @@ def pair_by_size(samples, w1: PacketSize, w2: PacketSize, window_s: float) -> tu
             f"({len(smalls)} small, {len(larges)} large samples)"
         )
     return pairs, len(smalls) - len(pairs), len(larges) - len(pairs), other
+
+
+def simulate_pairs(cfg) -> list[ProbePair]:
+    """Draw ``cfg.n_pairs`` probe pairs with independent delays per packet."""
+    w1, w2 = cfg.packet_sizes
+    fixed1 = simulate.fixed_delay(cfg.path, w1).seconds
+    fixed2 = simulate.fixed_delay(cfg.path, w2).seconds
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, simulate._PAIRS_STREAM]))
+    var1 = simulate.variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng).tolist()
+    var2 = simulate.variable_delays(cfg.path.var_delay_rate, cfg.n_pairs, rng).tolist()
+
+    pairs = []
+    for i in range(cfg.n_pairs):
+        t0 = i * simulate.PAIR_SPACING_S
+        small = DelaySample(
+            packet_size=w1,
+            delay=Delay(fixed1 + var1[i]),
+            serial=2 * i + 1,
+            sent_at=t0,
+        )
+        large = DelaySample(
+            packet_size=w2,
+            delay=Delay(fixed2 + var2[i]),
+            serial=2 * i + 2,
+            sent_at=t0 + simulate.INTRA_PAIR_GAP_S,
+        )
+        pairs.append(ProbePair(small=small, large=large))
+    return pairs
+
+
+def probe_pairs(cfg, rtt_ns: dict[int, int], send_ns: list[int], wall0: float, mono0: int) -> list[ProbePair]:
+    """The pairs of a probe session: ``rtt_ns`` by serial, ``send_ns`` by serial - 1,
+    and the session's wall-clock and monotonic start."""
+    def sample(serial: int, size: PacketSize) -> DelaySample:
+        return DelaySample(
+            packet_size=size,
+            delay=Delay(rtt_ns[serial] / 1e9),
+            serial=serial,
+            sent_at=wall0 + (send_ns[serial - 1] - mono0) / 1e9,
+        )
+
+    return [
+        ProbePair(small=sample(s, cfg.w1), large=sample(s + 1, cfg.w2))
+        for s in range(1, 2 * cfg.count, 2)
+        if s in rtt_ns and s + 1 in rtt_ns
+    ]

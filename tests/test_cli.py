@@ -362,16 +362,19 @@ def test_simulate_bad_config_exits_domain(tmp_path, capsys):
         ("ns = 5,10", "ns = 5,1" + "0" * 400),  # n * var_delay_rate is past float range
         ("var_delay_rate = 1000", "var_delay_rate = 1e-300"),  # the spread of its draws overflows
         ("var_delay_rate = 1000", "var_delay_rate = 5e-324"),  # its draws are inf
+        ("capacity_bps = 10e6", "capacity_bps = 1e-300"),  # the spread of its ~1e303 s delays overflows
         ("ns = 5,10", "ns = ,"),  # a list with no n in it
         ("ns = 5,10", "ns = 5,,10"),  # an empty entry in a list
         ("capacity_bps = 10e6", "capacity_bps = 10e6,\npropagation_s = 0.001,"),
     ],
 )
-def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new):
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new, flags):
     config = write_config(tmp_path, SIM_CONFIG.replace(old, new))
     out_dir = tmp_path / "out"
-    assert main(["simulate", config, "--out-dir", str(out_dir)]) == EXIT_DOMAIN
-    err = capsys.readouterr().err
+    assert main(["simulate", config, "--out-dir", str(out_dir), *flags]) == EXIT_DOMAIN
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("vpsband: bad config: ") and err.count("\n") == 1
     assert not out_dir.exists()
 

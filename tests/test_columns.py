@@ -2,29 +2,45 @@
 in memory and time per sample that do not grow with the input.
 
 ``object_pipeline`` holds the reference: ``read_samples_csv``,
-``match_sessions`` and ``pair_by_size`` as they were when every sample
-was a ``DelaySample``.
+``match_sessions``, ``pair_by_size`` and ``simulate_pairs`` as they were
+when every sample was a ``DelaySample``.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import random
 import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vpsband import model
+from vpsband import model, simulate
 from vpsband.errors import NoPairsFound, VpsbandError
 from vpsband.estimator import estimate_batch
-from vpsband.model import MAX_SERIAL, Delay, DelaySample, PacketSize, Pairs, ProbePair, Samples, read_samples_csv
+from vpsband.model import (
+    MAX_SERIAL,
+    Bandwidth,
+    Delay,
+    DelaySample,
+    Hop,
+    PacketSize,
+    Pairs,
+    PathModel,
+    ProbePair,
+    Samples,
+    read_samples_csv,
+    write_samples_csv,
+)
 from vpsband.testbox import ReceiverRecord, SenderRecord, match_sessions, pair_by_size
 
 import object_pipeline
+from conftest import reference_sim_config
 from test_model import HEADER, HEADERS, read_outcome, sample_lines
 
 W1, W2 = PacketSize(100), PacketSize(1100)
@@ -93,6 +109,7 @@ def test_pairs_of_probe_pairs_and_views():
     assert (list(columnar.small), list(columnar.large)) == ([0, 2], [1, 3])
     assert len(columnar) == 2
     assert columnar[1] == pairs[1]
+    assert columnar[-2] == pairs[0]
     assert list(columnar) == pairs
     assert Pairs.of(columnar) is columnar
 
@@ -179,11 +196,77 @@ def test_pair_by_size_matches_the_object_pairing(samples, window_s, as_columns):
     assert estimate_outcome(result.pairs) == estimate_outcome(pairs)
 
 
-def estimate_outcome(pairs):
+def estimate_outcome(pairs, batch_size=1):
     try:
-        return estimate_batch(pairs, 1)
+        return estimate_batch(pairs, batch_size)
     except VpsbandError as exc:
         return type(exc), str(exc)
+
+
+SLICE_BOUNDS = st.one_of(st.none(), st.integers(-12, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), SLICE_BOUNDS, SLICE_BOUNDS, st.one_of(st.none(), st.integers(-3, 3).filter(bool)),
+       st.integers(1, 3))
+def test_a_slice_of_pairs_is_pairs_over_the_same_samples(n_pairs, start, stop, step, batch_size):
+    pairs = simulate.simulate_pairs(reference_sim_config(seed=n_pairs, n_pairs=n_pairs, var_delay_rate=1e5))
+    sliced = pairs[start:stop:step]
+    assert isinstance(sliced, Pairs) and sliced.samples is pairs.samples
+    assert list(sliced) == list(pairs)[start:stop:step]
+    assert estimate_outcome(sliced, batch_size) == estimate_outcome(list(pairs)[start:stop:step], batch_size)
+
+
+# ---------------------------------------------------------------------------
+# the producers give the pairs the object producers gave
+# ---------------------------------------------------------------------------
+
+HOPS = st.lists(st.tuples(st.floats(1e4, 1e10), st.floats(0, 1)), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), HOPS, st.floats(1.0, 1e6), st.integers(0, 2**64),
+       st.integers(1, 1000), st.integers(1, 1000))
+def test_simulate_pairs_matches_the_object_producer(n_pairs, hops, rate, seed, w1, gap):
+    path = PathModel(tuple(Hop(Bandwidth(c), Delay(p)) for c, p in hops), rate)
+    cfg = simulate.SimConfig(path, (PacketSize(w1), PacketSize(w1 + gap)), n_pairs=n_pairs, n_trials=2, seed=seed)
+    pairs = simulate.simulate_pairs(cfg)
+    expected = object_pipeline.simulate_pairs(cfg)
+    assert list(pairs) == expected
+    got, want = io.StringIO(), io.StringIO()
+    write_samples_csv(pairs.samples, got)
+    write_samples_csv((s for pair in expected for s in (pair.small, pair.large)), want)
+    assert got.getvalue() == want.getvalue()
+
+
+def handing_out(stream: np.ndarray):
+    """A ``variable_delays`` that hands out ``stream`` in order, in the shapes asked for."""
+    drawn = 0
+
+    def variable_delays(rate_per_s, shape, rng):
+        nonlocal drawn
+        size = int(np.prod(shape))
+        drawn += size
+        return stream[drawn - size:drawn].reshape(shape)
+
+    return variable_delays
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.data())
+def test_simulate_pairs_refuses_a_bad_draw_as_the_object_producer(n_pairs, data):
+    # The first n_pairs draws are the smalls' variable delays, the next the larges'.
+    bad = data.draw(st.dictionaries(st.integers(0, 2 * n_pairs - 1),
+                                    st.sampled_from([math.inf, -math.inf, math.nan, -1.0]), min_size=1, max_size=3))
+    stream = np.arange(1, 2 * n_pairs + 1) * 1e-4
+    stream[list(bad)] = list(bad.values())
+    cfg = reference_sim_config(seed=0, n_pairs=n_pairs)
+    messages = []
+    for producer in (simulate.simulate_pairs, object_pipeline.simulate_pairs):
+        with mock.patch.object(simulate, "variable_delays", handing_out(stream)), pytest.raises(ValueError) as got:
+            producer(cfg)
+        messages.append(str(got.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import socket
 import statistics
 import threading
 import time
+import types
 
 import pytest
 
@@ -22,6 +23,8 @@ from vpsband.estimator import estimate_batch
 from vpsband.model import PacketSize
 from vpsband import prober
 from vpsband.prober import HEADER, MAX_WAIT_S, ProbeConfig, Reflector, probe
+
+import object_pipeline
 
 
 class ScriptedReflector:
@@ -126,7 +129,7 @@ def test_probe_count_zero_sends_nothing():
     # Early return: the bogus target must never be resolved or probed.
     result = probe(ProbeConfig(host="host.invalid", port=9, count=0))
     assert result.sent == 0
-    assert result.pairs == []
+    assert list(result.pairs) == []
 
 
 def test_send_spacing_is_respected():
@@ -186,7 +189,45 @@ def test_dropping_all_large_packets_loses_every_pair():
 
     assert result.received == 3
     assert result.lost_pairs == 3
-    assert result.pairs == []
+    assert list(result.pairs) == []
+
+
+def echo(data):
+    return (data,)
+
+
+def drop_some(data):
+    serial = HEADER.unpack_from(data)[0]
+    return () if serial % 6 == 4 or serial % 10 == 7 else (data,)  # some larges, some smalls
+
+
+@pytest.mark.parametrize("reply", [echo, drop_some])
+def test_probe_pairs_are_those_the_object_route_built(monkeypatch, reply):
+    session = {}
+    real_drain = prober._drain
+
+    def drain(sock, send_ns, rtt_ns):
+        session.update(send_ns=send_ns, rtt_ns=rtt_ns)
+        return real_drain(sock, send_ns, rtt_ns)
+
+    monotonic_ns = []
+
+    def recorded_monotonic_ns():
+        monotonic_ns.append(time.monotonic_ns())
+        return monotonic_ns[-1]
+
+    wall0 = 1.7e9 + 0.25
+    monkeypatch.setattr(prober, "_drain", drain)
+    monkeypatch.setattr(prober, "time", types.SimpleNamespace(
+        time=lambda: wall0, monotonic=time.monotonic, monotonic_ns=recorded_monotonic_ns))
+    with ScriptedReflector(reply) as reflector:
+        cfg = loopback_config(reflector.port, count=20, timeout_s=0.3)
+        result = probe(cfg)
+
+    expected = object_pipeline.probe_pairs(cfg, session["rtt_ns"], session["send_ns"], wall0, monotonic_ns[0])
+    assert list(result.pairs) == expected
+    assert len(expected) == 20 - result.lost_pairs
+    assert result.lost_pairs == (0 if reply is echo else 10)
 
 
 def test_silent_target_raises_unreachable():

@@ -105,8 +105,8 @@ def test_simulate_pairs_is_deterministic_per_seed():
     a = simulate_pairs(reference_sim_config(seed=5, n_pairs=50))
     b = simulate_pairs(reference_sim_config(seed=5, n_pairs=50))
     c = simulate_pairs(reference_sim_config(seed=6, n_pairs=50))
-    assert a == b
-    assert a != c
+    assert list(a) == list(b)
+    assert list(a) != list(c)
 
 
 def test_simulate_pairs_serials_and_spacing():
@@ -188,6 +188,19 @@ def test_sd_input_checks():
     one_trial = reference_sim_config(seed=0, n_pairs=10, n_trials=1)
     with pytest.raises(ValueError, match="n_trials"):
         sd_of_delay_diff(one_trial, 10)
+
+
+def test_sd_refuses_a_spread_past_float_range():
+    # Delays of ~1e303 s are rounded by ~1e288 s, whose square overflows.
+    cfg = SimConfig(
+        path=PathModel(hops=(Hop(Bandwidth(1e-300), Delay(0.0)),), var_delay_rate=1000.0),
+        packet_sizes=(W1, W2),
+        n_pairs=3,
+        n_trials=300,
+        seed=0,
+    )
+    with pytest.raises(ValueError, match="passes float range"):
+        sd_of_delay_diff(cfg, 5)
 
 
 def test_error_vs_n_relative_to_true_diff():
