@@ -24,7 +24,7 @@ print(f"receiver log: {received.n_parsed} records, {received.n_malformed} malfor
 
 # Join on serial number.  Packets that never arrived (or arrived twice)
 # are counted, not silently dropped.
-matched = match_sessions(sent.records, received.records)
+matched = match_sessions(sent, received)
 print(f"matched {matched.matched} samples "
       f"({matched.unmatched_sent} sent-only, {matched.duplicate_received} duplicate echoes)")
 

@@ -140,7 +140,7 @@ def cmd_parse(args) -> int:
     with open(args.receiver, "rb") as fp:
         receiver_log = testbox.parse_receiver_file(fp)
 
-    match = testbox.match_sessions(sender_log.records, receiver_log.records)
+    match = testbox.match_sessions(sender_log, receiver_log)
     diagnostics = {
         "parsed": sender_log.n_parsed + receiver_log.n_parsed,
         "malformed": sender_log.n_malformed + receiver_log.n_malformed,

@@ -97,8 +97,13 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
             raise NonPositiveDelayDifference(
                 f"batch {b}: mean delay difference {diff_s:.9f} s is not positive"
             )
+        value = diff_bits / diff_s
+        if value == math.inf:
+            raise NonPositiveDelayDifference(
+                f"batch {b}: mean delay difference {diff_s!r} s is too small for a finite bandwidth"
+            )
         batch_diffs.append(diff_s)
-        batch_values.append(diff_bits / diff_s)
+        batch_values.append(value)
 
     mean_diff = statistics.fmean(batch_diffs)
     sd = statistics.stdev(batch_values) if n_batches >= 2 else None

@@ -363,18 +363,27 @@ def sample_from_row(row: list[str]) -> tuple[int, float, int, float]:
     return ascii_int(serial, "serial", MAX_SERIAL), ascii_number(sent_at), size, delay
 
 
+_SAMPLE_ROW = SAMPLE_DIRECTION + ",%d,%.6f,%d,%s\r\n"
+
+
 def write_samples_csv(samples: Samples | Iterable[DelaySample], fp: TextIO) -> None:
     """Write samples in the package CSV format, header included.
 
-    No field ever needs quoting, so rows are joined by hand, ended with
-    CRLF as ``csv.writer`` ends them.
+    No field ever needs quoting, so rows are formatted by hand, a block
+    at a time, and ended with CRLF as ``csv.writer`` ends them.  Each
+    delay is written as :func:`format_delay_s` writes it.
     """
     samples = Samples.of(samples)
     fp.write(",".join(SAMPLE_CSV_FIELDS) + "\r\n")
-    fp.writelines(
-        f"{SAMPLE_DIRECTION},{serial},{sent_at:.6f},{nbytes},{format_delay_s(delay_s)}\r\n"
-        for serial, sent_at, nbytes, delay_s in zip(*samples.columns())
-    )
+    serial, sent_at, nbytes, delay = samples.columns()
+    for start in range(0, len(samples), _BLOCK_LINES):
+        block = slice(start, start + _BLOCK_LINES)
+        serials, delays = serial[block], delay[block]
+        delay_text = map(str.rstrip, ("%.9f\n" * len(delays) % tuple(delays)).split(), itertools.repeat("0"))
+        rows = zip(serials, sent_at[block], nbytes[block], delay_text)
+        text = _SAMPLE_ROW * len(serials) % tuple(itertools.chain.from_iterable(rows))
+        # sent_at always has six decimals, so only a delay trimmed to its point ends a row in "."
+        fp.write(text.replace(".\r\n", ".0\r\n"))
 
 
 # Canonical rows, as write_samples_csv writes them, with ASCII digits

@@ -153,6 +153,10 @@ def sd_of_delay_diff(cfg: SimConfig, n: int) -> float:
         sd = float(np.std(fixed_diff + (mean2 - mean1), ddof=1))
     if not math.isfinite(sd):
         raise ValueError(f"the spread of {n}-pair averages passes float range (delay difference {fixed_diff!r} s)")
+    if sd == 0.0 and np.ptp(mean2 - mean1) > 0:
+        raise ValueError(
+            f"the spread of {n}-pair averages is lost in rounding the delay difference {fixed_diff!r} s"
+        )
     return sd
 
 

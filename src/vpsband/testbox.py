@@ -17,6 +17,10 @@ the byte offset of the first field that failed, never another
 exception.  Numbers out of range are malformed too: a serial above
 2**64 - 1, a packet size outside 1..65507, a source port above 65535,
 or a time or delay too long to be a finite float.
+
+A log file is read a block of lines at a time into a ``ParsedLog`` of
+``array`` columns: serial, sent_at and bytes for the sender, serial and
+delay for the receiver.  ``match_sessions`` joins two of them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice, pairwise, starmap
+from operator import attrgetter, le
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import InsufficientData, MalformedLine, MixedPacketSizes, NoPairsFound
@@ -186,14 +192,20 @@ def parse_receiver_line(line: str) -> ReceiverRecord:
 
 @dataclass
 class ParsedLog:
-    """Records from one log file plus the lines that failed."""
+    """The records of one log file as columns, plus the lines that failed.
 
-    records: list
+    A sender log's columns are serial (``Q``), sent_at (``d``, the SNDP
+    timestamp) and bytes (``H``); a receiver log's are serial and delay
+    (``d``, seconds).  Item ``i`` of each column is the ``i``-th record
+    in file order.
+    """
+
+    columns: tuple[array, ...]
     malformed: list[tuple[int, MalformedLine]]
 
     @property
     def n_parsed(self) -> int:
-        return len(self.records)
+        return len(self.columns[0])
 
     @property
     def n_malformed(self) -> int:
@@ -205,65 +217,117 @@ class ParsedLog:
 # and delay below 10**308, so finite; serials, sizes and ports are
 # range-checked after the match.  A line that misses, or fails a check,
 # goes to parse_*_line, the one source of MalformedLine texts and offsets.
+# Only the newline that ends each alternative matches a line break, so a
+# block of lines gives one match per line: a canonical line's values, or
+# empty groups for any other line.
 _TOKEN = rb"[!-~]+"
-_SECONDS = rb"([0-9]{1,308}(?:\.[0-9]{1,308})?)"
+_SECONDS = rb"[0-9]{1,308}(?:\.[0-9]{1,308})?"
+_BLOCK_LINES = 1024
 
 
-def _canonical(*fields: bytes) -> re.Pattern:
-    return re.compile(rb"[ \t]*" + rb"[ \t]+".join(fields) + rb"[ \t]*\r?\n?")
+def _block_pattern(*fields: bytes) -> re.Pattern:
+    return re.compile(rb"[ \t]*" + rb"[ \t]+".join(fields) + rb"[ \t]*\r?(?:\n|\Z)|[^\n]*\n|[^\n]+")
 
 
-_SENDER_RE = _canonical(
-    rb"SNDP", _TOKEN, rb"([0-9]{1,308})", rb"-h", rb"(" + _TOKEN + rb")", rb"-p", _TOKEN,
+_SENDER_LINES = _block_pattern(
+    rb"SNDP", _TOKEN, rb"([0-9]{1,308})", rb"-h", _TOKEN, rb"-p", _TOKEN,
     rb"-n", rb"([0-9]{1,5})", rb"-s", rb"([0-9]{1,20})",
 )
-_RECEIVER_RE = _canonical(
-    rb"RCDP", _TOKEN, _TOKEN, rb"(" + _TOKEN + rb")", rb"([0-9]{1,5})", _TOKEN, _TOKEN,
-    _SECONDS, _SECONDS, rb"0X[!-~]*", rb"0X[!-~]*", rb"([0-9]{1,20})(?:[ \t]+" + _TOKEN + rb")*",
+_RECEIVER_LINES = _block_pattern(
+    rb"RCDP", _TOKEN, _TOKEN, _TOKEN, rb"([0-9]{1,5})", _TOKEN, _TOKEN,
+    _SECONDS, rb"(" + _SECONDS + rb")", rb"0X[!-~]*", rb"0X[!-~]*", rb"([0-9]{1,20})(?:[ \t]+" + _TOKEN + rb")*",
 )
 
 
-def _sender_record(timestamp: bytes, host: bytes, nbytes: bytes, serial: bytes) -> SenderRecord | None:
-    packet_bytes, serial_no = int(nbytes), int(serial)
-    if 1 <= packet_bytes <= MAX_UDP_PAYLOAD and serial_no <= MAX_SERIAL:
-        return SenderRecord(serial_no, host.decode("ascii"), packet_bytes, float(timestamp))
-    return None
+def _sender_columns(rows: list[tuple[bytes, ...]]) -> tuple[array, ...] | None:
+    """The serial, sent_at and bytes columns of canonical SNDP rows, or None
+    if a serial or size is out of range."""
+    timestamps, nbytes, serials = zip(*rows)
+    try:  # past 2**64 - 1 or 65535 a column refuses the value
+        serials, nbytes = array("Q", map(int, serials)), array("H", map(int, nbytes))
+    except OverflowError:
+        return None
+    if min(nbytes) < 1 or max(nbytes) > MAX_UDP_PAYLOAD:
+        return None
+    return serials, array("d", map(float, timestamps)), nbytes
 
 
-def _receiver_record(
-    src_ip: bytes, port: bytes, received_at: bytes, delay_s: bytes, serial: bytes
-) -> ReceiverRecord | None:
-    src_port, serial_no = int(port), int(serial)
-    if src_port <= MAX_PORT and serial_no <= MAX_SERIAL:
-        return ReceiverRecord(serial_no, float(delay_s), (src_ip.decode("ascii"), src_port), float(received_at))
-    return None
+def _receiver_columns(rows: list[tuple[bytes, ...]]) -> tuple[array, ...] | None:
+    """The serial and delay columns of canonical RCDP rows, or None if a
+    source port or serial is out of range."""
+    ports, delays, serials = zip(*rows)
+    if max(map(int, set(ports))) > MAX_PORT:
+        return None
+    try:  # past 2**64 - 1 the column refuses the value
+        return array("Q", map(int, serials)), array("d", map(float, delays))
+    except OverflowError:
+        return None
 
 
-def _parse_lines(raw: BinaryIO, canonical: re.Pattern, build, parse_line) -> ParsedLog:
-    records = []
-    malformed = []
-    for lineno, raw_line in enumerate(raw, start=1):
-        match = canonical.fullmatch(raw_line)
-        record = build(*match.groups()) if match else None
-        if record is not None:
-            records.append(record)
-            continue
+def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, canonical_columns, parse_line,
+                fields) -> ParsedLog:
+    """Parse ``raw`` a block of lines at a time into columns of ``typecodes``.
+
+    Each run of canonical lines becomes columns at once through
+    ``canonical_columns``.  Any other line, or one with a value out of
+    range, goes alone through ``parse_line``, whose record's ``fields``
+    are the columns' values.
+    """
+    log = ParsedLog(tuple(map(array, typecodes)), [])
+
+    def extend(values) -> None:
+        for column, more in zip(log.columns, values):
+            column.extend(more)
+
+    def parse_alone(raw_line: bytes, lineno: int) -> None:
         line = raw_line.rstrip(b"\r\n").decode("utf-8", errors="surrogateescape")
         if not line.strip():
-            continue
+            return
         try:
-            records.append(parse_line(line))
+            record = parse_line(line)
         except MalformedLine as exc:
-            malformed.append((lineno, exc))
-    return ParsedLog(records=records, malformed=malformed)
+            # without its traceback, which would keep the parser's frames and their lines alive
+            log.malformed.append((lineno, exc.with_traceback(None)))
+        else:
+            extend([value] for value in fields(record))
+
+    def take(rows: list[tuple[bytes, ...]], lines: list[bytes], first: int) -> None:
+        run = canonical_columns(rows)
+        if run is not None:
+            extend(run)
+        elif len(rows) == 1:
+            parse_alone(lines[0], first)
+        else:  # a value out of range: halve the run until its line is found
+            half = len(rows) // 2
+            take(rows[:half], lines[:half], first)
+            take(rows[half:], lines[half:], first + half)
+
+    items, first = iter(raw), 1
+    while block := list(islice(items, _BLOCK_LINES)):
+        rows = lines_re.findall(b"".join(block))
+        if len(rows) != len(block):  # an item of raw was not one newline-ended line: each goes alone
+            rows = [(b"",)] * len(block)
+        start = 0
+        for end in [i for i, row in enumerate(rows) if not row[0]] + [len(block)]:
+            if start < end:
+                take(rows[start:end], block[start:end], first + start)
+            if end < len(block):
+                parse_alone(block[end], first + end)
+            start = end + 1
+        first += len(block)
+    return log
 
 
 def parse_sender_file(raw: BinaryIO) -> ParsedLog:
-    return _parse_lines(raw, _SENDER_RE, _sender_record, parse_sender_line)
+    """Parse an SNDP log into serial, sent_at and bytes columns."""
+    return _parse_file(raw, _SENDER_LINES, "QdH", _sender_columns, parse_sender_line,
+                       attrgetter("serial", "timestamp", "packet_bytes"))
 
 
 def parse_receiver_file(raw: BinaryIO) -> ParsedLog:
-    return _parse_lines(raw, _RECEIVER_RE, _receiver_record, parse_receiver_line)
+    """Parse an RCDP log into serial and delay columns."""
+    return _parse_file(raw, _RECEIVER_LINES, "Qd", _receiver_columns, parse_receiver_line,
+                       attrgetter("serial", "delay_s"))
 
 
 # ---------------------------------------------------------------------------
@@ -285,41 +349,33 @@ class MatchResult:
         return len(self.samples)
 
 
-def match_sessions(sent: Iterable[SenderRecord], received: Iterable[ReceiverRecord]) -> MatchResult:
-    """Join sender and receiver records on serial.
+def match_sessions(sent: ParsedLog, received: ParsedLog) -> MatchResult:
+    """Join a sender and a receiver log on serial.
 
     Duplicate serials on either side resolve to the first occurrence;
     the surplus is counted.  Unmatched records are dropped and counted.
     Returned samples are sorted by send time, then serial.
     """
-    by_serial: dict[int, SenderRecord] = {}
-    duplicate_sent = 0
-    for rec in sent:
-        if rec.serial in by_serial:
-            duplicate_sent += 1
-        else:
-            by_serial[rec.serial] = rec
-
+    serial, sent_at, nbytes = sent.columns
+    received_serial, delay = received.columns
+    # each serial's index of first occurrence
+    first_sent = dict(zip(reversed(serial), reversed(range(len(serial)))))
+    first_received = dict(zip(reversed(received_serial), reversed(range(len(received_serial)))))
+    rows = sorted(map(first_sent.__getitem__, first_sent.keys() & first_received.keys()))  # in sender-log order
     samples = Samples()
-    seen: set[int] = set()
-    duplicate_received = 0
-    unmatched_received = 0
-    for rec in received:
-        if rec.serial in seen:
-            duplicate_received += 1
-            continue
-        snd = by_serial.get(rec.serial)
-        if snd is None:
-            unmatched_received += 1
-            continue
-        seen.add(rec.serial)
-        samples.append(rec.serial, snd.timestamp, snd.packet_bytes, rec.delay_s)
+    for column, source in zip(samples.columns(), (serial, sent_at, nbytes)):
+        column.extend(map(source.__getitem__, rows))
+    samples.delay.extend(map(delay.__getitem__, map(first_received.__getitem__, samples.serial)))
+    if not all(starmap(le, pairwise(zip(samples.sent_at, samples.serial)))):  # a log in send order is not sorted
+        samples = samples.take(samples.send_order())
+
+    received_of_sent = sum(map(first_sent.__contains__, received_serial))  # records, duplicates included
     return MatchResult(
-        samples=samples.take(samples.send_order()),
-        unmatched_sent=len(by_serial) - len(seen),
-        unmatched_received=unmatched_received,
-        duplicate_sent=duplicate_sent,
-        duplicate_received=duplicate_received,
+        samples=samples,
+        unmatched_sent=len(first_sent) - len(rows),
+        unmatched_received=len(received_serial) - received_of_sent,
+        duplicate_sent=len(serial) - len(first_sent),
+        duplicate_received=received_of_sent - len(rows),
     )
 
 

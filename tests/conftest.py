@@ -5,17 +5,30 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+from array import array
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from vpsband.model import SAMPLE_CSV_FIELDS, SAMPLE_DIRECTION, Delay, DelaySample, PacketSize, ProbePair, format_delay_s
 from vpsband.planner import REFERENCE_SIZES
 from vpsband.simulate import SimConfig, reference_config
+from vpsband.testbox import ParsedLog
 
 DATA_DIR = Path(__file__).parent / "data"
 
 W1, W2 = REFERENCE_SIZES
+
+# `pytest --hypothesis-profile=ci` gives property tests ten times hypothesis' default examples,
+# and those that set their count through `examples(n)` ten times theirs.
+settings.register_profile("ci", max_examples=10 * settings.get_profile("default").max_examples)
+
+
+def examples(n: int) -> int:
+    """A test's example count: ``n`` under the default profile, scaled with the loaded one."""
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
 
 
 @pytest.fixture
@@ -74,3 +87,32 @@ def reference_sim_config(seed: int = 42, var_delay_rate: float | None = None, **
     if var_delay_rate is None:
         return cfg
     return dataclasses.replace(cfg, path=dataclasses.replace(cfg.path, var_delay_rate=var_delay_rate))
+
+
+# The values a log's columns keep of each line record, in column order.
+SENDER_FIELDS = attrgetter("serial", "timestamp", "packet_bytes")
+RECEIVER_FIELDS = attrgetter("serial", "delay_s")
+
+
+def parsed_log(typecodes: str, rows) -> ParsedLog:
+    """A ParsedLog with no malformed lines whose columns hold ``rows``."""
+    columns = tuple(map(array, typecodes))
+    for row in rows:
+        for column, value in zip(columns, row):
+            column.append(value)
+    return ParsedLog(columns, [])
+
+
+def sender_log(records) -> ParsedLog:
+    """What ``parse_sender_file`` gives for the lines of these ``SenderRecord``s."""
+    return parsed_log("QdH", map(SENDER_FIELDS, records))
+
+
+def receiver_log(records) -> ParsedLog:
+    """What ``parse_receiver_file`` gives for the lines of these ``ReceiverRecord``s."""
+    return parsed_log("Qd", map(RECEIVER_FIELDS, records))
+
+
+def log_rows(log: ParsedLog) -> list[tuple]:
+    """Each parsed record's values, in file order."""
+    return list(zip(*log.columns))

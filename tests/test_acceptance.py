@@ -217,9 +217,9 @@ def test_check_6_planner_identity_and_sweep():
 
 def test_check_7_log_parse_golden_chain(data_dir):
     with open(data_dir / "sender.log", "rb") as fp:
-        sent = parse_sender_file(fp).records
+        sent = parse_sender_file(fp)
     with open(data_dir / "receiver.log", "rb") as fp:
-        received = parse_receiver_file(fp).records
+        received = parse_receiver_file(fp)
     matched = match_sessions(sent, received)
     by_serial = {s.serial: s for s in matched.samples}
     small = by_serial.get(1353080554)

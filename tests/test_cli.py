@@ -100,7 +100,7 @@ def test_parse_stdout_matches_the_csv_module(rows, tmp_path, capsys):
         "".join(f"RCDP 12 2 1.2.3.4 5 6.7.8.9 6000 {t}.5 {d} 0X0 0X0 {s} 0 0\n" for s, t, _, d in rows)
     )
     with open(sender, "rb") as s_fp, open(receiver, "rb") as r_fp:
-        samples = match_sessions(parse_sender_file(s_fp).records, parse_receiver_file(r_fp).records).samples
+        samples = match_sessions(parse_sender_file(s_fp), parse_receiver_file(r_fp)).samples
 
     assert main(["parse", str(sender), str(receiver), "--out", "-"]) == EXIT_OK
     csv_text, summary = capsys.readouterr().out.rsplit("\r\n", 1)
@@ -363,6 +363,10 @@ def test_simulate_bad_config_exits_domain(tmp_path, capsys):
         ("var_delay_rate = 1000", "var_delay_rate = 1e-300"),  # the spread of its draws overflows
         ("var_delay_rate = 1000", "var_delay_rate = 5e-324"),  # its draws are inf
         ("capacity_bps = 10e6", "capacity_bps = 1e-300"),  # the spread of its ~1e303 s delays overflows
+        *(  # with few trials that spread does not overflow, but rounding swallows every draw
+            (SIM_CONFIG, SIM_CONFIG.replace("10e6", "1e-300").replace("n_trials = 300", f"n_trials = {n}"))
+            for n in (2, 10)
+        ),
         ("ns = 5,10", "ns = ,"),  # a list with no n in it
         ("ns = 5,10", "ns = 5,,10"),  # an empty entry in a list
         ("capacity_bps = 10e6", "capacity_bps = 10e6,\npropagation_s = 0.001,"),

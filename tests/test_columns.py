@@ -40,7 +40,7 @@ from vpsband.model import (
 from vpsband.testbox import ReceiverRecord, SenderRecord, match_sessions, pair_by_size
 
 import object_pipeline
-from conftest import reference_sim_config
+from conftest import examples, receiver_log, reference_sim_config, sender_log
 from test_model import HEADER, HEADERS, read_outcome, sample_lines
 
 W1, W2 = PacketSize(100), PacketSize(1100)
@@ -126,7 +126,7 @@ def test_send_order_sorts_by_time_then_serial_and_keeps_ties():
 # the object pipeline and the columns give the same results
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     HEADERS,
     st.lists(st.one_of(sample_lines(), st.sampled_from([b"\r\n", b"\n", b'"\n"\r\n'])), max_size=12),
@@ -155,10 +155,10 @@ RECEIVER_RECORDS = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(SENDER_RECORDS, RECEIVER_RECORDS)
 def test_match_sessions_matches_the_object_join(sent, received):
-    result = match_sessions(sent, received)
+    result = match_sessions(sender_log(sent), receiver_log(received))
     samples, *counts = object_pipeline.match_sessions(sent, received)
     assert columns(result.samples) == values(samples)
     assert list(result.samples) == samples

@@ -166,6 +166,13 @@ def test_batch_raises_on_non_positive_batch_mean():
         estimate_batch(pairs, batch_size=1)
 
 
+def test_batch_refuses_a_difference_too_small_for_a_finite_bandwidth():
+    # 8000 bits over a subnormal difference overflowed Bandwidth with a bare ValueError
+    pairs = [make_pair(0.010, 0.012, serial_base=0), make_pair(0.0, 2.2250738585e-313, serial_base=2)]
+    with pytest.raises(NonPositiveDelayDifference, match="batch 1: .* too small for a finite bandwidth"):
+        estimate_batch(pairs, batch_size=1)
+
+
 @given(st.floats(min_value=0.1, max_value=10.0))
 def test_batch_estimate_is_scale_invariant(scale):
     # Scaling every delay difference by k scales the estimate by 1/k.

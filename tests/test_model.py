@@ -2,6 +2,7 @@
 
 import csv
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from vpsband.model import (
 )
 
 import object_pipeline
-from conftest import csv_module_text, make_pair, sample_row
+from conftest import csv_module_text, examples, make_pair, sample_row
 
 
 def row_round_trip(sample: DelaySample) -> DelaySample:
@@ -193,13 +194,34 @@ SAMPLES = st.lists(
 )
 
 
-@given(SAMPLES)
-@example([])
-@example([DelaySample(PacketSize(MAX_UDP_PAYLOAD), Delay(1e300), serial=MAX_SERIAL, sent_at=-1e300)])
-def test_write_samples_csv_matches_the_csv_module(samples):
+@given(SAMPLES, st.integers(1, 4))
+@example([], 1024)
+@example([DelaySample(PacketSize(MAX_UDP_PAYLOAD), Delay(1e300), serial=MAX_SERIAL, sent_at=-1e300)], 1024)
+def test_write_samples_csv_matches_the_csv_module(samples, block_lines):
     buf = io.StringIO()
-    write_samples_csv(samples, buf)
+    with mock.patch.object(model, "_BLOCK_LINES", block_lines):
+        write_samples_csv(samples, buf)
     assert buf.getvalue() == csv_module_text(samples)
+
+
+# Delays whose text ends at the point before its ".0", or rounds at a ns tie
+WRITER_DELAYS = [0.0, 1.0, 1e20, 5e-324, 0.5e-9, 1.5e-9, 2.5e-9, 0.0000000125, 0.009001, 1e300]
+
+
+@pytest.mark.parametrize("block_lines", [1, 3, 4, 1024])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_write_samples_csv_at_the_block_edges(block_lines, extra):
+    # 0 or 1 rows, and one row short of, exactly at and one past whole blocks
+    for n in {0, 1, max(0, block_lines + extra), max(0, 2 * block_lines + extra)}:
+        samples = [
+            DelaySample(PacketSize(1 + i % MAX_UDP_PAYLOAD), Delay(WRITER_DELAYS[i % len(WRITER_DELAYS)]),
+                        serial=MAX_SERIAL - i, sent_at=i / 3)
+            for i in range(n)
+        ]
+        buf = io.StringIO()
+        with mock.patch.object(model, "_BLOCK_LINES", block_lines):
+            write_samples_csv(samples, buf)
+        assert buf.getvalue() == csv_module_text(samples)
 
 
 def test_read_samples_csv_rejects_wrong_header():
@@ -311,7 +333,7 @@ HEADERS = st.sampled_from(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(HEADERS, st.lists(st.one_of(sample_lines(), st.sampled_from([b"\r\n", b"\n", b'"\n"\r\n'])), max_size=8))
 @example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100,0.0098"])
 @example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b'forward,2,0.5,"11\n00",0.0098\r\n', b"x,\"\r\n"])

@@ -203,6 +203,21 @@ def test_sd_refuses_a_spread_past_float_range():
         sd_of_delay_diff(cfg, 5)
 
 
+@pytest.mark.parametrize("n_trials", [2, 10])
+def test_sd_refuses_a_spread_lost_in_rounding(n_trials):
+    # With fewer trials the same ~1e303 s delays stay finite, but adding the
+    # ~1e-3 s draws to them changes nothing: the spread read 0.0.
+    cfg = SimConfig(
+        path=PathModel(hops=(Hop(Bandwidth(1e-300), Delay(0.0)),), var_delay_rate=1000.0),
+        packet_sizes=(W1, W2),
+        n_pairs=10,
+        n_trials=n_trials,
+        seed=0,
+    )
+    with pytest.raises(ValueError, match="lost in rounding the delay difference 8e\\+303 s"):
+        sd_of_delay_diff(cfg, 5)
+
+
 def test_error_vs_n_relative_to_true_diff():
     cfg = reference_sim_config(seed=4, n_trials=3000)
     points = error_vs_n(cfg, ns=(10, 50))

@@ -3,7 +3,9 @@
 import io
 import math
 import time
+import tracemalloc
 from bisect import bisect_left, bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from vpsband.errors import (
     NoPairsFound,
 )
 from vpsband import testbox
-from vpsband.model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize
+from vpsband.model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize, Samples
 from vpsband.testbox import (
     ReceiverRecord,
     SenderRecord,
@@ -29,6 +31,8 @@ from vpsband.testbox import (
     parse_sender_file,
     parse_sender_line,
 )
+
+from conftest import RECEIVER_FIELDS, SENDER_FIELDS, examples, log_rows, receiver_log, sender_log
 
 SENDER_LINE = "SNDP 9 1263374005 -h tt01.ripe.net -p 6000 -n 1024 -s 1353080538"
 RECEIVER_LINE = (
@@ -227,7 +231,7 @@ def test_receiver_line_parsing_is_total(line):
 def test_numbers_at_their_bounds_still_parse(line, value):
     rec = parse_sender_line(line)
     assert value in (rec.serial, rec.timestamp)
-    assert parse_sender_file(io.BytesIO(line.encode())).records == [rec]
+    assert log_rows(parse_sender_file(io.BytesIO(line.encode()))) == [SENDER_FIELDS(rec)]
 
 
 @given(st.binary(max_size=400))
@@ -258,13 +262,14 @@ def test_file_offsets_index_the_raw_line_bytes(line, offset):
 
 
 # ---------------------------------------------------------------------------
-# the canonical-line fast path against the line parsers
+# the block parser against the line parsers
 # ---------------------------------------------------------------------------
 
-def reference_parse(blob, parse_line):
-    """Every line through parse_line: what parse_*_file gave before its fast path.
+def reference_parse(blob, parse_line, fields):
+    """Every line through parse_line: what parse_*_file gave before its fast paths.
 
-    Returns the records and (lineno, message, offset) of each malformed line.
+    Returns each record's column values and (lineno, message, offset) of
+    each malformed line.
     """
     records, malformed = [], []
     for lineno, raw_line in enumerate(io.BytesIO(blob), start=1):
@@ -272,7 +277,7 @@ def reference_parse(blob, parse_line):
         if not line.strip():
             continue
         try:
-            records.append(parse_line(line))
+            records.append(fields(parse_line(line)))
         except MalformedLine as exc:
             malformed.append((lineno, str(exc), exc.offset))
     return records, malformed
@@ -338,19 +343,28 @@ def receiver_lines(draw):
     return draw(laid_out(fields))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(sender_lines(), receiver_lines(), st.sampled_from([b"\n", b" \r\n"])), max_size=8))
-@example([b"SNDP 9 77 -h a -p 6000 -n 100 -s 5\n", b"RCDP 12 2 a 1 b 2 3.5 0.01 0X1 0X1 5\n"])
-@example([b"SNDP 9 77 -h a -p 6000 -n 65508 -s 5\n", b"SNDP 9 77 -h a -p 6000 -n 1 -s 18446744073709551616"])
-def test_file_parsing_matches_the_line_parsers(lines):
-    assert_file_parsing_matches_the_line_parsers(b"".join(lines))
+PARSERS = ((parse_sender_file, parse_sender_line, SENDER_FIELDS), (parse_receiver_file, parse_receiver_line, RECEIVER_FIELDS))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(
+    st.lists(st.one_of(sender_lines(), receiver_lines(), st.sampled_from([b"\n", b" \r\n"])), max_size=8)
+    .flatmap(lambda lines: st.permutations(lines + lines[:2])),  # duplicated and reordered lines
+    st.integers(1, 4),
+)
+@example([b"SNDP 9 77 -h a -p 6000 -n 100 -s 5\n", b"RCDP 12 2 a 1 b 2 3.5 0.01 0X1 0X1 5\n"], 1024)
+@example([b"SNDP 9 77 -h a -p 6000 -n 65508 -s 5\n", b"SNDP 9 77 -h a -p 6000 -n 1 -s 18446744073709551616"], 1024)
+@example([b"SNDP 9 77 -h a -p 6000 -n 100 -s 5\n"] * 3 + [b"SNDP 9 77 -h a -p 6000 -n 0 -s 6\n"], 2)
+def test_file_parsing_matches_the_line_parsers(lines, block_lines):
+    with mock.patch.object(testbox, "_BLOCK_LINES", block_lines):
+        assert_file_parsing_matches_the_line_parsers(b"".join(lines))
 
 
 def assert_file_parsing_matches_the_line_parsers(blob):
-    for parse_file, parse_line in ((parse_sender_file, parse_sender_line), (parse_receiver_file, parse_receiver_line)):
+    for parse_file, parse_line, fields in PARSERS:
         parsed = parse_file(io.BytesIO(blob))
         malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
-        assert (parsed.records, malformed) == reference_parse(blob, parse_line)
+        assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line, fields)
 
 
 # One field of a canonical line swapped for a value at or past a bound
@@ -414,6 +428,68 @@ def test_canonical_lines_never_reach_the_line_parsers(monkeypatch):
         parse_sender_file(io.BytesIO(b"SNDP 9 77 -s 5 -n 100 -h a\n"))
 
 
+# Malformed lines canonical in shape but out of range, and one plainly malformed, per side.
+OFF_THE_FAST_PATH = [
+    SENDER_LINE.replace("-n 1024", "-n 0"),
+    SENDER_LINE.replace("-n 1024", "-n 65508"),
+    SENDER_LINE.replace("1353080538", str(2**64)),
+    SENDER_LINE.replace("1263374005", "1263374005x"),
+    RECEIVER_LINE.replace("55730", "65536"),
+    RECEIVER_LINE.replace("1353080554", str(2**64)),
+    RECEIVER_LINE.replace("0X2107 0X2107", "2107 0X2107"),
+]
+
+
+@pytest.mark.parametrize("block_lines", [1, 4, 1024])
+@pytest.mark.parametrize("at", [0, 3, 4, 8])
+@pytest.mark.parametrize("bad", OFF_THE_FAST_PATH)
+def test_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_lines):
+    # nine lines, the bad one first, last, or just before or after a block edge
+    sender = bad.startswith("SNDP")
+    lines = [(SENDER_LINE if sender else RECEIVER_LINE).replace("13530805", str(10 + i)) for i in range(9)]
+    lines[at] = bad
+    blob = "\n".join(lines).encode()
+    parse_file, parse_line, fields = PARSERS[0 if sender else 1]
+    name = parse_line.__name__
+    with mock.patch.object(testbox, "_BLOCK_LINES", block_lines), \
+            mock.patch.object(testbox, name, wraps=parse_line) as line_parser:
+        parsed = parse_file(io.BytesIO(blob))
+    assert line_parser.call_args_list == [mock.call(bad)]
+    malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
+    assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line, fields)
+    assert [lineno for lineno, _ in parsed.malformed] == [at + 1]
+
+
+def test_items_that_are_not_whole_lines_parse_one_by_one():
+    # an iterable of lines without their newlines, which joined would run together
+    lines = [SENDER_LINE.replace("1353080538", str(i)).encode() for i in range(5)]
+    lines[2] = b"SNDP 9"
+    with mock.patch.object(testbox, "_BLOCK_LINES", 4):
+        parsed = parse_sender_file(lines)
+    blob = b"\n".join(lines)
+    malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
+    assert (log_rows(parsed), malformed) == reference_parse(blob, parse_sender_line, SENDER_FIELDS)
+
+
+def test_malformed_lines_hold_no_traceback_and_parsing_little_memory():
+    # 10**4 lines, 1% malformed.  A kept traceback would hold the parser's
+    # frames, and through them lines of the log, for as long as the log.
+    n = 10_000
+    lines = [f"SNDP 9 {1263374005 + i // 10} -h tt146.example.net -p 6000 -n {100 + 1000 * (i % 2)} -s {i}\n"
+             for i in range(n)]
+    lines[::100] = ["SNDP 9\n"] * (n // 100)
+    raw = io.BytesIO("".join(lines).encode())
+    tracemalloc.start()
+    try:
+        parsed = parse_sender_file(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (parsed.n_parsed, parsed.n_malformed) == (n - n // 100, n // 100)
+    assert all(exc.__traceback__ is None for _, exc in parsed.malformed)
+    assert peak / n <= 100  # bytes per line
+
+
 # ---------------------------------------------------------------------------
 # file-level parsing and the bundled logs
 # ---------------------------------------------------------------------------
@@ -434,9 +510,9 @@ def test_parse_file_collects_malformed_lines_with_numbers():
 
 def test_match_bundled_logs(data_dir):
     with open(data_dir / "sender.log", "rb") as fp:
-        sent = parse_sender_file(fp).records
+        sent = parse_sender_file(fp)
     with open(data_dir / "receiver.log", "rb") as fp:
-        received = parse_receiver_file(fp).records
+        received = parse_receiver_file(fp)
 
     result = match_sessions(sent, received)
     assert result.matched == 2
@@ -454,9 +530,9 @@ def test_match_bundled_logs(data_dir):
 
 def test_bundled_logs_chain_to_a_delay_difference(data_dir):
     with open(data_dir / "sender.log", "rb") as fp:
-        sent = parse_sender_file(fp).records
+        sent = parse_sender_file(fp)
     with open(data_dir / "receiver.log", "rb") as fp:
-        received = parse_receiver_file(fp).records
+        received = parse_receiver_file(fp)
     matched = match_sessions(sent, received)
     paired = pair_by_size(matched.samples, PacketSize(100), PacketSize(1100))
     assert len(paired.pairs) == 1
@@ -464,11 +540,11 @@ def test_bundled_logs_chain_to_a_delay_difference(data_dir):
 
 
 def test_match_counts_duplicate_sent():
-    sent = [
+    sent = sender_log([
         SenderRecord(serial=1, host="a", packet_bytes=100, timestamp=10.0),
         SenderRecord(serial=1, host="a", packet_bytes=100, timestamp=11.0),
-    ]
-    received = [ReceiverRecord(serial=1, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=10.5)]
+    ])
+    received = receiver_log([ReceiverRecord(serial=1, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=10.5)])
     result = match_sessions(sent, received)
     assert result.duplicate_sent == 1
     assert result.matched == 1
@@ -476,14 +552,14 @@ def test_match_counts_duplicate_sent():
 
 
 def test_match_sorts_samples_by_send_time():
-    sent = [
+    sent = sender_log([
         SenderRecord(serial=2, host="a", packet_bytes=100, timestamp=20.0),
         SenderRecord(serial=1, host="a", packet_bytes=100, timestamp=10.0),
-    ]
-    received = [
+    ])
+    received = receiver_log([
         ReceiverRecord(serial=2, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=20.5),
         ReceiverRecord(serial=1, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=10.5),
-    ]
+    ])
     result = match_sessions(sent, received)
     assert [s.serial for s in result.samples] == [1, 2]
 
@@ -491,13 +567,32 @@ def test_match_sorts_samples_by_send_time():
 def test_match_breaks_send_time_ties_by_serial():
     # whole-second sender stamps: four probes share one sent_at, and the
     # receiver logs them in reverse
-    sent = [SenderRecord(serial=s, host="a", packet_bytes=100, timestamp=10.0) for s in (1, 2, 3, 4)]
-    received = [
+    sent = sender_log([SenderRecord(serial=s, host="a", packet_bytes=100, timestamp=10.0) for s in (1, 2, 3, 4)])
+    received = receiver_log([
         ReceiverRecord(serial=s, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=10.5)
         for s in (4, 3, 2, 1)
-    ]
+    ])
     result = match_sessions(sent, received)
     assert [s.serial for s in result.samples] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "order,sorts",
+    [
+        ([0, 1, 2, 3, 4, 5], False),  # a sender log in send order, whole-second stamps shared
+        ([0, 1, 3, 2, 4, 5], True),   # two serials swapped within one second
+        ([2, 3, 0, 1, 4, 5], True),   # a second logged late
+    ],
+)
+def test_match_sorts_only_samples_out_of_send_order(order, sorts, monkeypatch):
+    sorted_by = []
+    send_order = Samples.send_order
+    monkeypatch.setattr(Samples, "send_order", lambda samples: sorted_by.append(len(samples)) or send_order(samples))
+    sent = sender_log([SenderRecord(serial=s, host="a", packet_bytes=100, timestamp=10.0 + s // 2) for s in order])
+    received = receiver_log([ReceiverRecord(s, 0.01 * s, ("1.2.3.4", 1), 11.0) for s in (5, 4, 3, 2, 1, 0)])
+    result = match_sessions(sent, received)
+    assert [(s.serial, s.delay.seconds) for s in result.samples] == [(s, 0.01 * s) for s in range(6)]
+    assert sorted_by == ([6] if sorts else [])
 
 
 # ---------------------------------------------------------------------------
