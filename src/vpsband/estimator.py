@@ -36,7 +36,7 @@ def estimate_pair(pair: ProbePair) -> Bandwidth:
     """Estimate available bandwidth from a single probe pair.
 
     Raises NonPositiveDelayDifference when the large packet was not
-    slower than the small one.
+    slower than the small one, or by too little for a finite bandwidth.
     """
     diff_s = pair.delay_diff_s
     if diff_s <= 0:
@@ -44,7 +44,7 @@ def estimate_pair(pair: ProbePair) -> Bandwidth:
             f"delay difference must be > 0 s, got {diff_s:.9f} "
             f"(serials {pair.small.serial}/{pair.large.serial})"
         )
-    return Bandwidth(bytes_to_bits(pair.size_diff_bytes) / diff_s)
+    return estimate_batch([pair], 1).value
 
 
 def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> BandwidthEstimate:
@@ -106,14 +106,27 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
         batch_values.append(value)
 
     mean_diff = statistics.fmean(batch_diffs)
-    sd = statistics.stdev(batch_values) if n_batches >= 2 else None
+    sd = _stdev(batch_values) if n_batches >= 2 else None
     return BandwidthEstimate(
         value=Bandwidth(diff_bits / mean_diff),
         n_pairs=n_batches * batch_size,
         sd_bps=sd,
-        relative_error=None if sd is None else statistics.stdev(batch_diffs) / mean_diff,
+        relative_error=None if sd is None else _stdev(batch_diffs) / mean_diff,
         mean_delay_diff_s=mean_diff,
     )
+
+
+def _stdev(values: list[float]) -> float:
+    """``statistics.stdev`` of positive ``values``.  Where Python 3.10's rounds a variance
+    out of normal float range, the values are first scaled, exactly, by a power of two."""
+    try:
+        sd = statistics.stdev(values)
+        if sd >= 2.0**-511:  # its square, the variance, is a normal float
+            return sd
+    except OverflowError:
+        pass
+    exponent = math.frexp(max(values))[1]
+    return math.ldexp(statistics.stdev([math.ldexp(value, -exponent) for value in values]), exponent)
 
 
 def relative_error(precision_s: float, mean_diff_s: float) -> float:

@@ -19,7 +19,8 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from operator import itemgetter
+from typing import Iterable, Sequence, TextIO
 
 BITS_PER_BYTE = 8
 MAX_UDP_PAYLOAD = 65507          # 65535 - 8 UDP - 20 IP
@@ -129,6 +130,12 @@ class ProbePair:
 # samples and pairs as columns
 # ---------------------------------------------------------------------------
 
+def gather(column: array, indices: Sequence[int]) -> array:
+    """``column[i]`` for each of ``indices`` in turn, as a column of ``column``'s type."""
+    # itemgetter of one index gives its item bare, and of none is an error
+    values = itemgetter(*indices)(column) if len(indices) > 1 else [column[i] for i in indices]
+    return array(column.typecode, values)
+
 
 class Samples:
     """Delay samples held as four ``array.array`` columns, one entry per sample.
@@ -188,8 +195,7 @@ class Samples:
     def take(self, indices: list[int]) -> Samples:
         """The samples at ``indices``, in that order."""
         out = Samples()
-        for column, source in zip(out.columns(), self.columns()):
-            column.extend(map(source.__getitem__, indices))
+        out.serial, out.sent_at, out.bytes, out.delay = (gather(column, indices) for column in self.columns())
         return out
 
     def __len__(self) -> int:
@@ -400,7 +406,19 @@ _SAMPLE_ROWS = re.compile(
     + r",([0-9]{1,20}),([0-9]{1,308}\.[0-9]{1,308}),([0-9]{1,5}),([0-9]{1,308}(?:\.[0-9]{1,308})?)\r?$",
     re.ASCII | re.MULTILINE,
 )
-_BLOCK_LINES = 1024
+_BLOCK_LINES = 1024  # lines per block, here and in the log readers of testbox
+
+
+def run_columns(serials: Iterable, sent_at: Iterable, nbytes: Iterable) -> tuple[array, array, array] | None:
+    """The serial, sent_at and bytes columns of a run of canonical texts (``str``
+    or ``bytes``), or None if a serial or size is out of range."""
+    try:  # past 2**64 - 1 or 65535 a column refuses the value
+        serials, nbytes = array("Q", map(int, serials)), array("H", map(int, nbytes))
+    except OverflowError:
+        return None
+    if min(nbytes) < 1 or max(nbytes) > MAX_UDP_PAYLOAD:
+        return None
+    return serials, array("d", map(float, sent_at)), nbytes
 
 
 def _canonical_columns(block: list[str]) -> tuple[array, array, array, array] | None:
@@ -410,13 +428,8 @@ def _canonical_columns(block: list[str]) -> tuple[array, array, array, array] | 
     if len(rows) != len(block):
         return None
     serials, sent_at, nbytes, delays = zip(*rows)
-    try:  # past 2**64 - 1 or 65535 a column refuses the value
-        serials, nbytes = array("Q", map(int, serials)), array("H", map(int, nbytes))
-    except OverflowError:
-        return None
-    if min(nbytes) < 1 or max(nbytes) > MAX_UDP_PAYLOAD:
-        return None
-    return serials, array("d", map(float, sent_at)), nbytes, array("d", map(float, delays))
+    columns = run_columns(serials, sent_at, nbytes)
+    return None if columns is None else (*columns, array("d", map(float, delays)))
 
 
 def read_samples_csv(fp: TextIO) -> Samples:

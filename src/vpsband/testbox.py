@@ -18,9 +18,11 @@ exception.  Numbers out of range are malformed too: a serial above
 2**64 - 1, a packet size outside 1..65507, a source port above 65535,
 or a time or delay too long to be a finite float.
 
-A log file is read a block of lines at a time into a ``ParsedLog`` of
-``array`` columns: serial, sent_at and bytes for the sender, serial and
-delay for the receiver.  ``match_sessions`` joins two of them.
+A record holds its log's column values in column order: serial, sent_at
+and bytes for the sender, serial and delay for the receiver.  The host,
+source port and receive time are checked, not kept.  A log file is read
+a block of lines at a time into a ``ParsedLog`` of ``array`` columns,
+and ``match_sessions`` joins two of them.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, pairwise, starmap
-from operator import attrgetter, le
+from operator import le
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import InsufficientData, MalformedLine, MixedPacketSizes, NoPairsFound
+from . import model
 from .model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, DelaySample, PacketSize, Pairs, Samples
 
 DEFAULT_PAIR_WINDOW_S = 60.0
@@ -47,16 +50,13 @@ _ESCAPED_RE = re.compile("[\udc80-\udcff]+")
 
 class SenderRecord(NamedTuple):
     serial: int
-    host: str
-    packet_bytes: int
     timestamp: float
+    packet_bytes: int
 
 
 class ReceiverRecord(NamedTuple):
     serial: int
     delay_s: float
-    src_addr: tuple[str, int]
-    received_at: float
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +147,7 @@ def parse_sender_line(line: str) -> SenderRecord:
     nbytes = _uint(nbytes_text, nbytes_off, "packet size", MAX_UDP_PAYLOAD)
     if nbytes < 1:
         raise _fail(nbytes_off, "packet size must be positive")
-    serial_text, serial_off = options["s"]
-    return SenderRecord(
-        serial=_uint(serial_text, serial_off, "serial", MAX_SERIAL),
-        host=options["h"][0],
-        packet_bytes=nbytes,
-        timestamp=timestamp,
-    )
+    return SenderRecord(_uint(*options["s"], "serial", MAX_SERIAL), timestamp, nbytes)
 
 
 def parse_receiver_line(line: str) -> ReceiverRecord:
@@ -162,28 +156,19 @@ def parse_receiver_line(line: str) -> ReceiverRecord:
     tag, tag_off = _take(tokens, 0, line, "record tag")
     if tag != "RCDP":
         raise _fail(tag_off, f"expected tag 'RCDP', got {tag!r}")
-    for idx, what in ((1, "format field"), (2, "format field")):
+    for idx, what in ((1, "format field"), (2, "format field"), (3, "source address")):
         _take(tokens, idx, line, what)
-    src_ip, _ = _take(tokens, 3, line, "source address")
-    port_text, port_off = _take(tokens, 4, line, "source port")
-    src_port = _uint(port_text, port_off, "source port", MAX_PORT)
+    _uint(*_take(tokens, 4, line, "source port"), "source port", MAX_PORT)
     _take(tokens, 5, line, "destination address")
     _take(tokens, 6, line, "destination port")
-    recv_text, recv_off = _take(tokens, 7, line, "receive timestamp")
-    received_at = _ufloat(recv_text, recv_off, "receive timestamp")
+    _ufloat(*_take(tokens, 7, line, "receive timestamp"), "receive timestamp")
     delay_text, delay_off = _take(tokens, 8, line, "delay")
     delay_s = _ufloat(delay_text, delay_off, "delay")
     for idx in (9, 10):
         flags, flags_off = _take(tokens, idx, line, "status flags")
         if not flags.startswith("0X"):
             raise _fail(flags_off, f"expected hex status flags, got {flags!r}")
-    serial_text, serial_off = _take(tokens, 11, line, "serial")
-    return ReceiverRecord(
-        serial=_uint(serial_text, serial_off, "serial", MAX_SERIAL),
-        delay_s=delay_s,
-        src_addr=(src_ip, src_port),
-        received_at=received_at,
-    )
+    return ReceiverRecord(_uint(*_take(tokens, 11, line, "serial"), "serial", MAX_SERIAL), delay_s)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +181,8 @@ class ParsedLog:
 
     A sender log's columns are serial (``Q``), sent_at (``d``, the SNDP
     timestamp) and bytes (``H``); a receiver log's are serial and delay
-    (``d``, seconds).  Item ``i`` of each column is the ``i``-th record
-    in file order.
+    (``d``, seconds): the fields of a ``SenderRecord`` or ``ReceiverRecord``.
+    Item ``i`` of each column is the ``i``-th record's, in file order.
     """
 
     columns: tuple[array, ...]
@@ -222,7 +207,6 @@ class ParsedLog:
 # empty groups for any other line.
 _TOKEN = rb"[!-~]+"
 _SECONDS = rb"[0-9]{1,308}(?:\.[0-9]{1,308})?"
-_BLOCK_LINES = 1024
 
 
 def _block_pattern(*fields: bytes) -> re.Pattern:
@@ -240,16 +224,9 @@ _RECEIVER_LINES = _block_pattern(
 
 
 def _sender_columns(rows: list[tuple[bytes, ...]]) -> tuple[array, ...] | None:
-    """The serial, sent_at and bytes columns of canonical SNDP rows, or None
-    if a serial or size is out of range."""
+    """``model.run_columns`` of canonical SNDP rows."""
     timestamps, nbytes, serials = zip(*rows)
-    try:  # past 2**64 - 1 or 65535 a column refuses the value
-        serials, nbytes = array("Q", map(int, serials)), array("H", map(int, nbytes))
-    except OverflowError:
-        return None
-    if min(nbytes) < 1 or max(nbytes) > MAX_UDP_PAYLOAD:
-        return None
-    return serials, array("d", map(float, timestamps)), nbytes
+    return model.run_columns(serials, timestamps, nbytes)
 
 
 def _receiver_columns(rows: list[tuple[bytes, ...]]) -> tuple[array, ...] | None:
@@ -264,20 +241,16 @@ def _receiver_columns(rows: list[tuple[bytes, ...]]) -> tuple[array, ...] | None
         return None
 
 
-def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, canonical_columns, parse_line,
-                fields) -> ParsedLog:
+def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, canonical_columns,
+                parse_line) -> ParsedLog:
     """Parse ``raw`` a block of lines at a time into columns of ``typecodes``.
 
     Each run of canonical lines becomes columns at once through
     ``canonical_columns``.  Any other line, or one with a value out of
-    range, goes alone through ``parse_line``, whose record's ``fields``
-    are the columns' values.
+    range, goes alone through ``parse_line``, whose record is one value
+    per column.
     """
     log = ParsedLog(tuple(map(array, typecodes)), [])
-
-    def extend(values) -> None:
-        for column, more in zip(log.columns, values):
-            column.extend(more)
 
     def parse_alone(raw_line: bytes, lineno: int) -> None:
         line = raw_line.rstrip(b"\r\n").decode("utf-8", errors="surrogateescape")
@@ -289,12 +262,14 @@ def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, cano
             # without its traceback, which would keep the parser's frames and their lines alive
             log.malformed.append((lineno, exc.with_traceback(None)))
         else:
-            extend([value] for value in fields(record))
+            for column, value in zip(log.columns, record):
+                column.append(value)
 
     def take(rows: list[tuple[bytes, ...]], lines: list[bytes], first: int) -> None:
         run = canonical_columns(rows)
         if run is not None:
-            extend(run)
+            for column, values in zip(log.columns, run):
+                column.extend(values)
         elif len(rows) == 1:
             parse_alone(lines[0], first)
         else:  # a value out of range: halve the run until its line is found
@@ -303,7 +278,7 @@ def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, cano
             take(rows[half:], lines[half:], first + half)
 
     items, first = iter(raw), 1
-    while block := list(islice(items, _BLOCK_LINES)):
+    while block := list(islice(items, model._BLOCK_LINES)):
         rows = lines_re.findall(b"".join(block))
         if len(rows) != len(block):  # an item of raw was not one newline-ended line: each goes alone
             rows = [(b"",)] * len(block)
@@ -320,14 +295,12 @@ def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, cano
 
 def parse_sender_file(raw: BinaryIO) -> ParsedLog:
     """Parse an SNDP log into serial, sent_at and bytes columns."""
-    return _parse_file(raw, _SENDER_LINES, "QdH", _sender_columns, parse_sender_line,
-                       attrgetter("serial", "timestamp", "packet_bytes"))
+    return _parse_file(raw, _SENDER_LINES, "QdH", _sender_columns, parse_sender_line)
 
 
 def parse_receiver_file(raw: BinaryIO) -> ParsedLog:
     """Parse an RCDP log into serial and delay columns."""
-    return _parse_file(raw, _RECEIVER_LINES, "Qd", _receiver_columns, parse_receiver_line,
-                       attrgetter("serial", "delay_s"))
+    return _parse_file(raw, _RECEIVER_LINES, "Qd", _receiver_columns, parse_receiver_line)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +329,15 @@ def match_sessions(sent: ParsedLog, received: ParsedLog) -> MatchResult:
     the surplus is counted.  Unmatched records are dropped and counted.
     Returned samples are sorted by send time, then serial.
     """
-    serial, sent_at, nbytes = sent.columns
+    serial = sent.columns[0]
     received_serial, delay = received.columns
     # each serial's index of first occurrence
     first_sent = dict(zip(reversed(serial), reversed(range(len(serial)))))
     first_received = dict(zip(reversed(received_serial), reversed(range(len(received_serial)))))
     rows = sorted(map(first_sent.__getitem__, first_sent.keys() & first_received.keys()))  # in sender-log order
     samples = Samples()
-    for column, source in zip(samples.columns(), (serial, sent_at, nbytes)):
-        column.extend(map(source.__getitem__, rows))
-    samples.delay.extend(map(delay.__getitem__, map(first_received.__getitem__, samples.serial)))
+    samples.serial, samples.sent_at, samples.bytes = (model.gather(column, rows) for column in sent.columns)
+    samples.delay = model.gather(delay, list(map(first_received.__getitem__, samples.serial)))
     if not all(starmap(le, pairwise(zip(samples.sent_at, samples.serial)))):  # a log in send order is not sorted
         samples = samples.take(samples.send_order())
 

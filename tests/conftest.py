@@ -6,7 +6,6 @@ import csv
 import dataclasses
 import io
 from array import array
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -89,11 +88,6 @@ def reference_sim_config(seed: int = 42, var_delay_rate: float | None = None, **
     return dataclasses.replace(cfg, path=dataclasses.replace(cfg.path, var_delay_rate=var_delay_rate))
 
 
-# The values a log's columns keep of each line record, in column order.
-SENDER_FIELDS = attrgetter("serial", "timestamp", "packet_bytes")
-RECEIVER_FIELDS = attrgetter("serial", "delay_s")
-
-
 def parsed_log(typecodes: str, rows) -> ParsedLog:
     """A ParsedLog with no malformed lines whose columns hold ``rows``."""
     columns = tuple(map(array, typecodes))
@@ -105,12 +99,12 @@ def parsed_log(typecodes: str, rows) -> ParsedLog:
 
 def sender_log(records) -> ParsedLog:
     """What ``parse_sender_file`` gives for the lines of these ``SenderRecord``s."""
-    return parsed_log("QdH", map(SENDER_FIELDS, records))
+    return parsed_log("QdH", records)
 
 
 def receiver_log(records) -> ParsedLog:
     """What ``parse_receiver_file`` gives for the lines of these ``ReceiverRecord``s."""
-    return parsed_log("Qd", map(RECEIVER_FIELDS, records))
+    return parsed_log("Qd", records)
 
 
 def log_rows(log: ParsedLog) -> list[tuple]:

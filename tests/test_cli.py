@@ -187,6 +187,34 @@ def test_estimate_human_output_shows_units(data_dir, capsys):
     assert "0.815 ms" in out
 
 
+@pytest.mark.parametrize(
+    "large_delays,sd_bps,relative_error",
+    [
+        # Python 3.10's statistics.stdev rounds a variance to a float: the
+        # first file's batch differences vary past float range, the second's
+        # bandwidths past it and its differences below normal range.  The
+        # figures are what 3.11 prints.
+        (("1e300", "1.0"), 5656.85424949238, 1.4142135623730951),
+        (("1e-304", "5.1e-305"), 5.43501682794366e307, 0.4589169838164349),
+    ],
+)
+def test_estimate_spread_of_extreme_accepted_delays(large_delays, sd_bps, relative_error, tmp_path, capsys):
+    path = tmp_path / "extreme.csv"
+    first, second = large_delays
+    path.write_text(
+        "direction,serial,sent_at,bytes,delay_s\n"
+        f"forward,1,0.0,100,0.0\nforward,2,0.0,1100,{first}\nforward,3,1.0,100,0.0\nforward,4,1.0,1100,{second}\n"
+    )
+    assert main(["estimate", str(path), "--batch-size", "1"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main(["estimate", str(path), "--batch-size", "1", "--json"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    est = json.loads(out)
+    assert err == ""
+    assert est["sd_bps"] == pytest.approx(sd_bps, rel=1e-12, abs=0)
+    assert est["relative_error"] == pytest.approx(relative_error, rel=1e-12, abs=0)
+
+
 def test_estimate_requires_both_size_flags(data_dir):
     with pytest.raises(SystemExit) as exc_info:
         main(["estimate", str(data_dir / "samples_mean815.csv"), "--w1", "100"])

@@ -49,6 +49,11 @@ def test_single_pair_rejects_non_positive_diff(small, large):
         estimate_pair(make_pair(small, large))
 
 
+def test_single_pair_refuses_a_difference_too_small_for_a_finite_bandwidth():
+    with pytest.raises(NonPositiveDelayDifference, match="too small for a finite bandwidth"):
+        estimate_pair(make_pair(0.0, 2.2250738585e-313))
+
+
 @given(st.floats(min_value=1e-6, max_value=1.0, allow_nan=False))
 def test_estimate_scales_inversely_with_delay_diff(diff_s):
     base = estimate_pair(make_pair(0.01, 0.01 + diff_s)).bits_per_second

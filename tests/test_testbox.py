@@ -18,8 +18,8 @@ from vpsband.errors import (
     MixedPacketSizes,
     NoPairsFound,
 )
-from vpsband import testbox
-from vpsband.model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize, Samples
+from vpsband import model, testbox
+from vpsband.model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize, Samples, read_samples_csv
 from vpsband.testbox import (
     ReceiverRecord,
     SenderRecord,
@@ -32,7 +32,7 @@ from vpsband.testbox import (
     parse_sender_line,
 )
 
-from conftest import RECEIVER_FIELDS, SENDER_FIELDS, examples, log_rows, receiver_log, sender_log
+from conftest import examples, log_rows, receiver_log, sender_log
 
 SENDER_LINE = "SNDP 9 1263374005 -h tt01.ripe.net -p 6000 -n 1024 -s 1353080538"
 RECEIVER_LINE = (
@@ -75,17 +75,12 @@ def sample(nbytes, delay_s, serial, sent_at):
 
 def test_parse_sender_golden_line():
     rec = parse_sender_line(SENDER_LINE)
-    assert rec == SenderRecord(
-        serial=1353080538,
-        host="tt01.ripe.net",
-        packet_bytes=1024,
-        timestamp=1263374005.0,
-    )
+    assert rec == SenderRecord(serial=1353080538, timestamp=1263374005.0, packet_bytes=1024)
 
 
 def test_sender_options_are_order_independent():
     rec = parse_sender_line("SNDP 9 77 -s 5 -n 100 -h a.example")
-    assert rec == SenderRecord(serial=5, host="a.example", packet_bytes=100, timestamp=77.0)
+    assert rec == SenderRecord(serial=5, timestamp=77.0, packet_bytes=100)
 
 
 def test_sender_unknown_options_are_carried_past():
@@ -141,12 +136,7 @@ def test_sender_offsets_count_utf8_bytes():
 
 def test_parse_receiver_golden_line():
     rec = parse_receiver_line(RECEIVER_LINE)
-    assert rec == ReceiverRecord(
-        serial=1353080554,
-        delay_s=0.009001,
-        src_addr=("89.186.245.200", 55730),
-        received_at=1263374005.779364,
-    )
+    assert rec == ReceiverRecord(serial=1353080554, delay_s=0.009001)
 
 
 @pytest.mark.parametrize(
@@ -213,10 +203,11 @@ def test_receiver_line_parsing_is_total(line):
     except MalformedLine as exc:
         assert 0 <= exc.offset <= len(line.encode("utf-8", errors="replace"))
     else:
+        tokens = [text for text, _ in testbox._tokenize(line)]  # the port and receive time are checked, not kept
         assert 0 <= rec.serial <= MAX_SERIAL
-        assert 0 <= rec.src_addr[1] <= MAX_PORT
+        assert 0 <= int(tokens[4]) <= MAX_PORT
         assert math.isfinite(rec.delay_s) and rec.delay_s >= 0
-        assert math.isfinite(rec.received_at)
+        assert math.isfinite(float(tokens[7]))
 
 
 @pytest.mark.parametrize(
@@ -231,7 +222,7 @@ def test_receiver_line_parsing_is_total(line):
 def test_numbers_at_their_bounds_still_parse(line, value):
     rec = parse_sender_line(line)
     assert value in (rec.serial, rec.timestamp)
-    assert log_rows(parse_sender_file(io.BytesIO(line.encode()))) == [SENDER_FIELDS(rec)]
+    assert log_rows(parse_sender_file(io.BytesIO(line.encode()))) == [rec]
 
 
 @given(st.binary(max_size=400))
@@ -265,11 +256,11 @@ def test_file_offsets_index_the_raw_line_bytes(line, offset):
 # the block parser against the line parsers
 # ---------------------------------------------------------------------------
 
-def reference_parse(blob, parse_line, fields):
+def reference_parse(blob, parse_line):
     """Every line through parse_line: what parse_*_file gave before its fast paths.
 
-    Returns each record's column values and (lineno, message, offset) of
-    each malformed line.
+    Returns each record, which is its column values, and (lineno,
+    message, offset) of each malformed line.
     """
     records, malformed = [], []
     for lineno, raw_line in enumerate(io.BytesIO(blob), start=1):
@@ -277,7 +268,7 @@ def reference_parse(blob, parse_line, fields):
         if not line.strip():
             continue
         try:
-            records.append(fields(parse_line(line)))
+            records.append(parse_line(line))
         except MalformedLine as exc:
             malformed.append((lineno, str(exc), exc.offset))
     return records, malformed
@@ -343,7 +334,7 @@ def receiver_lines(draw):
     return draw(laid_out(fields))
 
 
-PARSERS = ((parse_sender_file, parse_sender_line, SENDER_FIELDS), (parse_receiver_file, parse_receiver_line, RECEIVER_FIELDS))
+PARSERS = ((parse_sender_file, parse_sender_line), (parse_receiver_file, parse_receiver_line))
 
 
 @settings(max_examples=examples(300), deadline=None)
@@ -356,15 +347,15 @@ PARSERS = ((parse_sender_file, parse_sender_line, SENDER_FIELDS), (parse_receive
 @example([b"SNDP 9 77 -h a -p 6000 -n 65508 -s 5\n", b"SNDP 9 77 -h a -p 6000 -n 1 -s 18446744073709551616"], 1024)
 @example([b"SNDP 9 77 -h a -p 6000 -n 100 -s 5\n"] * 3 + [b"SNDP 9 77 -h a -p 6000 -n 0 -s 6\n"], 2)
 def test_file_parsing_matches_the_line_parsers(lines, block_lines):
-    with mock.patch.object(testbox, "_BLOCK_LINES", block_lines):
+    with mock.patch.object(model, "_BLOCK_LINES", block_lines):
         assert_file_parsing_matches_the_line_parsers(b"".join(lines))
 
 
 def assert_file_parsing_matches_the_line_parsers(blob):
-    for parse_file, parse_line, fields in PARSERS:
+    for parse_file, parse_line in PARSERS:
         parsed = parse_file(io.BytesIO(blob))
         malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
-        assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line, fields)
+        assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line)
 
 
 # One field of a canonical line swapped for a value at or past a bound
@@ -449,14 +440,14 @@ def test_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_li
     lines = [(SENDER_LINE if sender else RECEIVER_LINE).replace("13530805", str(10 + i)) for i in range(9)]
     lines[at] = bad
     blob = "\n".join(lines).encode()
-    parse_file, parse_line, fields = PARSERS[0 if sender else 1]
+    parse_file, parse_line = PARSERS[0 if sender else 1]
     name = parse_line.__name__
-    with mock.patch.object(testbox, "_BLOCK_LINES", block_lines), \
+    with mock.patch.object(model, "_BLOCK_LINES", block_lines), \
             mock.patch.object(testbox, name, wraps=parse_line) as line_parser:
         parsed = parse_file(io.BytesIO(blob))
     assert line_parser.call_args_list == [mock.call(bad)]
     malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
-    assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line, fields)
+    assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line)
     assert [lineno for lineno, _ in parsed.malformed] == [at + 1]
 
 
@@ -464,11 +455,25 @@ def test_items_that_are_not_whole_lines_parse_one_by_one():
     # an iterable of lines without their newlines, which joined would run together
     lines = [SENDER_LINE.replace("1353080538", str(i)).encode() for i in range(5)]
     lines[2] = b"SNDP 9"
-    with mock.patch.object(testbox, "_BLOCK_LINES", 4):
+    with mock.patch.object(model, "_BLOCK_LINES", 4):
         parsed = parse_sender_file(lines)
     blob = b"\n".join(lines)
     malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
-    assert (log_rows(parsed), malformed) == reference_parse(blob, parse_sender_line, SENDER_FIELDS)
+    assert (log_rows(parsed), malformed) == reference_parse(blob, parse_sender_line)
+
+
+@pytest.mark.parametrize("block_lines", [1, 4, 1024])
+def test_one_patch_sets_the_block_size_of_the_log_and_samples_readers(block_lines):
+    n = 10
+    log = b"".join(SENDER_LINE.replace("1353080538", str(i)).encode() + b"\n" for i in range(n))
+    csv_text = "direction,serial,sent_at,bytes,delay_s\n" + "".join(f"forward,{i},1.5,100,0.01\n" for i in range(n))
+    with mock.patch.object(model, "_BLOCK_LINES", block_lines), \
+            mock.patch.object(testbox, "_sender_columns", wraps=testbox._sender_columns) as log_runs, \
+            mock.patch.object(model, "_canonical_columns", wraps=model._canonical_columns) as csv_blocks:
+        assert parse_sender_file(io.BytesIO(log)).n_parsed == len(read_samples_csv(io.StringIO(csv_text))) == n
+    blocks = [min(block_lines, n - start) for start in range(0, n, block_lines)]
+    assert [len(rows) for (rows,), _ in log_runs.call_args_list] == blocks
+    assert [len(lines) for (lines,), _ in csv_blocks.call_args_list] == blocks
 
 
 def test_malformed_lines_hold_no_traceback_and_parsing_little_memory():
@@ -541,10 +546,10 @@ def test_bundled_logs_chain_to_a_delay_difference(data_dir):
 
 def test_match_counts_duplicate_sent():
     sent = sender_log([
-        SenderRecord(serial=1, host="a", packet_bytes=100, timestamp=10.0),
-        SenderRecord(serial=1, host="a", packet_bytes=100, timestamp=11.0),
+        SenderRecord(serial=1, timestamp=10.0, packet_bytes=100),
+        SenderRecord(serial=1, timestamp=11.0, packet_bytes=100),
     ])
-    received = receiver_log([ReceiverRecord(serial=1, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=10.5)])
+    received = receiver_log([ReceiverRecord(serial=1, delay_s=0.01)])
     result = match_sessions(sent, received)
     assert result.duplicate_sent == 1
     assert result.matched == 1
@@ -553,12 +558,12 @@ def test_match_counts_duplicate_sent():
 
 def test_match_sorts_samples_by_send_time():
     sent = sender_log([
-        SenderRecord(serial=2, host="a", packet_bytes=100, timestamp=20.0),
-        SenderRecord(serial=1, host="a", packet_bytes=100, timestamp=10.0),
+        SenderRecord(serial=2, timestamp=20.0, packet_bytes=100),
+        SenderRecord(serial=1, timestamp=10.0, packet_bytes=100),
     ])
     received = receiver_log([
-        ReceiverRecord(serial=2, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=20.5),
-        ReceiverRecord(serial=1, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=10.5),
+        ReceiverRecord(serial=2, delay_s=0.01),
+        ReceiverRecord(serial=1, delay_s=0.01),
     ])
     result = match_sessions(sent, received)
     assert [s.serial for s in result.samples] == [1, 2]
@@ -567,11 +572,8 @@ def test_match_sorts_samples_by_send_time():
 def test_match_breaks_send_time_ties_by_serial():
     # whole-second sender stamps: four probes share one sent_at, and the
     # receiver logs them in reverse
-    sent = sender_log([SenderRecord(serial=s, host="a", packet_bytes=100, timestamp=10.0) for s in (1, 2, 3, 4)])
-    received = receiver_log([
-        ReceiverRecord(serial=s, delay_s=0.01, src_addr=("1.2.3.4", 1), received_at=10.5)
-        for s in (4, 3, 2, 1)
-    ])
+    sent = sender_log([SenderRecord(serial=s, timestamp=10.0, packet_bytes=100) for s in (1, 2, 3, 4)])
+    received = receiver_log([ReceiverRecord(serial=s, delay_s=0.01) for s in (4, 3, 2, 1)])
     result = match_sessions(sent, received)
     assert [s.serial for s in result.samples] == [1, 2, 3, 4]
 
@@ -588,8 +590,8 @@ def test_match_sorts_only_samples_out_of_send_order(order, sorts, monkeypatch):
     sorted_by = []
     send_order = Samples.send_order
     monkeypatch.setattr(Samples, "send_order", lambda samples: sorted_by.append(len(samples)) or send_order(samples))
-    sent = sender_log([SenderRecord(serial=s, host="a", packet_bytes=100, timestamp=10.0 + s // 2) for s in order])
-    received = receiver_log([ReceiverRecord(s, 0.01 * s, ("1.2.3.4", 1), 11.0) for s in (5, 4, 3, 2, 1, 0)])
+    sent = sender_log([SenderRecord(serial=s, timestamp=10.0 + s // 2, packet_bytes=100) for s in order])
+    received = receiver_log([ReceiverRecord(s, 0.01 * s) for s in (5, 4, 3, 2, 1, 0)])
     result = match_sessions(sent, received)
     assert [(s.serial, s.delay.seconds) for s in result.samples] == [(s, 0.01 * s) for s in range(6)]
     assert sorted_by == ([6] if sorts else [])
