@@ -13,6 +13,7 @@ so the factor of 8 cannot be applied twice.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import re
@@ -393,65 +394,75 @@ def write_samples_csv(samples: Samples | Iterable[DelaySample], fp: TextIO) -> N
 
 
 # Canonical rows, as write_samples_csv writes them, with ASCII digits
-# only, read a block of lines at a time.  Integer parts of at most 308
-# digits keep every time and delay below 10**308, so finite.  A block
-# with a line that misses, or with a serial or size out of range, goes
-# with the rest of the file to the csv.reader route, the one source of
-# messages.  No pattern character matches a line break, so each line of
-# a block holds at most one row, and the block is canonical exactly when
-# there are as many rows as lines.
+# only, read a chunk of about _CHUNK_CHARS characters at a time, ended
+# at a line end.  Integer parts of at most 308 digits keep every time
+# and delay below 10**308, so finite.  A chunk that is not wholly such
+# rows, or that holds a serial or size out of range, goes from its first
+# line with the rest of the file to the csv.reader route, the one source
+# of messages.  A row holds four commas and no line break, and ends in
+# one "\n" unless it ends the chunk, so the chunk's fields, split at
+# commas and at each "\n", fall five to a row; float() strips the "\r"
+# left on a delay.
 _HEADER_LINE = re.compile(",".join(SAMPLE_CSV_FIELDS) + r"(?:\r?\n)?")
-_SAMPLE_ROWS = re.compile(
-    "^" + SAMPLE_DIRECTION
-    + r",([0-9]{1,20}),([0-9]{1,308}\.[0-9]{1,308}),([0-9]{1,5}),([0-9]{1,308}(?:\.[0-9]{1,308})?)\r?$",
-    re.ASCII | re.MULTILINE,
+_SAMPLE_ROW_TEXT = (
+    SAMPLE_DIRECTION
+    + r",[0-9]{1,20},[0-9]{1,308}\.[0-9]{1,308},[0-9]{1,5},[0-9]{1,308}(?:\.[0-9]{1,308})?\r?"
 )
-_BLOCK_LINES = 1024  # lines per block, here and in the log readers of testbox
+_SAMPLE_ROWS = re.compile(f"(?:{_SAMPLE_ROW_TEXT}\n)*(?:{_SAMPLE_ROW_TEXT})?", re.ASCII)
+_CHUNK_CHARS = 1 << 16  # characters per read of the samples CSV reader
+_BLOCK_LINES = 1024  # lines per block of the samples CSV writer and the log readers of testbox
 
 
-def run_columns(serials: Iterable, sent_at: Iterable, nbytes: Iterable) -> tuple[array, array, array] | None:
+def run_columns(serials: Sequence, sent_at: Sequence, nbytes: Sequence) -> tuple[array, array, array] | None:
     """The serial, sent_at and bytes columns of a run of canonical texts (``str``
     or ``bytes``), or None if a serial or size is out of range."""
-    try:  # past 2**64 - 1 or 65535 a column refuses the value
-        serials, nbytes = array("Q", map(int, serials)), array("H", map(int, nbytes))
+    sizes = {text: int(text) for text in set(nbytes)}  # a capture holds few distinct sizes
+    if not all(1 <= size <= MAX_UDP_PAYLOAD for size in sizes.values()):
+        return None
+    try:  # past 2**64 - 1 the column refuses the value
+        serials = array("Q", map(int, serials))
     except OverflowError:
         return None
-    if min(nbytes) < 1 or max(nbytes) > MAX_UDP_PAYLOAD:
-        return None
-    return serials, array("d", map(float, sent_at)), nbytes
+    return serials, array("d", map(float, sent_at)), array("H", map(sizes.__getitem__, nbytes))
 
 
-def _canonical_columns(block: list[str]) -> tuple[array, array, array, array] | None:
-    """The serial, sent_at, bytes and delay columns of ``block``'s lines, or None
+def _canonical_columns(chunk: str) -> tuple[array, array, array, array] | None:
+    """The serial, sent_at, bytes and delay columns of ``chunk``'s lines, or None
     if a line is not a canonical row or holds a serial or size out of range."""
-    rows = _SAMPLE_ROWS.findall("".join(block))
-    if len(rows) != len(block):
+    if not _SAMPLE_ROWS.fullmatch(chunk):
         return None
-    serials, sent_at, nbytes, delays = zip(*rows)
-    columns = run_columns(serials, sent_at, nbytes)
-    return None if columns is None else (*columns, array("d", map(float, delays)))
+    fields = chunk.replace("\n", ",").split(",")
+    columns = run_columns(fields[1::5], fields[2::5], fields[3::5])
+    return None if columns is None else (*columns, array("d", map(float, fields[4::5])))
 
 
 def read_samples_csv(fp: TextIO) -> Samples:
     """Read samples written by :func:`write_samples_csv`.
 
+    ``fp`` is a text stream opened with ``newline=""``, as for ``csv.reader``,
+    or one whose lines end at ``"\n"`` only.
     Raises ValueError with the offending line number on a bad header or row.
     """
     samples = Samples()
-    lines = iter(fp)
-    header = next(lines, None)
-    if header is None or not _HEADER_LINE.fullmatch(header):
-        _read_csv_rows(itertools.chain(() if header is None else (header,), lines), 1, samples)
+    header = fp.readline()
+    if not _HEADER_LINE.fullmatch(header):
+        _read_csv_rows(itertools.chain((header,) if header else (), fp), 1, samples)
         return samples
     lineno = 2
-    while block := list(itertools.islice(lines, _BLOCK_LINES)):
-        columns = _canonical_columns(block)
+    while chunk := fp.read(_CHUNK_CHARS):
+        if not chunk.endswith("\n"):
+            chunk += fp.readline()  # the rest of the line the read cut
+        columns = _canonical_columns(chunk)
         if columns is None:
-            _read_csv_rows(itertools.chain(block, lines), lineno, samples)
+            # the chunk's lines as iterating fp gives them: a stream that reads
+            # universal newlines, the one kind that also ends a line at a lone
+            # "\r", has set fp.newlines by the time it has read one
+            lines = io.StringIO(chunk, newline="" if fp.newlines else "\n")
+            _read_csv_rows(itertools.chain(lines, fp), lineno, samples)
             break
         for column, values in zip(samples.columns(), columns):
             column.extend(values)
-        lineno += len(block)
+        lineno += len(columns[0])
     return samples
 
 

@@ -42,7 +42,7 @@ from vpsband.testbox import ReceiverRecord, SenderRecord, match_sessions, pair_b
 
 import object_pipeline
 from conftest import examples, receiver_log, reference_sim_config, sender_log
-from test_model import HEADER, HEADERS, read_outcome, sample_lines
+from test_model import CHUNK_CHARS, HEADER, HEADERS, chunk_edges, read_outcome, sample_lines
 
 W1, W2 = PacketSize(100), PacketSize(1100)
 
@@ -159,15 +159,17 @@ def test_gather_matches_indexing_item_by_item(column, positions):
 @given(
     HEADERS,
     st.lists(st.one_of(sample_lines(), st.sampled_from([b"\r\n", b"\n", b'"\n"\r\n'])), max_size=12),
-    st.integers(1, 4),
+    CHUNK_CHARS,
 )
-@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n"] * 3 + [b"forward,2,0.5,0,0.0098\r\n"], 2)
-@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n"] * 3 + [b"forward,18446744073709551616,0.5,1,0\r\n"], 3)
-@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n"] * 2 + [b"forward,2,0.5,70000,0\r\n"], 1)
-@example(HEADER + b"\n", [b"forward,1,0.5,100,0.009\r", b"forward,2,0.5,100,0.009\n", b"\n"], 2)
-def test_read_samples_csv_matches_the_object_reader(header, lines, block_lines):
+@chunk_edges
+# rows of 25 characters, one to three to a chunk, then one out of range
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n"] * 3 + [b"forward,2,0.5,0,0.0098\r\n"], 50)
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n"] * 3 + [b"forward,18446744073709551616,0.5,1,0\r\n"], 75)
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n"] * 2 + [b"forward,2,0.5,70000,0\r\n"], 25)
+@example(HEADER + b"\n", [b"forward,1,0.5,100,0.009\r", b"forward,2,0.5,100,0.009\n", b"\n"], 48)
+def test_read_samples_csv_matches_the_object_reader(header, lines, chunk_chars):
     blob = header + b"".join(lines)
-    with mock.patch.object(model, "_BLOCK_LINES", block_lines):
+    with mock.patch.object(model, "_CHUNK_CHARS", chunk_chars):
         got = read_outcome(read_samples_csv, blob)
     assert got == read_outcome(object_pipeline.read_samples_csv, blob)
 
@@ -325,6 +327,21 @@ def test_read_holds_at_most_40_bytes_per_sample():
     finally:
         tracemalloc.stop()
     assert held / len(samples) <= 40
+
+
+def test_read_from_a_file_peaks_at_most_2_mb_above_its_columns(tmp_path):
+    # A chunk at a time: reading the whole 5 MB file at once would show here.
+    path = tmp_path / "samples.csv"
+    path.write_text(csv_text(100_000), encoding="utf-8")
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
+        tracemalloc.start()
+        try:
+            samples = read_samples_csv(fp)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(samples) > 85_000
+    assert peak - held <= 2 * 2**20
 
 
 def test_estimate_time_per_sample_does_not_grow_with_length():

@@ -333,17 +333,53 @@ HEADERS = st.sampled_from(
 )
 
 
+# Characters per read: from one, where every line is cut, to the default
+CHUNK_CHARS = st.one_of(st.integers(1, 64), st.just(model._CHUNK_CHARS))
+ROW = b"forward,1,0.5,100,0.009"  # 23 characters
+CHUNK_EDGES = [
+    # a canonical row cut by a chunk edge, then a malformed row
+    (HEADER + b"\r\n", [ROW + b"\r\n", b"forward,2,0.5,1100,x\r\n"], 10),
+    # a row longer than a chunk
+    (HEADER + b"\r\n", [ROW + b"\r\n", b"forward,2,0.5,1100," + b"9" * 100 + b".5\r\n", ROW + b"\r\n"], 64),
+    # "\r\n" split by a chunk edge, on the fast path and on the csv.reader route
+    (HEADER + b"\r\n", [ROW + b"\r\n", ROW + b"\r\n", b"forward,3,0.5,1100,x\r\n"], 24),
+    (HEADER + b"\r\n", [b"forward,1,0.5,100,x\r\n", ROW + b"\r\n"], 20),
+    # a lone "\r" ending the file, or ending a chunk before a malformed row
+    (HEADER + b"\r\n", [ROW + b"\r\n", ROW + b"\r"], 3),
+    (HEADER + b"\r\n", [ROW + b"\r", b"x\r\n"], 3),
+    # a header with no rows
+    (HEADER + b"\r\n", [], model._CHUNK_CHARS),
+]
+
+
+def chunk_edges(test):
+    """``test(header, lines, chunk_chars)`` with each of ``CHUNK_EDGES`` as an example."""
+    for case in CHUNK_EDGES:
+        test = example(*case)(test)
+    return test
+
+
 @settings(max_examples=examples(300), deadline=None)
-@given(HEADERS, st.lists(st.one_of(sample_lines(), st.sampled_from([b"\r\n", b"\n", b'"\n"\r\n'])), max_size=8))
-@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100,0.0098"])
-@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b'forward,2,0.5,"11\n00",0.0098\r\n', b"x,\"\r\n"])
-@example(HEADER + b"\n", [b"forward,1,0.5,100,0.009\n", b"\n", b"forward,18446744073709551616,0.5,100,0.009\n"])
-@example(HEADER + b"\r\n", [b"forward,1,0.5,65508,0.009\r\n"])
-@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100," + b"9" * 200_000])  # csv.Error
-@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r", b"forward,2,0.5,1100,0.0098\r"])
-def test_read_samples_csv_matches_the_csv_reader(header, lines):
+@given(
+    HEADERS,
+    st.lists(st.one_of(sample_lines(), st.sampled_from([b"\r\n", b"\n", b'"\n"\r\n'])), max_size=8),
+    CHUNK_CHARS,
+)
+@chunk_edges
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100,0.0098"], model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b'forward,2,0.5,"11\n00",0.0098\r\n', b"x,\"\r\n"],
+         model._CHUNK_CHARS)
+@example(HEADER + b"\n", [b"forward,1,0.5,100,0.009\n", b"\n", b"forward,18446744073709551616,0.5,100,0.009\n"],
+         model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [b"forward,1,0.5,65508,0.009\r\n"], model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100," + b"9" * 200_000],  # csv.Error
+         model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r", b"forward,2,0.5,1100,0.0098\r"], model._CHUNK_CHARS)
+def test_read_samples_csv_matches_the_csv_reader(header, lines, chunk_chars):
     blob = header + b"".join(lines)
-    assert read_outcome(read_samples_csv, blob) == read_outcome(csv_only_read, blob)
+    with mock.patch.object(model, "_CHUNK_CHARS", chunk_chars):
+        got = read_outcome(read_samples_csv, blob)
+    assert got == read_outcome(csv_only_read, blob)
 
 
 def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path):
@@ -353,14 +389,19 @@ def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path):
         DelaySample(PacketSize(MAX_UDP_PAYLOAD), Delay(1e300), serial=MAX_SERIAL, sent_at=1e300),
         DelaySample(PacketSize(1100), Delay(12.5), serial=7, sent_at=0.1),
     ]
+    samples *= 300  # about 230 kB, so several chunks
     expected = [row_round_trip(s) for s in samples]
     path = tmp_path / "samples.csv"
     with open(path, "w", encoding="utf-8", newline="") as fp:
         write_samples_csv(samples, fp)
+    assert path.stat().st_size > 3 * model._CHUNK_CHARS
 
     def refuse(row):
         raise AssertionError(f"canonical row {row!r} took the csv.reader route")
 
     monkeypatch.setattr(model, "sample_from_row", refuse)
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
-        assert list(read_samples_csv(fp)) == expected
+    written = path.read_bytes()
+    for end in [b"\r\n", b"\r", b""]:  # as written, or the last row ended by a lone "\r" or by nothing
+        path.write_bytes(written.removesuffix(b"\r\n") + end)
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
+            assert list(read_samples_csv(fp)) == expected

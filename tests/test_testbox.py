@@ -462,18 +462,23 @@ def test_items_that_are_not_whole_lines_parse_one_by_one():
     assert (log_rows(parsed), malformed) == reference_parse(blob, parse_sender_line)
 
 
-@pytest.mark.parametrize("block_lines", [1, 4, 1024])
-def test_one_patch_sets_the_block_size_of_the_log_and_samples_readers(block_lines):
+@pytest.mark.parametrize("block_lines, chunk_chars", [(1, 1), (4, 24), (4, 46), (1024, model._CHUNK_CHARS)])
+def test_log_readers_take_blocks_of_lines_and_the_samples_reader_chunks_cut_at_line_ends(block_lines, chunk_chars):
     n = 10
     log = b"".join(SENDER_LINE.replace("1353080538", str(i)).encode() + b"\n" for i in range(n))
-    csv_text = "direction,serial,sent_at,bytes,delay_s\n" + "".join(f"forward,{i},1.5,100,0.01\n" for i in range(n))
-    with mock.patch.object(model, "_BLOCK_LINES", block_lines), \
+    csv_rows = [f"forward,{i},1.5,100,0.01\n" for i in range(n)]  # 23 characters each
+    csv_text = "direction,serial,sent_at,bytes,delay_s\n" + "".join(csv_rows)
+    with mock.patch.object(model, "_BLOCK_LINES", block_lines), mock.patch.object(model, "_CHUNK_CHARS", chunk_chars), \
             mock.patch.object(testbox, "_sender_columns", wraps=testbox._sender_columns) as log_runs, \
-            mock.patch.object(model, "_canonical_columns", wraps=model._canonical_columns) as csv_blocks:
+            mock.patch.object(model, "_canonical_columns", wraps=model._canonical_columns) as csv_chunks:
         assert parse_sender_file(io.BytesIO(log)).n_parsed == len(read_samples_csv(io.StringIO(csv_text))) == n
     blocks = [min(block_lines, n - start) for start in range(0, n, block_lines)]
     assert [len(rows) for (rows,), _ in log_runs.call_args_list] == blocks
-    assert [len(lines) for (lines,), _ in csv_blocks.call_args_list] == blocks
+    # each chunk is a read of chunk_chars characters and the rest of the row it cut
+    chunks = [chunk for (chunk,), _ in csv_chunks.call_args_list]
+    assert "".join(chunks) == "".join(csv_rows)
+    per_chunk = -(-chunk_chars // len(csv_rows[0]))
+    assert [chunk.count("\n") for chunk in chunks] == [min(per_chunk, n - start) for start in range(0, n, per_chunk)]
 
 
 def test_malformed_lines_hold_no_traceback_and_parsing_little_memory():
