@@ -3,9 +3,9 @@
 
 Normally the reflector runs on the far host (`vpsband reflect` there,
 `vpsband probe` here).  For a self-contained demo we start one in a
-background thread and probe 127.0.0.1 — which also shows why the
-result carries a caveat: on loopback the scheduler jitter dwarfs the
-size-dependent delay, so don't read the Mbit/s figure too literally.
+background thread and probe 127.0.0.1.  On loopback the scheduler
+jitter dwarfs the size-dependent delay, so don't read the Mbit/s
+figure too literally.
 """
 
 from vpsband.errors import NonPositiveDelayDifference

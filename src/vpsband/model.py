@@ -171,13 +171,8 @@ class Samples:
         return out
 
     def append(self, serial: int, sent_at: float, nbytes: int, delay_s: float) -> None:
-        """Add one sample, with the checks and messages of
-        ``DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)``."""
-        if not (
-            type(nbytes) is int and 1 <= nbytes <= MAX_UDP_PAYLOAD and 0 <= delay_s < math.inf
-            and 0 <= serial <= MAX_SERIAL and -math.inf < sent_at < math.inf
-        ):
-            DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)  # raises its own ValueError
+        """Add one sample, checked by building its ``DelaySample`` view."""
+        DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)
         self.serial.append(serial)  # first: the one column that refuses a value the checks let through
         self.sent_at.append(sent_at)
         self.bytes.append(nbytes)

@@ -6,9 +6,10 @@ probe size.  The reflector echoes datagrams byte-for-byte; echoes are
 matched to probes by serial alone and timed entirely by this host's
 monotonic clock, so the reflector needs no synchronized time.
 
-Delays measured this way are round trips.  Size-difference estimation
-cancels the reverse path only if it is symmetric and uncongested;
-results carry a caveat saying so.
+Delays measured this way are round trips, and each echo is as large as
+its probe, so both directions serialise the size difference: on a
+symmetric, uncongested path the estimate is half the one-way figure,
+and results carry a caveat saying so.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ RECV_POLL_S = 0.05
 MAX_WAIT_S = 1.0  # longest select wait in probe: select rejects timeouts past ~292 years
 
 RTT_CAVEAT = (
-    "delays are round trips timed by the sender's monotonic clock; the "
-    "estimate attributes the size effect to the forward path, which holds "
-    "only if the reverse path is symmetric and uncongested"
+    "delays are round trips timed by the sender's monotonic clock, and each "
+    "echo is as large as its probe, so the size effect is serialised both "
+    "ways: on a symmetric, uncongested path the estimate is half the one-way figure"
 )
 
 

@@ -200,8 +200,9 @@ class ParsedLog:
 # Canonical lines, matched on the raw bytes: printable-ASCII fields split
 # by spaces or tabs.  Integer parts of at most 308 digits keep every time
 # and delay below 10**308, so finite; serials, sizes and ports are
-# range-checked after the match.  A line that misses, or fails a check,
-# goes to parse_*_line, the one source of MalformedLine texts and offsets.
+# range-checked a run at a time after the match.  A line that misses, and
+# each line of a run that fails a check, goes to parse_*_line, the one
+# source of MalformedLine texts and offsets.
 # Only the newline that ends each alternative matches a line break, so a
 # block of lines gives one match per line: a canonical line's values, or
 # empty groups for any other line.
@@ -246,8 +247,8 @@ def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, cano
     """Parse ``raw`` a block of lines at a time into columns of ``typecodes``.
 
     Each run of canonical lines becomes columns at once through
-    ``canonical_columns``.  Any other line, or one with a value out of
-    range, goes alone through ``parse_line``, whose record is one value
+    ``canonical_columns``.  Any other line, and each line of a run it
+    refuses, goes alone through ``parse_line``, whose record is one value
     per column.
     """
     log = ParsedLog(tuple(map(array, typecodes)), [])
@@ -265,18 +266,6 @@ def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, cano
             for column, value in zip(log.columns, record):
                 column.append(value)
 
-    def take(rows: list[tuple[bytes, ...]], lines: list[bytes], first: int) -> None:
-        run = canonical_columns(rows)
-        if run is not None:
-            for column, values in zip(log.columns, run):
-                column.extend(values)
-        elif len(rows) == 1:
-            parse_alone(lines[0], first)
-        else:  # a value out of range: halve the run until its line is found
-            half = len(rows) // 2
-            take(rows[:half], lines[:half], first)
-            take(rows[half:], lines[half:], first + half)
-
     items, first = iter(raw), 1
     while block := list(islice(items, model._BLOCK_LINES)):
         rows = lines_re.findall(b"".join(block))
@@ -285,7 +274,13 @@ def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, cano
         start = 0
         for end in [i for i, row in enumerate(rows) if not row[0]] + [len(block)]:
             if start < end:
-                take(rows[start:end], block[start:end], first + start)
+                run = canonical_columns(rows[start:end])
+                if run is None:  # a value out of range: every line of the run goes alone
+                    for i in range(start, end):
+                        parse_alone(block[i], first + i)
+                else:
+                    for column, values in zip(log.columns, run):
+                        column.extend(values)
             if end < len(block):
                 parse_alone(block[end], first + end)
             start = end + 1

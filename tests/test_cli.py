@@ -14,14 +14,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import vpsband
+from vpsband import prober
 from vpsband.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from vpsband.errors import InvalidQuery
-from vpsband.model import MAX_SERIAL, MAX_UDP_PAYLOAD, read_samples_csv
+from vpsband.model import MAX_SERIAL, MAX_UDP_PAYLOAD, Pairs, read_samples_csv
 from vpsband.planner import REFERENCE_ROWS, REFERENCE_TARGET_ERROR, PlanQuery, PlanResult, required_measurements
-from vpsband.prober import ProbeConfig, Reflector, probe
+from vpsband.prober import ProbeConfig, ProbeResult, Reflector, probe
 from vpsband.testbox import match_sessions, parse_receiver_file, parse_sender_file
 
-from conftest import DATA_DIR, csv_module_text
+from conftest import DATA_DIR, csv_module_text, make_pair
 
 SIM_CONFIG = """\
 capacity_bps = 10e6
@@ -411,6 +412,13 @@ def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new, fl
     assert not out_dir.exists()
 
 
+def test_simulate_config_without_pairs_exits_domain(tmp_path, capsys):
+    config = write_config(tmp_path, SIM_CONFIG.replace("n_pairs = 60", "n_pairs = 0"))
+    assert main(["simulate", config, "--out-dir", str(tmp_path / "out")]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "vpsband: bad config: n_pairs must be >= 1, got 0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_missing_config_exits_io(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.conf"), "--out-dir", str(tmp_path)]) == EXIT_IO
     assert capsys.readouterr() == ("", no_such_file(tmp_path / "nope.conf"))
@@ -500,6 +508,25 @@ def test_probe_cli_loopback_with_csv(tmp_path, capsys):
     with open(out, newline="") as fp:
         samples = read_samples_csv(fp)
     assert len(samples) == 2 * summary["pairs"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_probe_cli_without_an_estimate_warns_and_still_writes_the_samples(tmp_path, capsys, monkeypatch, flags):
+    # the large packets came back faster than the small ones
+    pairs = Pairs.of([make_pair(0.002, 0.001, serial_base=2 * i, sent_at=float(i)) for i in range(3)])
+    result = ProbeResult(pairs=pairs, sent=6, received=6, lost_pairs=0, unknown_serials=0)
+    monkeypatch.setattr(prober, "probe", lambda cfg: result)
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--target", "127.0.0.1:9", "--out", str(out), *flags]) == EXIT_OK
+    stdout, err = capsys.readouterr()
+    assert err.startswith("vpsband: warning: no estimate from this run: batch 0: ") and err.count("\n") == 1
+    if flags:
+        assert json.loads(stdout)["estimate"] is None
+    else:
+        assert "bandwidth" not in stdout
+        assert stdout.startswith("sent 6, received 6, 3 pairs (0 lost, 0 unknown serials)\nnote: ")
+    with open(out, newline="") as fp:
+        assert list(read_samples_csv(fp)) == list(pairs.samples)
 
 
 def test_probe_cli_silent_target_exits_domain(capsys):
@@ -758,6 +785,13 @@ def test_usage_errors_exit_64(argv):
         (["probe", "--target", "127.0.0.1:6000", "--w1", "8"], "w1 must fit the 16-byte probe header"),
         (["probe", "--target", "127.0.0.1:6000", "--w1", "0"],
          "packet size must be in [1, 65507] bytes, got 0"),
+        (["estimate", SAMPLES_CSV, "--batch-size", "x"],
+         "argument --batch-size: batch size must be an integer or 'auto', got 'x'"),
+        (["simulate", "unused.conf", "--out-dir", "unused", "--seed", "x"],
+         "argument --seed: expected an integer, got 'x'"),
+        (["estimate", SAMPLES_CSV, "--window", "x"], "argument --window: expected a number, got 'x'"),
+        (["plan", "--var-rate", "1", "--diff", "1", "--eta", "x"], "argument --eta: expected a number, got 'x'"),
+        (["probe", "--target", "127.0.0.1:x"], "argument --target: port must be an integer, got 'x'"),
     ],
 )
 def test_usage_error_of_a_command_shows_that_commands_usage(argv, message, capsys):

@@ -116,6 +116,25 @@ class TestBandwidthEstimate:
                 mean_delay_diff_s=8e-4,
             )
 
+    @pytest.mark.parametrize(
+        "n_pairs,sd_bps,message",
+        [
+            (0, None, "an estimate must use at least one pair"),
+            (10, -1.0, "sd_bps must be finite and >= 0, got -1.0"),
+            (10, float("nan"), "sd_bps must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_refuses_no_pairs_and_a_bad_spread(self, n_pairs, sd_bps, message):
+        with pytest.raises(ValueError) as refused:
+            BandwidthEstimate(
+                value=Bandwidth(1e6),
+                n_pairs=n_pairs,
+                sd_bps=sd_bps,
+                relative_error=None if sd_bps is None else 0.1,
+                mean_delay_diff_s=8e-4,
+            )
+        assert str(refused.value) == message
+
     def test_json_keys_and_mbps_rounding(self):
         est = BandwidthEstimate(
             value=Bandwidth(9_815_950.92),

@@ -249,6 +249,21 @@ def test_sim_config_rejects_a_path_without_a_positive_delay_difference():
         SimConfig(path=path, packet_sizes=(W1, W2), n_pairs=10, n_trials=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"packet_sizes": (W2, W1)}, "packet_sizes must increase, got 1100 >= 100"),
+        ({"packet_sizes": (W1, W1)}, "packet_sizes must increase, got 100 >= 100"),
+        ({"n_pairs": 0}, "n_pairs must be >= 1, got 0"),
+        ({"n_trials": 0}, "n_trials must be >= 1, got 0"),
+    ],
+)
+def test_sim_config_refuses_unordered_sizes_and_empty_counts(changes, message):
+    with pytest.raises(ValueError) as refused:
+        reference_sim_config(seed=0, **changes)
+    assert str(refused.value) == message
+
+
 def test_write_error_table_csv_round_trips_floats():
     cfg = reference_sim_config(seed=2, n_trials=200)
     points = error_vs_n(cfg, ns=(5, 10))

@@ -419,23 +419,22 @@ def test_canonical_lines_never_reach_the_line_parsers(monkeypatch):
         parse_sender_file(io.BytesIO(b"SNDP 9 77 -s 5 -n 100 -h a\n"))
 
 
-# Malformed lines canonical in shape but out of range, and one plainly malformed, per side.
-OFF_THE_FAST_PATH = [
+# Malformed lines canonical in shape but out of range; then those and one plainly malformed, per side.
+OUT_OF_RANGE_CANONICAL = [
     SENDER_LINE.replace("-n 1024", "-n 0"),
     SENDER_LINE.replace("-n 1024", "-n 65508"),
     SENDER_LINE.replace("1353080538", str(2**64)),
-    SENDER_LINE.replace("1263374005", "1263374005x"),
     RECEIVER_LINE.replace("55730", "65536"),
     RECEIVER_LINE.replace("1353080554", str(2**64)),
+]
+OFF_THE_FAST_PATH = OUT_OF_RANGE_CANONICAL + [
+    SENDER_LINE.replace("1263374005", "1263374005x"),
     RECEIVER_LINE.replace("0X2107 0X2107", "2107 0X2107"),
 ]
 
 
-@pytest.mark.parametrize("block_lines", [1, 4, 1024])
-@pytest.mark.parametrize("at", [0, 3, 4, 8])
-@pytest.mark.parametrize("bad", OFF_THE_FAST_PATH)
-def test_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_lines):
-    # nine lines, the bad one first, last, or just before or after a block edge
+def assert_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_lines):
+    # nine lines, the bad one at line `at`, parsed in blocks of `block_lines`
     sender = bad.startswith("SNDP")
     lines = [(SENDER_LINE if sender else RECEIVER_LINE).replace("13530805", str(10 + i)) for i in range(9)]
     lines[at] = bad
@@ -445,10 +444,30 @@ def test_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_li
     with mock.patch.object(model, "_BLOCK_LINES", block_lines), \
             mock.patch.object(testbox, name, wraps=parse_line) as line_parser:
         parsed = parse_file(io.BytesIO(blob))
-    assert line_parser.call_args_list == [mock.call(bad)]
+    if bad in OUT_OF_RANGE_CANONICAL:  # the fast path refuses the run, its block: each line goes alone
+        start = at - at % block_lines
+        assert line_parser.call_args_list == list(map(mock.call, lines[start:start + block_lines]))
+    else:
+        assert line_parser.call_args_list == [mock.call(bad)]
     malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
     assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line)
     assert [lineno for lineno, _ in parsed.malformed] == [at + 1]
+
+
+@pytest.mark.parametrize("block_lines", [1, 4, 1024])
+@pytest.mark.parametrize("at", [0, 3, 4, 8])
+@pytest.mark.parametrize("bad", OFF_THE_FAST_PATH)
+def test_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_lines):
+    # the bad line first, last, or just before or after a block edge
+    assert_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_lines)
+
+
+@pytest.mark.parametrize("bad", OFF_THE_FAST_PATH)
+@settings(max_examples=examples(30), deadline=None)
+@given(at=st.integers(0, 8), block_lines=st.integers(1, 1024))
+def test_only_the_line_off_the_fast_path_takes_the_line_parser_anywhere(bad, at, block_lines):
+    # the bad line anywhere, in blocks of any size
+    assert_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_lines)
 
 
 def test_items_that_are_not_whole_lines_parse_one_by_one():
