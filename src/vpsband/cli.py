@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import estimator, planner, prober, testbox
 from .errors import EmptyInput, InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
-from .model import MAX_PORT, PacketSize, Samples, read_samples_csv, write_samples_csv
+from .model import MAX_PORT, PacketSize, Samples, check_size_order, read_samples_csv, write_samples_csv
 
 if TYPE_CHECKING:
     from . import simulate
@@ -72,14 +72,19 @@ def _open_out(path: str):
     return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="")
 
 
+def _number(kind, text: str, message: str):
+    """``kind(text)``, or an argument error reading ``message`` when ``text`` does not convert."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _parse_host_port(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
-    try:
-        port_num = int(port)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"port must be an integer, got {port!r}") from None
+    port_num = _number(int, port, f"port must be an integer, got {port!r}")
     if not 0 <= port_num <= MAX_PORT:
         raise argparse.ArgumentTypeError(f"port must be in [0, {MAX_PORT}], got {port_num}")
     return host, port_num
@@ -88,30 +93,21 @@ def _parse_host_port(text: str) -> tuple[str, int]:
 def _parse_batch_size(text: str):
     if text == "auto":
         return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"batch size must be an integer or 'auto', got {text!r}") from None
+    value = _number(int, text, f"batch size must be an integer or 'auto', got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("batch size must be >= 1")
     return value
 
 
 def _parse_seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = _number(int, text, f"expected an integer, got {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
     return value
 
 
 def _parse_positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    value = _number(float, text, f"expected a number, got {text!r}")
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return value
@@ -121,10 +117,7 @@ def _parse_error_target(text: str) -> float:
     """Accept a fraction (0.244) or a percentage (24.4 or '24.4%')."""
     cleaned = text.strip()
     percent = cleaned.endswith("%")
-    try:
-        value = float(cleaned[:-1] if percent else cleaned)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    value = _number(float, cleaned[:-1] if percent else cleaned, f"expected a number, got {text!r}")
     if percent or value >= 1.0:
         value /= 100.0
     return value
@@ -179,10 +172,9 @@ def _flag_sizes(args) -> tuple[PacketSize, PacketSize] | None:
         return None
     try:
         w1, w2 = PacketSize(args.w1), PacketSize(args.w2)
+        check_size_order(w1, w2)
     except ValueError as exc:
         raise _usage_error(str(exc)) from None
-    if w1.bytes >= w2.bytes:
-        raise _usage_error(f"--w1 must be smaller than --w2, got {w1.bytes} >= {w2.bytes}")
     return w1, w2
 
 

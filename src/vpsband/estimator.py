@@ -29,7 +29,7 @@ from .errors import (
     NonPositiveDelayDifference,
     ZeroPrecision,
 )
-from .model import Bandwidth, BandwidthEstimate, PacketSize, Pairs, ProbePair, bytes_to_bits
+from .model import Bandwidth, BandwidthEstimate, PacketSize, Pairs, ProbePair, bytes_to_bits, check_size_order
 
 
 def estimate_pair(pair: ProbePair) -> Bandwidth:
@@ -158,10 +158,7 @@ def upper_measurable_bandwidth(
     drops below what the clock can resolve at the accepted relative
     error ``rel_error``.
     """
-    if w2.bytes <= w1.bytes:
-        raise ValueError(
-            f"w2 must exceed w1, got {w1.bytes} and {w2.bytes} bytes"
-        )
+    check_size_order(w1, w2)
     if not (math.isfinite(precision_s) and precision_s > 0):
         raise ZeroPrecision(f"precision must be finite and > 0 s, got {precision_s!r}")
     if not 0 < rel_error < 1:

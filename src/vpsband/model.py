@@ -55,6 +55,12 @@ class PacketSize:
             raise ValueError(f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {self.bytes}")
 
 
+def check_size_order(w1: PacketSize, w2: PacketSize) -> None:
+    """Refuse a size pair whose large probe is not larger: the one rule under 8*(w2 - w1)/diff."""
+    if w1.bytes >= w2.bytes:
+        raise ValueError(f"w1 must be smaller than w2, got {w1.bytes} >= {w2.bytes}")
+
+
 @dataclass(frozen=True, slots=True)
 class Delay:
     """One-way or round-trip delay in seconds."""
@@ -98,8 +104,8 @@ class DelaySample:
     sent_at: float  # seconds since the epoch
 
     def __post_init__(self):
-        if not 0 <= self.serial <= MAX_SERIAL:
-            raise ValueError(f"serial must fit an unsigned 64-bit integer, got {self.serial}")
+        if not isinstance(self.serial, int) or isinstance(self.serial, bool) or not 0 <= self.serial <= MAX_SERIAL:
+            raise ValueError(f"serial must fit an unsigned 64-bit integer, got {self.serial!r}")
         if not math.isfinite(self.sent_at):
             raise ValueError(f"sent_at must be finite, got {self.sent_at!r}")
 
@@ -112,15 +118,7 @@ class ProbePair:
     large: DelaySample
 
     def __post_init__(self):
-        if self.small.packet_size.bytes >= self.large.packet_size.bytes:
-            raise ValueError(
-                f"pair requires small < large packet size, got "
-                f"{self.small.packet_size.bytes} >= {self.large.packet_size.bytes}"
-            )
-
-    @property
-    def size_diff_bytes(self) -> int:
-        return self.large.packet_size.bytes - self.small.packet_size.bytes
+        check_size_order(self.small.packet_size, self.large.packet_size)
 
     @property
     def delay_diff_s(self) -> float:
@@ -173,7 +171,7 @@ class Samples:
     def append(self, serial: int, sent_at: float, nbytes: int, delay_s: float) -> None:
         """Add one sample, checked by building its ``DelaySample`` view."""
         DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)
-        self.serial.append(serial)  # first: the one column that refuses a value the checks let through
+        self.serial.append(serial)  # the view refused whatever a column would, so the four stay one length
         self.sent_at.append(sent_at)
         self.bytes.append(nbytes)
         self.delay.append(delay_s)

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BindFailure, ClockError, Unreachable
-from .model import MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, PacketSize, Pairs, Samples
+from .model import MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, PacketSize, Pairs, Samples, check_size_order
 from .planner import REFERENCE_SIZES
 
 HEADER = struct.Struct(">QQ")  # serial, monotonic send time in ns
@@ -55,8 +55,7 @@ class ProbeConfig:
             raise ValueError(f"port must be in [1, {MAX_PORT}], got {self.port}")
         if self.w1.bytes < MIN_PROBE_BYTES:
             raise ValueError(f"w1 must fit the {MIN_PROBE_BYTES}-byte probe header")
-        if self.w1.bytes >= self.w2.bytes:
-            raise ValueError(f"w1 must be smaller than w2, got {self.w1.bytes} >= {self.w2.bytes}")
+        check_size_order(self.w1, self.w2)
         if self.w2.bytes > MAX_UNFRAGMENTED_PAYLOAD:
             raise ValueError(
                 f"w2 must stay within one unfragmented packet "

@@ -29,6 +29,7 @@ from .model import (
     ascii_int,
     ascii_number,
     bytes_to_bits,
+    check_size_order,
 )
 from .planner import REFERENCE_CAPACITY_BPS, REFERENCE_ROWS, REFERENCE_SIZES, REFERENCE_VAR_DELAY_RATE
 
@@ -57,8 +58,7 @@ class SimConfig:
 
     def __post_init__(self):
         w1, w2 = self.packet_sizes
-        if w1.bytes >= w2.bytes:
-            raise ValueError(f"packet_sizes must increase, got {w1.bytes} >= {w2.bytes}")
+        check_size_order(w1, w2)
         if self.n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.n_trials < 1:

@@ -74,12 +74,13 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     undecodable byte, so offsets count the line's raw bytes; the tokens
     themselves come back as ``errors="replace"`` decoding gives them.
     """
-    if line.isascii():
-        return [(m.group(), m.start()) for m in _TOKEN_RE.finditer(line)]
-    return [
-        (_ESCAPED_RE.sub(_unescape, m.group()), len(line[: m.start()].encode("utf-8", errors="replace")))
-        for m in _TOKEN_RE.finditer(line)
-    ]
+    tokens, offset, last = [], 0, 0
+    for m in _TOKEN_RE.finditer(line):
+        # each character encodes on its own, so the offsets add up one stretch at a time
+        offset += len(line[last : m.start()].encode("utf-8", errors="replace"))
+        last = m.start()
+        tokens.append((_ESCAPED_RE.sub(_unescape, m.group()), offset))
+    return tokens
 
 
 def _fail(offset: int, why: str) -> MalformedLine:
@@ -370,8 +371,7 @@ def pair_by_size(
     small wins.  No sample is used twice.  Apart from the sort, time
     per sample does not grow with how many probes share the window.
     """
-    if w1.bytes >= w2.bytes:
-        raise ValueError(f"w1 must be smaller than w2, got {w1.bytes} >= {w2.bytes}")
+    model.check_size_order(w1, w2)
     if not (math.isfinite(window_s) and window_s > 0):
         raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
 

@@ -778,6 +778,9 @@ def test_usage_errors_exit_64(argv):
         (["parse", "s.log", "r.log", "--bogus", "--json"], "unrecognized arguments: --bogus"),
         (["plan", "--var-rate", "1", "--diff", "1", "--eta", "0.1", "--bogus"], "unrecognized arguments: --bogus"),
         (["estimate", SAMPLES_CSV, "--w1", "100"], "--w1 and --w2 must be given together"),  # found after parsing
+        (["estimate", SAMPLES_CSV, "--w1", "1100", "--w2", "100"], "w1 must be smaller than w2, got 1100 >= 100"),
+        (["probe", "--target", "127.0.0.1:6000", "--w1", "1100", "--w2", "100"],
+         "w1 must be smaller than w2, got 1100 >= 100"),  # the same mistake in the same words
         (["plan", "--var-rate", "1000", "--diff", "0.0008", "--eta", "-0.1"],
          "target_error must be in (0, 1), got -0.1"),
         (["plan", "--var-rate", "-5", "--diff", "0.0008", "--eta", "0.2"],

@@ -86,6 +86,8 @@ def test_samples_columns_and_views():
         (1, 0.0, 100, float("inf")),
         (-1, 0.0, 100, 0.01),
         (MAX_SERIAL + 1, 0.0, 100, 0.01),
+        (1.5, 0.0, 100, 0.01),  # a float the serial column refuses with TypeError
+        (True, 0.0, 100, 0.01),  # a bool the serial column stores as 1
         (1, float("nan"), 100, 0.01),
         (1, float("-inf"), 100, 0.01),
         (MAX_SERIAL + 1, float("nan"), 0, -1.0),  # every field bad: the size is named first
@@ -99,6 +101,12 @@ def test_samples_append_checks_as_the_value_types_do(serial, sent_at, nbytes, de
         samples.append(serial, sent_at, nbytes, delay_s)
     assert str(got.value) == str(expected.value)
     assert columns(samples) == []
+
+
+@pytest.mark.parametrize("serial", [1.5, True])
+def test_samples_of_refuses_a_serial_that_is_not_an_integer(serial):
+    with pytest.raises(ValueError, match=f"serial must fit an unsigned 64-bit integer, got {serial!r}"):
+        Samples.of(DelaySample(PacketSize(100), Delay(0.01), s, 0.0) for s in (1, serial))
 
 
 def test_pairs_of_probe_pairs_and_views():

@@ -1,5 +1,6 @@
 """Value-type validation and sample serialization round trips."""
 
+import argparse
 import csv
 import io
 from unittest import mock
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vpsband import model
+from vpsband import cli, estimator, model, prober, testbox
 from vpsband.model import (
     Bandwidth,
     BandwidthEstimate,
@@ -21,6 +22,7 @@ from vpsband.model import (
     PacketSize,
     PathModel,
     ProbePair,
+    Samples,
     bytes_to_bits,
     format_delay_s,
     read_samples_csv,
@@ -29,7 +31,7 @@ from vpsband.model import (
 )
 
 import object_pipeline
-from conftest import csv_module_text, examples, make_pair, sample_row
+from conftest import csv_module_text, examples, make_pair, reference_sim_config, sample_row
 
 
 def row_round_trip(sample: DelaySample) -> DelaySample:
@@ -85,13 +87,31 @@ class TestBandwidth:
 class TestProbePair:
     def test_diff_properties(self):
         pair = make_pair(0.009001, 0.009816)
-        assert pair.size_diff_bytes == 1000
         assert pair.delay_diff_s == pytest.approx(0.000815)
 
     def test_rejects_equal_or_inverted_sizes(self):
         sample = DelaySample(PacketSize(500), Delay(0.01), serial=1, sent_at=0.0)
-        with pytest.raises(ValueError, match="small < large"):
+        with pytest.raises(ValueError, match="w1 must be smaller than w2, got 500 >= 500"):
             ProbePair(small=sample, large=sample)
+
+
+SIZE_ORDER_CALLERS = {
+    "ProbePair": lambda w1, w2: ProbePair(DelaySample(w1, Delay(0.01), 1, 0.0), DelaySample(w2, Delay(0.02), 2, 0.0)),
+    "pair_by_size": lambda w1, w2: testbox.pair_by_size(Samples(), w1, w2),
+    "ProbeConfig": lambda w1, w2: prober.ProbeConfig("127.0.0.1", 6000, w1, w2),
+    "SimConfig": lambda w1, w2: reference_sim_config(seed=0, packet_sizes=(w1, w2)),
+    "upper_measurable_bandwidth": lambda w1, w2: estimator.upper_measurable_bandwidth(w1, w2, 1e-6, 0.1),
+    "estimate-flags": lambda w1, w2: cli._flag_sizes(argparse.Namespace(w1=w1.bytes, w2=w2.bytes)),
+}
+
+
+@pytest.mark.parametrize("sizes", [(1100, 100), (100, 100)], ids=["inverted", "equal"])
+@pytest.mark.parametrize("caller", SIZE_ORDER_CALLERS.values(), ids=SIZE_ORDER_CALLERS.keys())
+def test_every_caller_refuses_unordered_sizes_in_one_message(caller, sizes):
+    w1, w2 = map(PacketSize, sizes)
+    with pytest.raises((ValueError, argparse.ArgumentError)) as refused:
+        caller(w1, w2)
+    assert str(refused.value) == f"w1 must be smaller than w2, got {w1.bytes} >= {w2.bytes}"
 
 
 class TestPathModel:

@@ -252,8 +252,8 @@ def test_sim_config_rejects_a_path_without_a_positive_delay_difference():
 @pytest.mark.parametrize(
     "changes,message",
     [
-        ({"packet_sizes": (W2, W1)}, "packet_sizes must increase, got 1100 >= 100"),
-        ({"packet_sizes": (W1, W1)}, "packet_sizes must increase, got 100 >= 100"),
+        ({"packet_sizes": (W2, W1)}, "w1 must be smaller than w2, got 1100 >= 100"),
+        ({"packet_sizes": (W1, W1)}, "w1 must be smaller than w2, got 100 >= 100"),
         ({"n_pairs": 0}, "n_pairs must be >= 1, got 0"),
         ({"n_trials": 0}, "n_trials must be >= 1, got 0"),
     ],

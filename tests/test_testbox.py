@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import time
 import tracemalloc
 from bisect import bisect_left, bisect_right
@@ -250,6 +251,56 @@ def test_file_offsets_index_the_raw_line_bytes(line, offset):
     for ending in (b"", b"\n", b"\r\n"):
         [(_, exc)] = parse_sender_file(io.BytesIO(line + ending)).malformed
         assert exc.offset == offset
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against its prefix-encoding formula
+# ---------------------------------------------------------------------------
+
+LINE_CHARACTERS = st.one_of(
+    st.characters(codec="ascii"),
+    st.sampled_from("\t \u00a0\u0085\u3000"),  # whitespace, ASCII and not
+    st.characters(categories=["L"], min_codepoint=0x80),  # non-ASCII letters: 2, 3 and 4 bytes in UTF-8
+    st.sampled_from("\u00e9\u4e2d\U0001f600"),
+    st.integers(0xDC80, 0xDCFF).map(chr),  # undecodable bytes, as surrogateescape reads them
+    st.integers(0xD800, 0xDFFF).map(chr),  # any lone surrogate
+)
+
+
+def _replaced(token):
+    return re.sub(
+        "[\udc80-\udcff]+",
+        lambda m: m.group().encode("utf-8", errors="surrogateescape").decode("utf-8", errors="replace"),
+        token,
+    )
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.text(LINE_CHARACTERS, max_size=60))
+@example("SNDP \udcff x\u00a0-h h\u00e9llo \ud800 \U0001f600 -s 5")
+def test_tokenize_matches_the_prefix_encoding(line):
+    # each token's offset is the byte length of the line before it, encoded as the file reader counts bytes
+    expected = [
+        (_replaced(m.group()), len(line[: m.start()].encode("utf-8", errors="replace")))
+        for m in re.finditer(r"\S+", line)
+    ]
+    assert testbox._tokenize(line) == expected
+
+
+def test_a_long_line_with_an_undecodable_byte_parses_in_linear_time():
+    # Encoding the prefix before each token anew costs time in the square
+    # of the line's length: 16x for a line 4x longer.  Linear is 4x.
+    def best_s(n_tokens):
+        blob = b"SNDP \xff " + b"x " * n_tokens
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            [(_, exc)] = parse_sender_file(io.BytesIO(blob)).malformed
+            runs.append(time.perf_counter() - start)
+        assert exc.offset == 7  # the timestamp, after the 7 bytes "SNDP \xff "
+        return min(runs)
+
+    assert best_s(80_000) < 8 * best_s(20_000)
 
 
 # ---------------------------------------------------------------------------
