@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import estimator, planner, prober, testbox
+# what parse and estimate run; the other commands import the rest when they run, for a short start-up
+from . import estimator, testbox
 from .errors import EmptyInput, InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
 from .model import MAX_PORT, PacketSize, Samples, check_size_order, read_samples_csv, write_samples_csv
 
@@ -283,6 +283,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg, ns = simulate.load_config(args.config)
         if args.seed is not None:
+            import dataclasses
             cfg = dataclasses.replace(cfg, seed=args.seed)
         # the config fixes every draw, so a draw past float range is its fault too
         _, points, table_path = _write_simulation(cfg, ns, out_dir)
@@ -309,6 +310,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_plan(args) -> int:
+    from . import planner
     try:
         query = planner.PlanQuery(
             var_delay_rate=args.var_rate,
@@ -332,6 +334,7 @@ def cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_probe(args) -> int:
+    from . import prober
     host, port = args.target
     try:
         cfg = prober.ProbeConfig(
@@ -378,6 +381,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_reflect(args) -> int:
+    from . import prober
     host, port = args.listen
     reflector = prober.Reflector(host, port)
     addr = reflector.address
@@ -400,6 +404,7 @@ def cmd_reflect(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reproduce(args) -> int:
+    from . import planner
     simulate = _simulate_module()
     out_dir = Path(args.out_dir)
     cfg = simulate.reference_config(args.seed)
@@ -482,6 +487,8 @@ def _plan_options(p: _Parser) -> None:
 
 
 def _probe_options(p: _Parser) -> None:
+    import dataclasses
+    from . import prober
     probe_defaults = {f.name: f.default for f in dataclasses.fields(prober.ProbeConfig)}
     p.add_argument("--target", type=_parse_host_port, required=True, help="reflector host:port")
     p.add_argument("--w1", type=int, default=probe_defaults["w1"].bytes,

@@ -8,6 +8,11 @@ Unit conventions, used package-wide:
 
 Byte-to-bit conversion happens in exactly one place (``bytes_to_bits``)
 so the factor of 8 cannot be applied twice.
+
+The value types are not dataclasses but slotted classes on ``_Value``,
+which gives them what a frozen dataclass would: importing ``dataclasses``
+and compiling the methods it writes per class took half the time of
+``import vpsband.cli``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import math
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
@@ -38,21 +42,69 @@ def bytes_to_bits(n_bytes: float) -> float:
     return BITS_PER_BYTE * n_bytes
 
 
+_set = object.__setattr__  # how each value's __init__ sets its fields
+
+
+def _finite(x: float) -> bool:
+    """Whether ``x`` is a finite number: not a bool, nor an int past float range."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+class _Value:
+    """Base of the immutable value types; each subclass names the fields it adds in ``__slots__``.
+
+    Equality, hash and ``repr`` are over the fields, in order, as for a
+    frozen dataclass.  Assignment and deletion raise AttributeError, and
+    copies and pickles are made through ``__init__``, which checks them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the fields of every class in the line, base first, as a dataclass subclass inherits them
+        cls.__match_args__ = tuple(name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
 # ---------------------------------------------------------------------------
 # scalar wrappers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class PacketSize:
+class PacketSize(_Value):
     """Probe packet payload size in bytes."""
 
-    bytes: int
+    __slots__ = ("bytes",)
 
-    def __post_init__(self):
-        if not isinstance(self.bytes, int) or isinstance(self.bytes, bool):
-            raise ValueError(f"packet size must be an integer byte count, got {self.bytes!r}")
-        if not 1 <= self.bytes <= MAX_UDP_PAYLOAD:
-            raise ValueError(f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {self.bytes}")
+    def __init__(self, bytes: int):
+        if not isinstance(bytes, int) or isinstance(bytes, bool):
+            raise ValueError(f"packet size must be an integer byte count, got {bytes!r}")
+        if not 1 <= bytes <= MAX_UDP_PAYLOAD:
+            raise ValueError(f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {bytes}")
+        _set(self, "bytes", bytes)
 
 
 def check_size_order(w1: PacketSize, w2: PacketSize) -> None:
@@ -61,26 +113,26 @@ def check_size_order(w1: PacketSize, w2: PacketSize) -> None:
         raise ValueError(f"w1 must be smaller than w2, got {w1.bytes} >= {w2.bytes}")
 
 
-@dataclass(frozen=True, slots=True)
-class Delay:
+class Delay(_Value):
     """One-way or round-trip delay in seconds."""
 
-    seconds: float
+    __slots__ = ("seconds",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.seconds) or self.seconds < 0:
-            raise ValueError(f"delay must be finite and >= 0 s, got {self.seconds!r}")
+    def __init__(self, seconds: float):
+        if not _finite(seconds) or seconds < 0:
+            raise ValueError(f"delay must be finite and >= 0 s, got {seconds!r}")
+        _set(self, "seconds", seconds)
 
 
-@dataclass(frozen=True)
-class Bandwidth:
+class Bandwidth(_Value):
     """A bandwidth in bit/s."""
 
-    bits_per_second: float
+    __slots__ = ("bits_per_second",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.bits_per_second) or self.bits_per_second <= 0:
-            raise ValueError(f"bandwidth must be finite and > 0 bit/s, got {self.bits_per_second!r}")
+    def __init__(self, bits_per_second: float):
+        if not math.isfinite(bits_per_second) or bits_per_second <= 0:
+            raise ValueError(f"bandwidth must be finite and > 0 bit/s, got {bits_per_second!r}")
+        _set(self, "bits_per_second", bits_per_second)
 
     @property
     def mbps(self) -> float:
@@ -94,31 +146,31 @@ class Bandwidth:
 # measurement records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class DelaySample:
-    """One delay measurement of one probe packet."""
+class DelaySample(_Value):
+    """One delay measurement of one probe packet; ``sent_at`` is in seconds since the epoch."""
 
-    packet_size: PacketSize
-    delay: Delay
-    serial: int
-    sent_at: float  # seconds since the epoch
+    __slots__ = ("packet_size", "delay", "serial", "sent_at")
 
-    def __post_init__(self):
-        if not isinstance(self.serial, int) or isinstance(self.serial, bool) or not 0 <= self.serial <= MAX_SERIAL:
-            raise ValueError(f"serial must fit an unsigned 64-bit integer, got {self.serial!r}")
-        if not math.isfinite(self.sent_at):
-            raise ValueError(f"sent_at must be finite, got {self.sent_at!r}")
+    def __init__(self, packet_size: PacketSize, delay: Delay, serial: int, sent_at: float):
+        if not isinstance(serial, int) or isinstance(serial, bool) or not 0 <= serial <= MAX_SERIAL:
+            raise ValueError(f"serial must fit an unsigned 64-bit integer, got {serial!r}")
+        if not _finite(sent_at):
+            raise ValueError(f"sent_at must be finite, got {sent_at!r}")
+        _set(self, "packet_size", packet_size)
+        _set(self, "delay", delay)
+        _set(self, "serial", serial)
+        _set(self, "sent_at", sent_at)
 
 
-@dataclass(frozen=True, slots=True)
-class ProbePair:
+class ProbePair(_Value):
     """A small-packet and a large-packet sample measured close in time."""
 
-    small: DelaySample
-    large: DelaySample
+    __slots__ = ("small", "large")
 
-    def __post_init__(self):
-        check_size_order(self.small.packet_size, self.large.packet_size)
+    def __init__(self, small: DelaySample, large: DelaySample):
+        check_size_order(small.packet_size, large.packet_size)
+        _set(self, "small", small)
+        _set(self, "large", large)
 
     @property
     def delay_diff_s(self) -> float:
@@ -240,38 +292,39 @@ class Pairs:
 # path description
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(_Value):
     """One link of a path: capacity plus its size-independent delay."""
 
-    capacity: Bandwidth
-    propagation_delay: Delay
+    __slots__ = ("capacity", "propagation_delay")
+
+    def __init__(self, capacity: Bandwidth, propagation_delay: Delay):
+        _set(self, "capacity", capacity)
+        _set(self, "propagation_delay", propagation_delay)
 
 
-@dataclass(frozen=True)
-class PathModel:
+class PathModel(_Value):
     """Multi-hop path with exponentially distributed variable delay.
 
     ``var_delay_rate`` is the rate (1/s) of the exponential queueing
     delay, i.e. the inverse of its mean.
     """
 
-    hops: tuple[Hop, ...]
-    var_delay_rate: float
+    __slots__ = ("hops", "var_delay_rate")
 
-    def __post_init__(self):
-        if len(self.hops) < 1:
+    def __init__(self, hops: tuple[Hop, ...], var_delay_rate: float):
+        if len(hops) < 1:
             raise ValueError("path needs at least one hop")
-        if not math.isfinite(self.var_delay_rate) or self.var_delay_rate <= 0:
-            raise ValueError(f"var_delay_rate must be > 0 per second, got {self.var_delay_rate!r}")
+        if not math.isfinite(var_delay_rate) or var_delay_rate <= 0:
+            raise ValueError(f"var_delay_rate must be > 0 per second, got {var_delay_rate!r}")
+        _set(self, "hops", hops)
+        _set(self, "var_delay_rate", var_delay_rate)
 
 
 # ---------------------------------------------------------------------------
 # estimation result
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BandwidthEstimate:
+class BandwidthEstimate(_Value):
     """Batched two-size bandwidth estimate with its spread.
 
     ``sd_bps`` and ``relative_error`` are absent when only one batch was
@@ -281,19 +334,21 @@ class BandwidthEstimate:
     error table.
     """
 
-    value: Bandwidth
-    n_pairs: int
-    sd_bps: float | None
-    relative_error: float | None
-    mean_delay_diff_s: float
+    __slots__ = ("value", "n_pairs", "sd_bps", "relative_error", "mean_delay_diff_s")
 
-    def __post_init__(self):
-        if self.n_pairs < 1:
+    def __init__(self, value: Bandwidth, n_pairs: int, sd_bps: float | None, relative_error: float | None,
+                 mean_delay_diff_s: float):
+        if n_pairs < 1:
             raise ValueError("an estimate must use at least one pair")
-        if self.sd_bps is not None and (not math.isfinite(self.sd_bps) or self.sd_bps < 0):
-            raise ValueError(f"sd_bps must be finite and >= 0, got {self.sd_bps!r}")
-        if (self.sd_bps is None) != (self.relative_error is None):
+        if sd_bps is not None and (not math.isfinite(sd_bps) or sd_bps < 0):
+            raise ValueError(f"sd_bps must be finite and >= 0, got {sd_bps!r}")
+        if (sd_bps is None) != (relative_error is None):
             raise ValueError("sd_bps and relative_error must be absent together")
+        _set(self, "value", value)
+        _set(self, "n_pairs", n_pairs)
+        _set(self, "sd_bps", sd_bps)
+        _set(self, "relative_error", relative_error)
+        _set(self, "mean_delay_diff_s", mean_delay_diff_s)
 
     def to_json_dict(self) -> dict:
         return {

@@ -31,7 +31,6 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice, pairwise, starmap
 from operator import le
 from typing import BinaryIO, Iterable, NamedTuple
@@ -176,8 +175,7 @@ def parse_receiver_line(line: str) -> ReceiverRecord:
 # file parsing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ParsedLog:
+class ParsedLog(NamedTuple):
     """The records of one log file as columns, plus the lines that failed.
 
     A sender log's columns are serial (``Q``), sent_at (``d``, the SNDP
@@ -303,8 +301,7 @@ def parse_receiver_file(raw: BinaryIO) -> ParsedLog:
 # joining and pairing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatchResult:
+class MatchResult(NamedTuple):
     """Delay samples joined on serial, with bookkeeping counters."""
 
     samples: Samples
@@ -347,8 +344,7 @@ def match_sessions(sent: ParsedLog, received: ParsedLog) -> MatchResult:
     )
 
 
-@dataclass
-class PairResult:
+class PairResult(NamedTuple):
     """Probe pairs formed from two size classes, with leftovers counted."""
 
     pairs: Pairs

@@ -11,7 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from vpsband.model import SAMPLE_CSV_FIELDS, SAMPLE_DIRECTION, Delay, DelaySample, PacketSize, ProbePair, format_delay_s
+from vpsband.model import (
+    SAMPLE_CSV_FIELDS,
+    SAMPLE_DIRECTION,
+    Delay,
+    DelaySample,
+    PacketSize,
+    PathModel,
+    ProbePair,
+    format_delay_s,
+)
 from vpsband.planner import REFERENCE_SIZES
 from vpsband.simulate import SimConfig, reference_config
 from vpsband.testbox import ParsedLog
@@ -85,7 +94,7 @@ def reference_sim_config(seed: int = 42, var_delay_rate: float | None = None, **
     cfg = dataclasses.replace(reference_config(seed), **counts)
     if var_delay_rate is None:
         return cfg
-    return dataclasses.replace(cfg, path=dataclasses.replace(cfg.path, var_delay_rate=var_delay_rate))
+    return dataclasses.replace(cfg, path=PathModel(cfg.path.hops, var_delay_rate))
 
 
 def parsed_log(typecodes: str, rows) -> ParsedLog:

@@ -91,6 +91,11 @@ def test_samples_columns_and_views():
         (1, float("nan"), 100, 0.01),
         (1, float("-inf"), 100, 0.01),
         (MAX_SERIAL + 1, float("nan"), 0, -1.0),  # every field bad: the size is named first
+        (1, 0.0, 100, True),  # bools the columns store as 1.0
+        (1, True, 100, 0.01),
+        pytest.param(1, 0.0, 100, 10**400, id="delay-10**400"),  # ints that math.isfinite refused with OverflowError
+        pytest.param(1, 10**400, 100, 0.01, id="sent_at-10**400"),
+        pytest.param(1, -(10**400), 100, 0.01, id="sent_at--10**400"),
     ],
 )
 def test_samples_append_checks_as_the_value_types_do(serial, sent_at, nbytes, delay_s):

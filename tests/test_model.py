@@ -71,6 +71,13 @@ class TestDelay:
     def test_zero_is_fine(self):
         assert Delay(0.0).seconds == 0.0
 
+    @pytest.mark.parametrize("bad", [True, False, 10**400, -(10**400)], ids=["True", "False", "10**400", "-10**400"])
+    def test_rejects_a_bool_and_an_int_past_float_range(self, bad):
+        with pytest.raises(ValueError, match=rf"^delay must be finite and >= 0 s, got {bad!r}$"):
+            Delay(bad)
+        with pytest.raises(ValueError, match=rf"^sent_at must be finite, got {bad!r}$"):
+            DelaySample(PacketSize(100), Delay(0.01), 1, bad)
+
 
 class TestBandwidth:
     def test_mbps_and_str(self):

@@ -1,9 +1,10 @@
 """Only the commands that draw import numpy; the rest start, and run, without it.
+``import vpsband.cli`` loads only what ``parse`` and ``estimate`` run.
 
 Each case runs in a fresh interpreter, since the test process itself has
-numpy loaded.  A case can block numpy there (``sys.modules["numpy"] =
-None``, which makes ``import numpy`` raise ``ModuleNotFoundError``) to
-stand for an install that lacks it.
+numpy, and every module of the package, loaded.  A case can block numpy
+there (``sys.modules["numpy"] = None``, which makes ``import numpy`` raise
+``ModuleNotFoundError``) to stand for an install that lacks it.
 """
 
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import vpsband
+from vpsband.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = REPO / "demos"
@@ -125,6 +127,42 @@ def test_simulate_imports_numpy(tmp_path):
     )
     assert returncode == 0, err
     assert numpy_imported
+
+
+# ---------------------------------------------------------------------------
+# importing the command line loads what parse and estimate run, no more
+# ---------------------------------------------------------------------------
+
+# what only other commands use: numpy for those that draw, sockets for probe and
+# reflect, dataclasses (with the inspect it loads) for the configs of simulate and probe
+NOT_AT_START = ["dataclasses", "inspect", "socket", "selectors", "vpsband.prober", "vpsband.planner",
+                "vpsband.simulate", "numpy"]
+
+
+def test_importing_the_cli_loads_none_of_what_only_other_commands_use():
+    code = "before = set(sys.modules)\nimport vpsband.cli\nprint(*set(sys.modules) - before)\n"
+    returncode, out, err, _ = run_fresh(code)
+    assert returncode == 0, err
+    added = out.split()
+    assert "vpsband.testbox" in added  # the control: the report sees the import
+    assert [name for name in NOT_AT_START if name in added] == []
+
+
+def test_plan_prints_the_reference_answer_in_a_fresh_interpreter():
+    returncode, out, err, _ = run_fresh(cli_code(PLAN))
+    assert (returncode, out, err) == (
+        0,
+        "average n = 50 measurements for a 24.4% relative error (analytic check: 53); within the reference table\n",
+        "",
+    )
+
+
+def test_probe_help_in_a_fresh_interpreter_matches_it_with_prober_loaded(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # read by argparse here and in the child
+    with pytest.raises(SystemExit) as loaded:
+        main(["probe", "--help"])
+    assert loaded.value.code == 0
+    assert run_fresh(cli_code(["probe", "--help"]))[:3] == (0, capsys.readouterr().out, "")
 
 
 # ---------------------------------------------------------------------------
