@@ -283,8 +283,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg, ns = simulate.load_config(args.config)
         if args.seed is not None:
-            import dataclasses
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = simulate.SimConfig(cfg.path, cfg.packet_sizes, cfg.n_pairs, cfg.n_trials, args.seed)
         # the config fixes every draw, so a draw past float range is its fault too
         _, points, table_path = _write_simulation(cfg, ns, out_dir)
     except ValueError as exc:
@@ -487,18 +486,14 @@ def _plan_options(p: _Parser) -> None:
 
 
 def _probe_options(p: _Parser) -> None:
-    import dataclasses
     from . import prober
-    probe_defaults = {f.name: f.default for f in dataclasses.fields(prober.ProbeConfig)}
+    defaults = prober.ProbeConfig("localhost", 1)
     p.add_argument("--target", type=_parse_host_port, required=True, help="reflector host:port")
-    p.add_argument("--w1", type=int, default=probe_defaults["w1"].bytes,
-                   help="small packet payload, bytes")
-    p.add_argument("--w2", type=int, default=probe_defaults["w2"].bytes,
-                   help="large packet payload, bytes")
-    p.add_argument("--count", type=int, default=probe_defaults["count"], help="number of probe pairs")
-    p.add_argument("--spacing", type=_parse_positive_float, default=probe_defaults["spacing_s"],
-                   help="seconds between sends")
-    p.add_argument("--timeout", type=_parse_positive_float, default=probe_defaults["timeout_s"],
+    p.add_argument("--w1", type=int, default=defaults.w1.bytes, help="small packet payload, bytes")
+    p.add_argument("--w2", type=int, default=defaults.w2.bytes, help="large packet payload, bytes")
+    p.add_argument("--count", type=int, default=defaults.count, help="number of probe pairs")
+    p.add_argument("--spacing", type=_parse_positive_float, default=defaults.spacing_s, help="seconds between sends")
+    p.add_argument("--timeout", type=_parse_positive_float, default=defaults.timeout_s,
                    help="seconds to wait for stragglers")
     p.add_argument("--out", help="write round-trip samples CSV here, - for stdout")
 

@@ -9,10 +9,12 @@ Unit conventions, used package-wide:
 Byte-to-bit conversion happens in exactly one place (``bytes_to_bits``)
 so the factor of 8 cannot be applied twice.
 
-The value types are not dataclasses but slotted classes on ``_Value``,
-which gives them what a frozen dataclass would: importing ``dataclasses``
-and compiling the methods it writes per class took half the time of
-``import vpsband.cli``.
+``_Value`` is the package's one way to declare a checked value: the
+value types here and the configs of ``planner``, ``simulate`` and
+``prober`` are slotted classes on it, which gives them what a frozen
+dataclass would.  Importing ``dataclasses`` and compiling the methods it
+writes per class took half the time of ``import vpsband.cli``.  Results
+that check nothing are named tuples.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ def bytes_to_bits(n_bytes: float) -> float:
     return BITS_PER_BYTE * n_bytes
 
 
-_set = object.__setattr__  # how each value's __init__ sets its fields
-
-
 def _finite(x: float) -> bool:
     """Whether ``x`` is a finite number: not a bool, nor an int past float range."""
     try:
@@ -66,6 +65,11 @@ class _Value:
     def __init_subclass__(cls):
         # the fields of every class in the line, base first, as a dataclass subclass inherits them
         cls.__match_args__ = tuple(name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ()))
+
+    def _assign(self, *values) -> None:
+        """Set the fields, in order, to ``values``: the last step of each ``__init__``."""
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -104,7 +108,7 @@ class PacketSize(_Value):
             raise ValueError(f"packet size must be an integer byte count, got {bytes!r}")
         if not 1 <= bytes <= MAX_UDP_PAYLOAD:
             raise ValueError(f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {bytes}")
-        _set(self, "bytes", bytes)
+        self._assign(bytes)
 
 
 def check_size_order(w1: PacketSize, w2: PacketSize) -> None:
@@ -121,7 +125,7 @@ class Delay(_Value):
     def __init__(self, seconds: float):
         if not _finite(seconds) or seconds < 0:
             raise ValueError(f"delay must be finite and >= 0 s, got {seconds!r}")
-        _set(self, "seconds", seconds)
+        self._assign(seconds)
 
 
 class Bandwidth(_Value):
@@ -130,9 +134,9 @@ class Bandwidth(_Value):
     __slots__ = ("bits_per_second",)
 
     def __init__(self, bits_per_second: float):
-        if not math.isfinite(bits_per_second) or bits_per_second <= 0:
+        if not _finite(bits_per_second) or bits_per_second <= 0:
             raise ValueError(f"bandwidth must be finite and > 0 bit/s, got {bits_per_second!r}")
-        _set(self, "bits_per_second", bits_per_second)
+        self._assign(bits_per_second)
 
     @property
     def mbps(self) -> float:
@@ -156,10 +160,7 @@ class DelaySample(_Value):
             raise ValueError(f"serial must fit an unsigned 64-bit integer, got {serial!r}")
         if not _finite(sent_at):
             raise ValueError(f"sent_at must be finite, got {sent_at!r}")
-        _set(self, "packet_size", packet_size)
-        _set(self, "delay", delay)
-        _set(self, "serial", serial)
-        _set(self, "sent_at", sent_at)
+        self._assign(packet_size, delay, serial, sent_at)
 
 
 class ProbePair(_Value):
@@ -169,8 +170,7 @@ class ProbePair(_Value):
 
     def __init__(self, small: DelaySample, large: DelaySample):
         check_size_order(small.packet_size, large.packet_size)
-        _set(self, "small", small)
-        _set(self, "large", large)
+        self._assign(small, large)
 
     @property
     def delay_diff_s(self) -> float:
@@ -298,8 +298,7 @@ class Hop(_Value):
     __slots__ = ("capacity", "propagation_delay")
 
     def __init__(self, capacity: Bandwidth, propagation_delay: Delay):
-        _set(self, "capacity", capacity)
-        _set(self, "propagation_delay", propagation_delay)
+        self._assign(capacity, propagation_delay)
 
 
 class PathModel(_Value):
@@ -314,10 +313,9 @@ class PathModel(_Value):
     def __init__(self, hops: tuple[Hop, ...], var_delay_rate: float):
         if len(hops) < 1:
             raise ValueError("path needs at least one hop")
-        if not math.isfinite(var_delay_rate) or var_delay_rate <= 0:
+        if not _finite(var_delay_rate) or var_delay_rate <= 0:
             raise ValueError(f"var_delay_rate must be > 0 per second, got {var_delay_rate!r}")
-        _set(self, "hops", hops)
-        _set(self, "var_delay_rate", var_delay_rate)
+        self._assign(hops, var_delay_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +338,11 @@ class BandwidthEstimate(_Value):
                  mean_delay_diff_s: float):
         if n_pairs < 1:
             raise ValueError("an estimate must use at least one pair")
-        if sd_bps is not None and (not math.isfinite(sd_bps) or sd_bps < 0):
+        if sd_bps is not None and (not _finite(sd_bps) or sd_bps < 0):
             raise ValueError(f"sd_bps must be finite and >= 0, got {sd_bps!r}")
         if (sd_bps is None) != (relative_error is None):
             raise ValueError("sd_bps and relative_error must be absent together")
-        _set(self, "value", value)
-        _set(self, "n_pairs", n_pairs)
-        _set(self, "sd_bps", sd_bps)
-        _set(self, "relative_error", relative_error)
-        _set(self, "mean_delay_diff_s", mean_delay_diff_s)
+        self._assign(value, n_pairs, sd_bps, relative_error, mean_delay_diff_s)
 
     def to_json_dict(self) -> dict:
         return {

@@ -21,10 +21,10 @@ as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidQuery
-from .model import PacketSize, bytes_to_bits
+from .model import PacketSize, _finite, _Value, bytes_to_bits
 
 REFERENCE_SIZES = (PacketSize(100), PacketSize(1100))
 REFERENCE_CAPACITY_BPS = 10e6
@@ -52,25 +52,25 @@ SQRT_N_COEFFICIENT = math.exp(
 )
 
 
-@dataclass(frozen=True)
-class PlanQuery:
+class PlanQuery(_Value):
     """Measurement conditions and the wanted relative error."""
 
-    var_delay_rate: float    # 1/s, inverse mean variable delay on the path
-    mean_delay_diff_s: float  # expected delay difference of the two sizes
-    target_error: float       # acceptable relative estimate error, in (0, 1)
+    __slots__ = ("var_delay_rate", "mean_delay_diff_s", "target_error")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.var_delay_rate) and self.var_delay_rate > 0):
-            raise InvalidQuery(f"var_delay_rate must be > 0 per second, got {self.var_delay_rate!r}")
-        if not (math.isfinite(self.mean_delay_diff_s) and self.mean_delay_diff_s > 0):
-            raise InvalidQuery(f"mean_delay_diff_s must be > 0 s, got {self.mean_delay_diff_s!r}")
-        if not (math.isfinite(self.target_error) and 0 < self.target_error < 1):
-            raise InvalidQuery(f"target_error must be in (0, 1), got {self.target_error!r}")
+    def __init__(self,
+                 var_delay_rate: float,     # 1/s, inverse mean variable delay on the path
+                 mean_delay_diff_s: float,  # expected delay difference of the two sizes
+                 target_error: float):      # acceptable relative estimate error, in (0, 1)
+        if not (_finite(var_delay_rate) and var_delay_rate > 0):
+            raise InvalidQuery(f"var_delay_rate must be > 0 per second, got {var_delay_rate!r}")
+        if not (_finite(mean_delay_diff_s) and mean_delay_diff_s > 0):
+            raise InvalidQuery(f"mean_delay_diff_s must be > 0 s, got {mean_delay_diff_s!r}")
+        if not (_finite(target_error) and 0 < target_error < 1):
+            raise InvalidQuery(f"target_error must be in (0, 1), got {target_error!r}")
+        self._assign(var_delay_rate, mean_delay_diff_s, target_error)
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     """Planned measurement count plus its analytic cross-check."""
 
     n: int
@@ -79,12 +79,7 @@ class PlanResult:
     scaled_target: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "analytic_n": self.analytic_n,
-            "extrapolated": self.extrapolated,
-            "scaled_target": self.scaled_target,
-        }
+        return self._asdict()
 
 
 def _count(c: float, target: float, what: str) -> int:

@@ -14,16 +14,15 @@ and results carry a caveat saying so.
 
 from __future__ import annotations
 
-import math
 import select
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .errors import BindFailure, ClockError, Unreachable
-from .model import MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, PacketSize, Pairs, Samples, check_size_order
+from .model import MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, PacketSize, Pairs, Samples, _finite, _Value, check_size_order
 from .planner import REFERENCE_SIZES
 
 HEADER = struct.Struct(">QQ")  # serial, monotonic send time in ns
@@ -38,37 +37,31 @@ RTT_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Value):
     """Target and shape of one probing session."""
 
-    host: str
-    port: int
-    w1: PacketSize = REFERENCE_SIZES[0]
-    w2: PacketSize = REFERENCE_SIZES[1]
-    count: int = 100
-    spacing_s: float = 0.1
-    timeout_s: float = 2.0
+    __slots__ = ("host", "port", "w1", "w2", "count", "spacing_s", "timeout_s")
 
-    def __post_init__(self):
-        if not 1 <= self.port <= MAX_PORT:
-            raise ValueError(f"port must be in [1, {MAX_PORT}], got {self.port}")
-        if self.w1.bytes < MIN_PROBE_BYTES:
+    def __init__(self, host: str, port: int, w1: PacketSize = REFERENCE_SIZES[0], w2: PacketSize = REFERENCE_SIZES[1],
+                 count: int = 100, spacing_s: float = 0.1, timeout_s: float = 2.0):
+        if not 1 <= port <= MAX_PORT:
+            raise ValueError(f"port must be in [1, {MAX_PORT}], got {port}")
+        if w1.bytes < MIN_PROBE_BYTES:
             raise ValueError(f"w1 must fit the {MIN_PROBE_BYTES}-byte probe header")
-        check_size_order(self.w1, self.w2)
-        if self.w2.bytes > MAX_UNFRAGMENTED_PAYLOAD:
+        check_size_order(w1, w2)
+        if w2.bytes > MAX_UNFRAGMENTED_PAYLOAD:
             raise ValueError(
                 f"w2 must stay within one unfragmented packet "
-                f"({MAX_UNFRAGMENTED_PAYLOAD} bytes), got {self.w2.bytes}"
+                f"({MAX_UNFRAGMENTED_PAYLOAD} bytes), got {w2.bytes}"
             )
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
-        if not all(math.isfinite(t) and t > 0 for t in (self.spacing_s, self.timeout_s)):
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if not all(_finite(t) and t > 0 for t in (spacing_s, timeout_s)):
             raise ValueError("spacing_s and timeout_s must be finite and > 0")
+        self._assign(host, port, w1, w2, count, spacing_s, timeout_s)
 
 
-@dataclass
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Paired round-trip samples plus loss accounting."""
 
     pairs: Pairs
@@ -76,7 +69,7 @@ class ProbeResult:
     received: int
     lost_pairs: int
     unknown_serials: int
-    send_monotonic_ns: list[int] = field(default_factory=list)
+    send_monotonic_ns: Sequence[int] = ()
     caveat: str = RTT_CAVEAT
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -26,6 +25,7 @@ from .model import (
     Pairs,
     PathModel,
     Samples,
+    _Value,
     ascii_int,
     ascii_number,
     bytes_to_bits,
@@ -46,34 +46,31 @@ _SD_STREAM = 1
 _MAX_UNIT_DRAW = -math.log1p(-(1.0 - 2.0**-53))
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Value):
     """Everything a simulation run needs, including its seed."""
 
-    path: PathModel
-    packet_sizes: tuple[PacketSize, PacketSize]
-    n_pairs: int = 3000
-    n_trials: int = 10_000
-    seed: int = 0
+    __slots__ = ("path", "packet_sizes", "n_pairs", "n_trials", "seed")
 
-    def __post_init__(self):
-        w1, w2 = self.packet_sizes
+    def __init__(self, path: PathModel, packet_sizes: tuple[PacketSize, PacketSize], n_pairs: int = 3000,
+                 n_trials: int = 10_000, seed: int = 0):
+        w1, w2 = packet_sizes
         check_size_order(w1, w2)
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not fixed_delay(self.path, w2).seconds > fixed_delay(self.path, w1).seconds:
+        if n_pairs < 1:
+            raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+        if n_trials < 1:
+            raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if not fixed_delay(path, w2).seconds > fixed_delay(path, w1).seconds:
             raise ValueError("path model gives no positive delay difference between sizes")
         # the spread sums n_trials squared deviations, each below (2 * largest draw)**2
-        largest = _MAX_UNIT_DRAW / self.path.var_delay_rate
-        if not math.isfinite(4 * largest * largest * self.n_trials):
+        largest = _MAX_UNIT_DRAW / path.var_delay_rate
+        if not math.isfinite(4 * largest * largest * n_trials):
             raise ValueError(
-                f"var_delay_rate {self.path.var_delay_rate!r} per second is too small for "
-                f"{self.n_trials} trials: delay draws reach {largest!r} s, and their spread passes float range"
+                f"var_delay_rate {path.var_delay_rate!r} per second is too small for "
+                f"{n_trials} trials: delay draws reach {largest!r} s, and their spread passes float range"
             )
+        self._assign(path, packet_sizes, n_pairs, n_trials, seed)
 
 
 def reference_config(seed: int) -> SimConfig:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 from array import array
 from pathlib import Path
@@ -91,10 +90,9 @@ def csv_module_text(samples) -> str:
 
 def reference_sim_config(seed: int = 42, var_delay_rate: float | None = None, **counts) -> SimConfig:
     """The reference experiment at ``seed``, with any of its counts or its variable-delay rate replaced."""
-    cfg = dataclasses.replace(reference_config(seed), **counts)
-    if var_delay_rate is None:
-        return cfg
-    return dataclasses.replace(cfg, path=PathModel(cfg.path.hops, var_delay_rate))
+    ref = reference_config(seed)
+    path = ref.path if var_delay_rate is None else PathModel(ref.path.hops, var_delay_rate)
+    return SimConfig(path, **{"packet_sizes": ref.packet_sizes, "seed": seed, **counts})
 
 
 def parsed_log(typecodes: str, rows) -> ParsedLog:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vpsband import cli, estimator, model, prober, testbox
+from vpsband.errors import InvalidQuery
 from vpsband.model import (
     Bandwidth,
     BandwidthEstimate,
@@ -29,6 +30,7 @@ from vpsband.model import (
     sample_from_row,
     write_samples_csv,
 )
+from vpsband.planner import PlanQuery
 
 import object_pipeline
 from conftest import csv_module_text, examples, make_pair, reference_sim_config, sample_row
@@ -70,13 +72,6 @@ class TestDelay:
 
     def test_zero_is_fine(self):
         assert Delay(0.0).seconds == 0.0
-
-    @pytest.mark.parametrize("bad", [True, False, 10**400, -(10**400)], ids=["True", "False", "10**400", "-10**400"])
-    def test_rejects_a_bool_and_an_int_past_float_range(self, bad):
-        with pytest.raises(ValueError, match=rf"^delay must be finite and >= 0 s, got {bad!r}$"):
-            Delay(bad)
-        with pytest.raises(ValueError, match=rf"^sent_at must be finite, got {bad!r}$"):
-            DelaySample(PacketSize(100), Delay(0.01), 1, bad)
 
 
 class TestBandwidth:
@@ -174,6 +169,40 @@ class TestBandwidthEstimate:
         assert list(d) == ["bps", "mbps", "n_pairs", "sd_bps", "relative_error", "mean_delay_diff_s"]
         assert d["mbps"] == 9.82
         assert d["sd_bps"] is None
+
+
+HOP = Hop(Bandwidth(10e6), Delay(0.0))
+
+# each finiteness check, with what it raises; ``{bad!r}`` is the refused value
+FINITE_CHECKS = {
+    "Delay": (Delay, ValueError, "delay must be finite and >= 0 s, got {bad!r}"),
+    "sent_at": (lambda x: DelaySample(PacketSize(100), Delay(0.01), 1, x), ValueError,
+                "sent_at must be finite, got {bad!r}"),
+    "Bandwidth": (Bandwidth, ValueError, "bandwidth must be finite and > 0 bit/s, got {bad!r}"),
+    "PathModel": (lambda x: PathModel((HOP,), x), ValueError, "var_delay_rate must be > 0 per second, got {bad!r}"),
+    "BandwidthEstimate": (lambda x: BandwidthEstimate(Bandwidth(1e6), 10, x, 0.1, 8e-4), ValueError,
+                          "sd_bps must be finite and >= 0, got {bad!r}"),
+    "PlanQuery-rate": (lambda x: PlanQuery(x, 8e-4, 0.244), InvalidQuery,
+                       "var_delay_rate must be > 0 per second, got {bad!r}"),
+    "PlanQuery-diff": (lambda x: PlanQuery(1000.0, x, 0.244), InvalidQuery,
+                       "mean_delay_diff_s must be > 0 s, got {bad!r}"),
+    "PlanQuery-target": (lambda x: PlanQuery(1000.0, 8e-4, x), InvalidQuery,
+                         "target_error must be in (0, 1), got {bad!r}"),
+    "ProbeConfig-spacing": (lambda x: prober.ProbeConfig("127.0.0.1", 6000, spacing_s=x), ValueError,
+                            "spacing_s and timeout_s must be finite and > 0"),
+    "ProbeConfig-timeout": (lambda x: prober.ProbeConfig("127.0.0.1", 6000, timeout_s=x), ValueError,
+                            "spacing_s and timeout_s must be finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 10**400, -(10**400)], ids=["True", "False", "10**400", "-10**400"])
+@pytest.mark.parametrize("check", FINITE_CHECKS.values(), ids=FINITE_CHECKS.keys())
+def test_finiteness_checks_refuse_a_bool_and_an_int_past_float_range_in_their_own_words(check, bad):
+    build, error, message = check
+    with pytest.raises(error) as refused:
+        build(bad)
+    assert type(refused.value) is error
+    assert str(refused.value) == message.format(bad=bad)
 
 
 @pytest.mark.parametrize(

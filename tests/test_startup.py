@@ -133,19 +133,37 @@ def test_simulate_imports_numpy(tmp_path):
 # importing the command line loads what parse and estimate run, no more
 # ---------------------------------------------------------------------------
 
-# what only other commands use: numpy for those that draw, sockets for probe and
-# reflect, dataclasses (with the inspect it loads) for the configs of simulate and probe
+# what only other commands use: numpy for those that draw, sockets for probe and reflect;
+# and dataclasses, with the inspect it loads, which no module of the package uses
 NOT_AT_START = ["dataclasses", "inspect", "socket", "selectors", "vpsband.prober", "vpsband.planner",
                 "vpsband.simulate", "numpy"]
 
 
-def test_importing_the_cli_loads_none_of_what_only_other_commands_use():
-    code = "before = set(sys.modules)\nimport vpsband.cli\nprint(*set(sys.modules) - before)\n"
+def modules_added_by(module: str) -> list[str]:
+    """The modules that ``import module`` loads in a fresh interpreter."""
+    code = f"before = set(sys.modules)\nimport {module}\nprint(*set(sys.modules) - before)\n"
     returncode, out, err, _ = run_fresh(code)
     assert returncode == 0, err
     added = out.split()
-    assert "vpsband.testbox" in added  # the control: the report sees the import
+    assert module in added  # the control: the report sees the import
+    return added
+
+
+def test_importing_the_cli_loads_none_of_what_only_other_commands_use():
+    added = modules_added_by("vpsband.cli")
+    assert "vpsband.testbox" in added
     assert [name for name in NOT_AT_START if name in added] == []
+
+
+# numpy loads inspect itself, so simulate is held to dataclasses alone
+@pytest.mark.parametrize(
+    "module, unwanted",
+    [("vpsband.prober", ["dataclasses", "inspect"]), ("vpsband.planner", ["dataclasses", "inspect"]),
+     ("vpsband.simulate", ["dataclasses"])],
+)
+def test_importing_a_command_module_loads_no_dataclasses(module, unwanted):
+    added = modules_added_by(module)
+    assert [name for name in unwanted if name in added] == []
 
 
 def test_plan_prints_the_reference_answer_in_a_fresh_interpreter():
