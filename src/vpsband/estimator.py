@@ -19,7 +19,6 @@ Two relative-error conventions exist side by side:
 from __future__ import annotations
 
 import math
-import statistics
 from typing import Iterable
 
 from .errors import (
@@ -29,7 +28,8 @@ from .errors import (
     NonPositiveDelayDifference,
     ZeroPrecision,
 )
-from .model import Bandwidth, BandwidthEstimate, PacketSize, Pairs, ProbePair, bytes_to_bits, check_size_order
+from .model import (Bandwidth, BandwidthEstimate, PacketSize, Pairs, ProbePair, _finite, _whole, bytes_to_bits,
+                    check_size_order)
 
 
 def estimate_pair(pair: ProbePair) -> Bandwidth:
@@ -64,7 +64,7 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
     NonPositiveDelayDifference instead of being skipped, so noisy or
     mis-paired data surfaces instead of silently thinning out.
     """
-    if batch_size < 1:
+    if not _whole(batch_size) or batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     pairs = Pairs.of(pairs)
     if not pairs:
@@ -105,7 +105,7 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
         batch_diffs.append(diff_s)
         batch_values.append(value)
 
-    mean_diff = statistics.fmean(batch_diffs)
+    mean_diff = math.fsum(batch_diffs) / n_batches
     sd = _stdev(batch_values) if n_batches >= 2 else None
     return BandwidthEstimate(
         value=Bandwidth(diff_bits / mean_diff),
@@ -119,6 +119,7 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
 def _stdev(values: list[float]) -> float:
     """``statistics.stdev`` of positive ``values``.  Where Python 3.10's rounds a variance
     out of normal float range, the values are first scaled, exactly, by a power of two."""
+    import statistics  # loads decimal and fractions: not at start-up, but where a spread is first taken
     try:
         sd = statistics.stdev(values)
         if sd >= 2.0**-511:  # its square, the variance, is a normal float
@@ -135,9 +136,9 @@ def relative_error(precision_s: float, mean_diff_s: float) -> float:
     Both delays of a pair carry up to ``precision_s`` of quantization
     error, hence the factor two on top of the delay difference.
     """
-    if not (math.isfinite(precision_s) and precision_s >= 0):
+    if not (_finite(precision_s) and precision_s >= 0):
         raise ValueError(f"precision must be finite and >= 0 s, got {precision_s!r}")
-    if not (math.isfinite(mean_diff_s) and mean_diff_s > 0):
+    if not (_finite(mean_diff_s) and mean_diff_s > 0):
         raise NonPositiveDelayDifference(
             f"mean delay difference must be finite and > 0 s, got {mean_diff_s!r}"
         )
@@ -159,7 +160,7 @@ def upper_measurable_bandwidth(
     error ``rel_error``.
     """
     check_size_order(w1, w2)
-    if not (math.isfinite(precision_s) and precision_s > 0):
+    if not (_finite(precision_s) and precision_s > 0):
         raise ZeroPrecision(f"precision must be finite and > 0 s, got {precision_s!r}")
     if not 0 < rel_error < 1:
         raise InvalidEta(f"relative error target must be in (0, 1), got {rel_error!r}")

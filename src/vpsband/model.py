@@ -14,7 +14,8 @@ value types here and the configs of ``planner``, ``simulate`` and
 ``prober`` are slotted classes on it, which gives them what a frozen
 dataclass would.  Importing ``dataclasses`` and compiling the methods it
 writes per class took half the time of ``import vpsband.cli``.  Results
-that check nothing are named tuples.
+that check nothing are named tuples.  The package's two number checks are
+``_finite``, for a real, and ``_whole``, for a count.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def _finite(x: float) -> bool:
         return not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _whole(x: int) -> bool:
+    """Whether ``x`` is a count: an ``int`` that is not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class _Value:
@@ -104,7 +110,7 @@ class PacketSize(_Value):
     __slots__ = ("bytes",)
 
     def __init__(self, bytes: int):
-        if not isinstance(bytes, int) or isinstance(bytes, bool):
+        if not _whole(bytes):
             raise ValueError(f"packet size must be an integer byte count, got {bytes!r}")
         if not 1 <= bytes <= MAX_UDP_PAYLOAD:
             raise ValueError(f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {bytes}")
@@ -156,7 +162,7 @@ class DelaySample(_Value):
     __slots__ = ("packet_size", "delay", "serial", "sent_at")
 
     def __init__(self, packet_size: PacketSize, delay: Delay, serial: int, sent_at: float):
-        if not isinstance(serial, int) or isinstance(serial, bool) or not 0 <= serial <= MAX_SERIAL:
+        if not _whole(serial) or not 0 <= serial <= MAX_SERIAL:
             raise ValueError(f"serial must fit an unsigned 64-bit integer, got {serial!r}")
         if not _finite(sent_at):
             raise ValueError(f"sent_at must be finite, got {sent_at!r}")
@@ -237,12 +243,6 @@ class Samples:
     def columns(self) -> tuple[array, array, array, array]:
         """The serial, sent_at, bytes and delay columns, in that order."""
         return self.serial, self.sent_at, self.bytes, self.delay
-
-    def take(self, indices: list[int]) -> Samples:
-        """The samples at ``indices``, in that order."""
-        out = Samples()
-        out.serial, out.sent_at, out.bytes, out.delay = (gather(column, indices) for column in self.columns())
-        return out
 
     def __len__(self) -> int:
         return len(self.serial)
@@ -336,7 +336,7 @@ class BandwidthEstimate(_Value):
 
     def __init__(self, value: Bandwidth, n_pairs: int, sd_bps: float | None, relative_error: float | None,
                  mean_delay_diff_s: float):
-        if n_pairs < 1:
+        if not _whole(n_pairs) or n_pairs < 1:
             raise ValueError("an estimate must use at least one pair")
         if sd_bps is not None and (not _finite(sd_bps) or sd_bps < 0):
             raise ValueError(f"sd_bps must be finite and >= 0, got {sd_bps!r}")

@@ -25,7 +25,9 @@ from .model import (
     Pairs,
     PathModel,
     Samples,
+    _finite,
     _Value,
+    _whole,
     ascii_int,
     ascii_number,
     bytes_to_bits,
@@ -55,17 +57,17 @@ class SimConfig(_Value):
                  n_trials: int = 10_000, seed: int = 0):
         w1, w2 = packet_sizes
         check_size_order(w1, w2)
-        if n_pairs < 1:
+        if not _whole(n_pairs) or n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-        if n_trials < 1:
+        if not _whole(n_trials) or n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-        if seed < 0:
+        if not _whole(seed) or seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         if not fixed_delay(path, w2).seconds > fixed_delay(path, w1).seconds:
             raise ValueError("path model gives no positive delay difference between sizes")
         # the spread sums n_trials squared deviations, each below (2 * largest draw)**2
         largest = _MAX_UNIT_DRAW / path.var_delay_rate
-        if not math.isfinite(4 * largest * largest * n_trials):
+        if not (_finite(n_trials) and _finite(4 * largest * largest * n_trials)):
             raise ValueError(
                 f"var_delay_rate {path.var_delay_rate!r} per second is too small for "
                 f"{n_trials} trials: delay draws reach {largest!r} s, and their spread passes float range"
@@ -136,8 +138,10 @@ def sd_of_delay_diff(cfg: SimConfig, n: int) -> float:
     regardless of which other ``n`` values were computed before.  A
     spread past float range raises ValueError.
     """
-    if n < 2:
+    if not _whole(n) or n < 2:
         raise ValueError(f"n must be >= 2 pairs, got {n}")
+    if not (_finite(n) and _finite(n * cfg.path.var_delay_rate)):
+        raise ValueError(f"n times var_delay_rate {cfg.path.var_delay_rate!r} per second must be a finite float")
     if cfg.n_trials < 2:
         raise ValueError(f"need n_trials >= 2 for a standard deviation, got {cfg.n_trials}")
     w1, w2 = cfg.packet_sizes
@@ -270,18 +274,11 @@ def parse_config(text: str) -> tuple[SimConfig, tuple[int, ...]]:
     if any(n < 2 for n in ns):
         raise ValueError(f"ns values must be >= 2 pairs, got {min(ns)}")
     for n in ns:
-        if not _finite_product(n, path.var_delay_rate):
+        if not (_finite(n) and _finite(n * path.var_delay_rate)):
             raise ValueError(
                 f"ns values times var_delay_rate must be a finite float, got an n of {len(str(n))} digits"
             )
     return cfg, ns
-
-
-def _finite_product(n: int, rate: float) -> bool:
-    try:
-        return math.isfinite(n * rate)
-    except OverflowError:  # n is past float range itself
-        return False
 
 
 def load_config(path: str) -> tuple[SimConfig, tuple[int, ...]]:

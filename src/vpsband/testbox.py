@@ -31,8 +31,7 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from itertools import islice, pairwise, starmap
-from operator import le
+from itertools import islice
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import InsufficientData, MalformedLine, MixedPacketSizes, NoPairsFound
@@ -322,17 +321,17 @@ def match_sessions(sent: ParsedLog, received: ParsedLog) -> MatchResult:
     the surplus is counted.  Unmatched records are dropped and counted.
     Returned samples are sorted by send time, then serial.
     """
-    serial = sent.columns[0]
+    serial, sent_at, _ = sent.columns
     received_serial, delay = received.columns
     # each serial's index of first occurrence
     first_sent = dict(zip(reversed(serial), reversed(range(len(serial)))))
     first_received = dict(zip(reversed(received_serial), reversed(range(len(received_serial)))))
-    rows = sorted(map(first_sent.__getitem__, first_sent.keys() & first_received.keys()))  # in sender-log order
+    # in send order: the joined serials are unique, so (sent_at, serial) orders every row
+    rows = sorted(map(first_sent.__getitem__, first_sent.keys() & first_received.keys()), key=serial.__getitem__)
+    rows.sort(key=sent_at.__getitem__)
     samples = Samples()
     samples.serial, samples.sent_at, samples.bytes = (model.gather(column, rows) for column in sent.columns)
     samples.delay = model.gather(delay, list(map(first_received.__getitem__, samples.serial)))
-    if not all(starmap(le, pairwise(zip(samples.sent_at, samples.serial)))):  # a log in send order is not sorted
-        samples = samples.take(samples.send_order())
 
     received_of_sent = sum(map(first_sent.__contains__, received_serial))  # records, duplicates included
     return MatchResult(
@@ -368,7 +367,7 @@ def pair_by_size(
     per sample does not grow with how many probes share the window.
     """
     model.check_size_order(w1, w2)
-    if not (math.isfinite(window_s) and window_s > 0):
+    if not (model._finite(window_s) and window_s > 0):
         raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
 
     samples = Samples.of(samples)

@@ -3,20 +3,23 @@
 import argparse
 import csv
 import io
+import math
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vpsband import cli, estimator, model, prober, testbox
-from vpsband.errors import InvalidQuery
+from vpsband import cli, estimator, model, prober, simulate, testbox
+from vpsband.errors import InvalidQuery, NonPositiveDelayDifference, ZeroPrecision
 from vpsband.model import (
     Bandwidth,
     BandwidthEstimate,
     Delay,
     DelaySample,
     Hop,
+    MAX_PORT,
     MAX_SERIAL,
     MAX_UDP_PAYLOAD,
     SAMPLE_CSV_FIELDS,
@@ -31,6 +34,7 @@ from vpsband.model import (
     write_samples_csv,
 )
 from vpsband.planner import PlanQuery
+from vpsband.simulate import _MAX_UNIT_DRAW
 
 import object_pipeline
 from conftest import csv_module_text, examples, make_pair, reference_sim_config, sample_row
@@ -203,6 +207,129 @@ def test_finiteness_checks_refuse_a_bool_and_an_int_past_float_range_in_their_ow
         build(bad)
     assert type(refused.value) is error
     assert str(refused.value) == message.format(bad=bad)
+
+
+def is_count(x) -> bool:
+    return type(x) is int
+
+
+def is_finite_real(x) -> bool:
+    try:
+        return type(x) in (int, float) and math.isfinite(float(x))
+    except OverflowError:
+        return False
+
+
+SIM = reference_sim_config(seed=0, n_trials=20)
+RATE = SIM.path.var_delay_rate
+LARGEST_DRAW = _MAX_UNIT_DRAW / RATE
+FOUR_PAIRS = simulate.simulate_pairs(reference_sim_config(seed=0, n_pairs=4, n_trials=2))
+SIM_TEXT = "capacity_bps = 10e6\nvar_delay_rate = 1000\nw1_bytes = 100\nw2_bytes = 1100\nns = {x}\n"
+
+
+class NumberCheck(NamedTuple):
+    """A caller-given number's check: the call, what it raises, the refusal of ``x`` (None if
+    accepted) as the site's predicate and bound state it, and an in-range int it accepts."""
+
+    call: Callable
+    error: type
+    refusal: Callable
+    in_range: int
+
+
+NUMBER_CHECKS = {
+    "PacketSize": NumberCheck(
+        PacketSize, ValueError,
+        lambda x: (f"packet size must be an integer byte count, got {x!r}" if not is_count(x)
+                   else None if 1 <= x <= MAX_UDP_PAYLOAD
+                   else f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {x}"),
+        100),
+    "serial": NumberCheck(
+        lambda x: DelaySample(PacketSize(100), Delay(0.01), x, 0.0), ValueError,
+        lambda x: (None if is_count(x) and 0 <= x <= MAX_SERIAL
+                   else f"serial must fit an unsigned 64-bit integer, got {x!r}"),
+        MAX_SERIAL),
+    "BandwidthEstimate-n_pairs": NumberCheck(
+        lambda x: BandwidthEstimate(Bandwidth(1e6), x, None, None, 8e-4), ValueError,
+        lambda x: None if is_count(x) and x >= 1 else "an estimate must use at least one pair", 1),
+    "SimConfig-n_pairs": NumberCheck(
+        lambda x: reference_sim_config(n_pairs=x), ValueError,
+        lambda x: None if is_count(x) and x >= 1 else f"n_pairs must be >= 1, got {x}", 1),
+    "SimConfig-n_trials": NumberCheck(
+        lambda x: reference_sim_config(n_trials=x), ValueError,
+        lambda x: (f"n_trials must be >= 1, got {x}" if not (is_count(x) and x >= 1)
+                   else None if is_finite_real(x) and is_finite_real(4 * LARGEST_DRAW * LARGEST_DRAW * x)
+                   else f"var_delay_rate {RATE!r} per second is too small for {x} trials: delay draws reach "
+                        f"{LARGEST_DRAW!r} s, and their spread passes float range"),
+        10**300),
+    "SimConfig-seed": NumberCheck(
+        lambda x: reference_sim_config(seed=x), ValueError,
+        lambda x: None if is_count(x) and x >= 0 else f"seed must be >= 0, got {x}", 0),
+    "ProbeConfig-port": NumberCheck(
+        lambda x: prober.ProbeConfig("127.0.0.1", x), ValueError,
+        lambda x: None if is_count(x) and 1 <= x <= MAX_PORT else f"port must be in [1, {MAX_PORT}], got {x}", 1),
+    "ProbeConfig-count": NumberCheck(
+        lambda x: prober.ProbeConfig("127.0.0.1", 6000, count=x), ValueError,
+        lambda x: None if is_count(x) and x >= 0 else f"count must be >= 0, got {x}", 0),
+    "estimate_batch": NumberCheck(
+        lambda x: estimator.estimate_batch(FOUR_PAIRS, x), ValueError,
+        lambda x: None if is_count(x) and x >= 1 else f"batch_size must be >= 1, got {x}", 2),
+    "sd_of_delay_diff": NumberCheck(
+        lambda x: simulate.sd_of_delay_diff(SIM, x), ValueError,
+        lambda x: (f"n must be >= 2 pairs, got {x}" if not (is_count(x) and x >= 2)
+                   else None if is_finite_real(x) and is_finite_real(x * RATE)
+                   else f"n times var_delay_rate {RATE!r} per second must be a finite float"),
+        2),
+    "relative_error-precision": NumberCheck(
+        lambda x: estimator.relative_error(x, 1e-3), ValueError,
+        lambda x: None if is_finite_real(x) and x >= 0 else f"precision must be finite and >= 0 s, got {x!r}", 0),
+    "relative_error-diff": NumberCheck(
+        lambda x: estimator.relative_error(1e-6, x), NonPositiveDelayDifference,
+        lambda x: None if is_finite_real(x) and x > 0 else f"mean delay difference must be finite and > 0 s, got {x!r}",
+        1),
+    "upper_measurable_bandwidth": NumberCheck(
+        lambda x: estimator.upper_measurable_bandwidth(PacketSize(100), PacketSize(1100), x, 0.1), ZeroPrecision,
+        lambda x: None if is_finite_real(x) and x > 0 else f"precision must be finite and > 0 s, got {x!r}", 1),
+    "pair_by_size": NumberCheck(
+        lambda x: testbox.pair_by_size(FOUR_PAIRS.samples, PacketSize(100), PacketSize(1100), x), ValueError,
+        lambda x: None if is_finite_real(x) and x > 0 else f"window_s must be finite and > 0, got {x!r}", 1),
+    # ns is read from text, so only ints reach the check
+    "parse_config-ns": NumberCheck(
+        lambda x: simulate.parse_config(SIM_TEXT.format(x=x)), ValueError,
+        lambda x: (f"ns values must be >= 2 pairs, got {x}" if x < 2
+                   else None if is_finite_real(x) and is_finite_real(x * 1000.0)
+                   else f"ns values times var_delay_rate must be a finite float, got an n of {len(str(x))} digits"),
+        2),
+}
+
+WHOLE_NUMBERS = st.one_of(st.integers(-10**400, 10**400), st.integers(-2, MAX_PORT + 2))
+NUMBERS = st.one_of(st.booleans(), st.floats(), WHOLE_NUMBERS)
+
+
+@pytest.mark.parametrize("name", NUMBER_CHECKS)
+@given(data=st.data())
+def test_every_number_check_refuses_what_its_predicate_and_bound_refuse_in_its_own_words(name, data):
+    check = NUMBER_CHECKS[name]
+    x = data.draw(WHOLE_NUMBERS if name == "parse_config-ns" else NUMBERS, label="x")
+    message = check.refusal(x)
+    try:
+        check.call(x)
+    except Exception as exc:  # what refused it, whatever it is, is compared below
+        refused = exc
+    else:
+        refused = None
+    if message is None:  # accepted, though a later step may still refuse the call in its own words
+        assert not isinstance(refused, (TypeError, OverflowError))
+        assert refused is None or str(refused) != message
+    else:
+        assert type(refused) is check.error
+        assert str(refused) == message
+
+
+@pytest.mark.parametrize("check", NUMBER_CHECKS.values(), ids=NUMBER_CHECKS.keys())
+def test_every_number_check_accepts_an_int_in_range(check):
+    assert check.refusal(check.in_range) is None
+    check.call(check.in_range)
 
 
 @pytest.mark.parametrize(

@@ -134,9 +134,10 @@ def test_simulate_imports_numpy(tmp_path):
 # ---------------------------------------------------------------------------
 
 # what only other commands use: numpy for those that draw, sockets for probe and reflect;
+# statistics, with the decimal and fractions it loads, which waits for an estimate's first spread;
 # and dataclasses, with the inspect it loads, which no module of the package uses
-NOT_AT_START = ["dataclasses", "inspect", "socket", "selectors", "vpsband.prober", "vpsband.planner",
-                "vpsband.simulate", "numpy"]
+NOT_AT_START = ["dataclasses", "inspect", "socket", "selectors", "statistics", "decimal", "fractions",
+                "vpsband.prober", "vpsband.planner", "vpsband.simulate", "numpy"]
 
 
 def modules_added_by(module: str) -> list[str]:

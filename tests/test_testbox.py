@@ -20,7 +20,7 @@ from vpsband.errors import (
     NoPairsFound,
 )
 from vpsband import model, testbox
-from vpsband.model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize, Samples, read_samples_csv
+from vpsband.model import MAX_PORT, MAX_SERIAL, MAX_UDP_PAYLOAD, Delay, DelaySample, PacketSize, read_samples_csv
 from vpsband.testbox import (
     ReceiverRecord,
     SenderRecord,
@@ -654,22 +654,18 @@ def test_match_breaks_send_time_ties_by_serial():
 
 
 @pytest.mark.parametrize(
-    "order,sorts",
+    "order",
     [
-        ([0, 1, 2, 3, 4, 5], False),  # a sender log in send order, whole-second stamps shared
-        ([0, 1, 3, 2, 4, 5], True),   # two serials swapped within one second
-        ([2, 3, 0, 1, 4, 5], True),   # a second logged late
+        [0, 1, 2, 3, 4, 5],  # a sender log in send order, whole-second stamps shared
+        [0, 1, 3, 2, 4, 5],  # two serials swapped within one second
+        [2, 3, 0, 1, 4, 5],  # a second logged late
     ],
 )
-def test_match_sorts_only_samples_out_of_send_order(order, sorts, monkeypatch):
-    sorted_by = []
-    send_order = Samples.send_order
-    monkeypatch.setattr(Samples, "send_order", lambda samples: sorted_by.append(len(samples)) or send_order(samples))
+def test_match_puts_every_log_in_send_order(order):
     sent = sender_log([SenderRecord(serial=s, timestamp=10.0 + s // 2, packet_bytes=100) for s in order])
     received = receiver_log([ReceiverRecord(s, 0.01 * s) for s in (5, 4, 3, 2, 1, 0)])
     result = match_sessions(sent, received)
     assert [(s.serial, s.delay.seconds) for s in result.samples] == [(s, 0.01 * s) for s in range(6)]
-    assert sorted_by == ([6] if sorts else [])
 
 
 # ---------------------------------------------------------------------------
