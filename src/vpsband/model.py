@@ -20,7 +20,6 @@ that check nothing are named tuples.  The package's two number checks are
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
@@ -187,6 +186,13 @@ class ProbePair(_Value):
 # samples and pairs as columns
 # ---------------------------------------------------------------------------
 
+def send_order(serial: Sequence[int], sent_at: Sequence[float], indices: Iterable[int]) -> list[int]:
+    """``indices`` in ``(sent_at, serial)`` order of the two columns; ties keep their order."""
+    order = sorted(indices, key=serial.__getitem__)
+    order.sort(key=sent_at.__getitem__)
+    return order
+
+
 def gather(column: array, indices: Sequence[int]) -> array:
     """``column[i]`` for each of ``indices`` in turn, as a column of ``column``'s type."""
     # itemgetter of one index gives its item bare, and of none is an error
@@ -233,12 +239,6 @@ class Samples:
         self.sent_at.append(sent_at)
         self.bytes.append(nbytes)
         self.delay.append(delay_s)
-
-    def send_order(self) -> list[int]:
-        """Indices of the samples in ``(sent_at, serial)`` order; ties keep their order."""
-        order = sorted(range(len(self.serial)), key=self.serial.__getitem__)
-        order.sort(key=self.sent_at.__getitem__)
-        return order
 
     def columns(self) -> tuple[array, array, array, array]:
         """The serial, sent_at, bytes and delay columns, in that order."""
@@ -514,6 +514,7 @@ def _read_csv_rows(lines: Iterable[str], first: int, samples: Samples) -> None:
     Line ``first`` is the header when ``first`` is 1.  Every line before
     it was one record, so line numbers carry on from ``first``.
     """
+    import csv  # the reference reader's alone: canonical rows never reach it
     offset = first - 1
     reader = csv.reader(lines)
     try:

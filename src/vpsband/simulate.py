@@ -11,7 +11,6 @@ independent of call order.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -185,10 +184,10 @@ def error_vs_n(cfg: SimConfig, ns: Sequence[int]) -> list[ErrorPoint]:
 
 
 def write_error_table_csv(points: Iterable[ErrorPoint], fp: TextIO) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(("n", "sd_s", "eta"))
+    """Write ``n,sd_s,eta`` rows, floats as ``repr`` gives them, ended with CRLF as ``csv.writer`` ends them."""
+    fp.write("n,sd_s,eta\r\n")
     for p in points:
-        writer.writerow((p.n, repr(p.sd_s), repr(p.rel_error)))
+        fp.write(f"{p.n},{p.sd_s!r},{p.rel_error!r}\r\n")
 
 
 # ---------------------------------------------------------------------------

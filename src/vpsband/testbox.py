@@ -327,8 +327,7 @@ def match_sessions(sent: ParsedLog, received: ParsedLog) -> MatchResult:
     first_sent = dict(zip(reversed(serial), reversed(range(len(serial)))))
     first_received = dict(zip(reversed(received_serial), reversed(range(len(received_serial)))))
     # in send order: the joined serials are unique, so (sent_at, serial) orders every row
-    rows = sorted(map(first_sent.__getitem__, first_sent.keys() & first_received.keys()), key=serial.__getitem__)
-    rows.sort(key=sent_at.__getitem__)
+    rows = model.send_order(serial, sent_at, map(first_sent.__getitem__, first_sent.keys() & first_received.keys()))
     samples = Samples()
     samples.serial, samples.sent_at, samples.bytes = (model.gather(column, rows) for column in sent.columns)
     samples.delay = model.gather(delay, list(map(first_received.__getitem__, samples.serial)))
@@ -371,7 +370,7 @@ def pair_by_size(
         raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
 
     samples = Samples.of(samples)
-    order = samples.send_order()
+    order = model.send_order(samples.serial, samples.sent_at, range(len(samples)))
     nbytes, sent_at = samples.bytes, samples.sent_at
     small_bytes, large_bytes = w1.bytes, w2.bytes
     smalls = [i for i in order if nbytes[i] == small_bytes]

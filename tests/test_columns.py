@@ -132,7 +132,8 @@ def test_send_order_sorts_by_time_then_serial_and_keeps_ties():
     samples = Samples()
     for serial, sent_at in [(5, 2.0), (3, 1.0), (9, 1.0), (3, 1.0), (1, 2.0)]:
         samples.append(serial, sent_at, 100, 0.01)
-    assert samples.send_order() == [1, 3, 2, 4, 0]
+    assert model.send_order(samples.serial, samples.sent_at, range(len(samples))) == [1, 3, 2, 4, 0]
+    assert model.send_order(samples.serial, samples.sent_at, [3, 4, 1]) == [3, 1, 4]  # the tie keeps 3 first
 
 
 SUBNORMALS = [5e-324, -5e-324, 2.225073858507201e-308]

@@ -1,5 +1,6 @@
 """Delay-model arithmetic, draw distributions, and reproducibility."""
 
+import csv
 import io
 import math
 import statistics
@@ -275,6 +276,11 @@ def test_write_error_table_csv_round_trips_floats():
     assert int(n) == 5
     assert float(sd_s) == points[0].sd_s  # repr() keeps full precision
     assert float(eta) == points[0].rel_error
+    reference = io.StringIO()  # the table as the csv module writes it
+    writer = csv.writer(reference)
+    writer.writerow(("n", "sd_s", "eta"))
+    writer.writerows((p.n, repr(p.sd_s), repr(p.rel_error)) for p in points)
+    assert buf.getvalue() == reference.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,9 @@ def test_simulate_imports_numpy(tmp_path):
 
 # what only other commands use: numpy for those that draw, sockets for probe and reflect;
 # statistics, with the decimal and fractions it loads, which waits for an estimate's first spread;
+# csv, which only the samples reader's reference path for non-canonical rows imports;
 # and dataclasses, with the inspect it loads, which no module of the package uses
-NOT_AT_START = ["dataclasses", "inspect", "socket", "selectors", "statistics", "decimal", "fractions",
+NOT_AT_START = ["dataclasses", "inspect", "socket", "selectors", "statistics", "decimal", "fractions", "csv", "_csv",
                 "vpsband.prober", "vpsband.planner", "vpsband.simulate", "numpy"]
 
 
