@@ -28,8 +28,8 @@ from .errors import (
     NonPositiveDelayDifference,
     ZeroPrecision,
 )
-from .model import (Bandwidth, BandwidthEstimate, PacketSize, Pairs, ProbePair, _finite, _whole, bytes_to_bits,
-                    check_size_order)
+from .model import (Bandwidth, BandwidthEstimate, PacketSize, Pairs, ProbePair, _finite, _shown, _whole,
+                    bytes_to_bits, check_size_order)
 
 
 def estimate_pair(pair: ProbePair) -> Bandwidth:
@@ -65,7 +65,7 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
     mis-paired data surfaces instead of silently thinning out.
     """
     if not _whole(batch_size) or batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise ValueError(f"batch_size must be >= 1, got {_shown(batch_size)}")
     pairs = Pairs.of(pairs)
     if not pairs:
         raise EmptyInput("no pairs to estimate from")
@@ -137,10 +137,10 @@ def relative_error(precision_s: float, mean_diff_s: float) -> float:
     error, hence the factor two on top of the delay difference.
     """
     if not (_finite(precision_s) and precision_s >= 0):
-        raise ValueError(f"precision must be finite and >= 0 s, got {precision_s!r}")
+        raise ValueError(f"precision must be finite and >= 0 s, got {_shown(precision_s)!r}")
     if not (_finite(mean_diff_s) and mean_diff_s > 0):
         raise NonPositiveDelayDifference(
-            f"mean delay difference must be finite and > 0 s, got {mean_diff_s!r}"
+            f"mean delay difference must be finite and > 0 s, got {_shown(mean_diff_s)!r}"
         )
     error = 2.0 * precision_s / mean_diff_s
     if error == math.inf:
@@ -161,9 +161,9 @@ def upper_measurable_bandwidth(
     """
     check_size_order(w1, w2)
     if not (_finite(precision_s) and precision_s > 0):
-        raise ZeroPrecision(f"precision must be finite and > 0 s, got {precision_s!r}")
+        raise ZeroPrecision(f"precision must be finite and > 0 s, got {_shown(precision_s)!r}")
     if not 0 < rel_error < 1:
-        raise InvalidEta(f"relative error target must be in (0, 1), got {rel_error!r}")
+        raise InvalidEta(f"relative error target must be in (0, 1), got {_shown(rel_error)!r}")
     bound = bytes_to_bits(w2.bytes - w1.bytes) * rel_error / (2.0 * precision_s)
     if not 0 < bound < math.inf:
         raise ZeroPrecision(

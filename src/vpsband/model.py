@@ -15,7 +15,8 @@ value types here and the configs of ``planner``, ``simulate`` and
 dataclass would.  Importing ``dataclasses`` and compiling the methods it
 writes per class took half the time of ``import vpsband.cli``.  Results
 that check nothing are named tuples.  The package's two number checks are
-``_finite``, for a real, and ``_whole``, for a count.
+``_finite``, for a real, and ``_whole``, for a count; a refusal formats the
+number it was given through ``_shown``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,27 @@ def _finite(x: float) -> bool:
 def _whole(x: int) -> bool:
     """Whether ``x`` is a count: an ``int`` that is not a ``bool``."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+class _Digits(str):
+    """Text standing for an int too long to format; ``repr`` gives the text unquoted."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _shown(x):
+    """``x`` for a refusal to format, or, for an int past ``sys.get_int_max_str_digits()``,
+    which ``str`` and ``repr`` refuse, text giving its digit count."""
+    try:
+        repr(x)
+    except ValueError:  # such an int
+        size = abs(x)
+        digits = int((size.bit_length() - 1) * math.log10(2)) - 1  # at most its digit count
+        while 10**digits <= size:
+            digits += 1
+        return _Digits(f"{'a negative' if x < 0 else 'an'} int of {digits} digits")
+    return x
 
 
 class _Value:
@@ -110,9 +132,9 @@ class PacketSize(_Value):
 
     def __init__(self, bytes: int):
         if not _whole(bytes):
-            raise ValueError(f"packet size must be an integer byte count, got {bytes!r}")
+            raise ValueError(f"packet size must be an integer byte count, got {_shown(bytes)!r}")
         if not 1 <= bytes <= MAX_UDP_PAYLOAD:
-            raise ValueError(f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {bytes}")
+            raise ValueError(f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {_shown(bytes)}")
         self._assign(bytes)
 
 
@@ -129,7 +151,7 @@ class Delay(_Value):
 
     def __init__(self, seconds: float):
         if not _finite(seconds) or seconds < 0:
-            raise ValueError(f"delay must be finite and >= 0 s, got {seconds!r}")
+            raise ValueError(f"delay must be finite and >= 0 s, got {_shown(seconds)!r}")
         self._assign(seconds)
 
 
@@ -140,7 +162,7 @@ class Bandwidth(_Value):
 
     def __init__(self, bits_per_second: float):
         if not _finite(bits_per_second) or bits_per_second <= 0:
-            raise ValueError(f"bandwidth must be finite and > 0 bit/s, got {bits_per_second!r}")
+            raise ValueError(f"bandwidth must be finite and > 0 bit/s, got {_shown(bits_per_second)!r}")
         self._assign(bits_per_second)
 
     @property
@@ -162,9 +184,9 @@ class DelaySample(_Value):
 
     def __init__(self, packet_size: PacketSize, delay: Delay, serial: int, sent_at: float):
         if not _whole(serial) or not 0 <= serial <= MAX_SERIAL:
-            raise ValueError(f"serial must fit an unsigned 64-bit integer, got {serial!r}")
+            raise ValueError(f"serial must fit an unsigned 64-bit integer, got {_shown(serial)!r}")
         if not _finite(sent_at):
-            raise ValueError(f"sent_at must be finite, got {sent_at!r}")
+            raise ValueError(f"sent_at must be finite, got {_shown(sent_at)!r}")
         self._assign(packet_size, delay, serial, sent_at)
 
 
@@ -314,7 +336,7 @@ class PathModel(_Value):
         if len(hops) < 1:
             raise ValueError("path needs at least one hop")
         if not _finite(var_delay_rate) or var_delay_rate <= 0:
-            raise ValueError(f"var_delay_rate must be > 0 per second, got {var_delay_rate!r}")
+            raise ValueError(f"var_delay_rate must be > 0 per second, got {_shown(var_delay_rate)!r}")
         self._assign(hops, var_delay_rate)
 
 
@@ -339,7 +361,7 @@ class BandwidthEstimate(_Value):
         if not _whole(n_pairs) or n_pairs < 1:
             raise ValueError("an estimate must use at least one pair")
         if sd_bps is not None and (not _finite(sd_bps) or sd_bps < 0):
-            raise ValueError(f"sd_bps must be finite and >= 0, got {sd_bps!r}")
+            raise ValueError(f"sd_bps must be finite and >= 0, got {_shown(sd_bps)!r}")
         if (sd_bps is None) != (relative_error is None):
             raise ValueError("sd_bps and relative_error must be absent together")
         self._assign(value, n_pairs, sd_bps, relative_error, mean_delay_diff_s)

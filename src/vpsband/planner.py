@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidQuery
-from .model import PacketSize, _finite, _Value, bytes_to_bits
+from .model import PacketSize, _finite, _shown, _Value, bytes_to_bits
 
 REFERENCE_SIZES = (PacketSize(100), PacketSize(1100))
 REFERENCE_CAPACITY_BPS = 10e6
@@ -62,11 +62,11 @@ class PlanQuery(_Value):
                  mean_delay_diff_s: float,  # expected delay difference of the two sizes
                  target_error: float):      # acceptable relative estimate error, in (0, 1)
         if not (_finite(var_delay_rate) and var_delay_rate > 0):
-            raise InvalidQuery(f"var_delay_rate must be > 0 per second, got {var_delay_rate!r}")
+            raise InvalidQuery(f"var_delay_rate must be > 0 per second, got {_shown(var_delay_rate)!r}")
         if not (_finite(mean_delay_diff_s) and mean_delay_diff_s > 0):
-            raise InvalidQuery(f"mean_delay_diff_s must be > 0 s, got {mean_delay_diff_s!r}")
+            raise InvalidQuery(f"mean_delay_diff_s must be > 0 s, got {_shown(mean_delay_diff_s)!r}")
         if not (_finite(target_error) and 0 < target_error < 1):
-            raise InvalidQuery(f"target_error must be in (0, 1), got {target_error!r}")
+            raise InvalidQuery(f"target_error must be in (0, 1), got {_shown(target_error)!r}")
         self._assign(var_delay_rate, mean_delay_diff_s, target_error)
 
 

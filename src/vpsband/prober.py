@@ -22,8 +22,8 @@ import time
 from typing import NamedTuple, Sequence
 
 from .errors import BindFailure, ClockError, Unreachable
-from .model import (MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, PacketSize, Pairs, Samples, _finite, _Value, _whole,
-                    check_size_order)
+from .model import (MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, PacketSize, Pairs, Samples, _finite, _shown, _Value,
+                    _whole, check_size_order)
 from .planner import REFERENCE_SIZES
 
 HEADER = struct.Struct(">QQ")  # serial, monotonic send time in ns
@@ -46,7 +46,7 @@ class ProbeConfig(_Value):
     def __init__(self, host: str, port: int, w1: PacketSize = REFERENCE_SIZES[0], w2: PacketSize = REFERENCE_SIZES[1],
                  count: int = 100, spacing_s: float = 0.1, timeout_s: float = 2.0):
         if not _whole(port) or not 1 <= port <= MAX_PORT:
-            raise ValueError(f"port must be in [1, {MAX_PORT}], got {port}")
+            raise ValueError(f"port must be in [1, {MAX_PORT}], got {_shown(port)}")
         if w1.bytes < MIN_PROBE_BYTES:
             raise ValueError(f"w1 must fit the {MIN_PROBE_BYTES}-byte probe header")
         check_size_order(w1, w2)
@@ -56,7 +56,7 @@ class ProbeConfig(_Value):
                 f"({MAX_UNFRAGMENTED_PAYLOAD} bytes), got {w2.bytes}"
             )
         if not _whole(count) or count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+            raise ValueError(f"count must be >= 0, got {_shown(count)}")
         if not all(_finite(t) and t > 0 for t in (spacing_s, timeout_s)):
             raise ValueError("spacing_s and timeout_s must be finite and > 0")
         self._assign(host, port, w1, w2, count, spacing_s, timeout_s)

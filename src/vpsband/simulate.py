@@ -25,6 +25,7 @@ from .model import (
     PathModel,
     Samples,
     _finite,
+    _shown,
     _Value,
     _whole,
     ascii_int,
@@ -57,11 +58,11 @@ class SimConfig(_Value):
         w1, w2 = packet_sizes
         check_size_order(w1, w2)
         if not _whole(n_pairs) or n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+            raise ValueError(f"n_pairs must be >= 1, got {_shown(n_pairs)}")
         if not _whole(n_trials) or n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+            raise ValueError(f"n_trials must be >= 1, got {_shown(n_trials)}")
         if not _whole(seed) or seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+            raise ValueError(f"seed must be >= 0, got {_shown(seed)}")
         if not fixed_delay(path, w2).seconds > fixed_delay(path, w1).seconds:
             raise ValueError("path model gives no positive delay difference between sizes")
         # the spread sums n_trials squared deviations, each below (2 * largest draw)**2
@@ -69,7 +70,7 @@ class SimConfig(_Value):
         if not (_finite(n_trials) and _finite(4 * largest * largest * n_trials)):
             raise ValueError(
                 f"var_delay_rate {path.var_delay_rate!r} per second is too small for "
-                f"{n_trials} trials: delay draws reach {largest!r} s, and their spread passes float range"
+                f"{_shown(n_trials)} trials: delay draws reach {largest!r} s, and their spread passes float range"
             )
         self._assign(path, packet_sizes, n_pairs, n_trials, seed)
 
@@ -138,7 +139,7 @@ def sd_of_delay_diff(cfg: SimConfig, n: int) -> float:
     spread past float range raises ValueError.
     """
     if not _whole(n) or n < 2:
-        raise ValueError(f"n must be >= 2 pairs, got {n}")
+        raise ValueError(f"n must be >= 2 pairs, got {_shown(n)}")
     if not (_finite(n) and _finite(n * cfg.path.var_delay_rate)):
         raise ValueError(f"n times var_delay_rate {cfg.path.var_delay_rate!r} per second must be a finite float")
     if cfg.n_trials < 2:

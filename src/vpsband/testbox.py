@@ -367,7 +367,7 @@ def pair_by_size(
     """
     model.check_size_order(w1, w2)
     if not (model._finite(window_s) and window_s > 0):
-        raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
+        raise ValueError(f"window_s must be finite and > 0, got {model._shown(window_s)!r}")
 
     samples = Samples.of(samples)
     order = model.send_order(samples.serial, samples.sent_at, range(len(samples)))

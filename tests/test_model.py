@@ -4,6 +4,8 @@ import argparse
 import csv
 import io
 import math
+import sys
+from decimal import Decimal
 from typing import Callable, NamedTuple
 from unittest import mock
 
@@ -220,6 +222,14 @@ def is_finite_real(x) -> bool:
         return False
 
 
+def shown(x) -> str:
+    """``x`` as a refusal shows it: its repr, or an int too long for ``repr`` by its digit
+    count, counted here through ``Decimal``, which the int digit limit does not bind."""
+    if is_count(x) and abs(x) >= 10 ** sys.get_int_max_str_digits():
+        return f"{'a negative' if x < 0 else 'an'} int of {Decimal(abs(x)).adjusted() + 1} digits"
+    return repr(x)
+
+
 SIM = reference_sim_config(seed=0, n_trials=20)
 RATE = SIM.path.var_delay_rate
 LARGEST_DRAW = _MAX_UNIT_DRAW / RATE
@@ -240,59 +250,64 @@ class NumberCheck(NamedTuple):
 NUMBER_CHECKS = {
     "PacketSize": NumberCheck(
         PacketSize, ValueError,
-        lambda x: (f"packet size must be an integer byte count, got {x!r}" if not is_count(x)
+        lambda x: (f"packet size must be an integer byte count, got {shown(x)}" if not is_count(x)
                    else None if 1 <= x <= MAX_UDP_PAYLOAD
-                   else f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {x}"),
+                   else f"packet size must be in [1, {MAX_UDP_PAYLOAD}] bytes, got {shown(x)}"),
         100),
     "serial": NumberCheck(
         lambda x: DelaySample(PacketSize(100), Delay(0.01), x, 0.0), ValueError,
         lambda x: (None if is_count(x) and 0 <= x <= MAX_SERIAL
-                   else f"serial must fit an unsigned 64-bit integer, got {x!r}"),
+                   else f"serial must fit an unsigned 64-bit integer, got {shown(x)}"),
         MAX_SERIAL),
     "BandwidthEstimate-n_pairs": NumberCheck(
         lambda x: BandwidthEstimate(Bandwidth(1e6), x, None, None, 8e-4), ValueError,
         lambda x: None if is_count(x) and x >= 1 else "an estimate must use at least one pair", 1),
     "SimConfig-n_pairs": NumberCheck(
         lambda x: reference_sim_config(n_pairs=x), ValueError,
-        lambda x: None if is_count(x) and x >= 1 else f"n_pairs must be >= 1, got {x}", 1),
+        lambda x: None if is_count(x) and x >= 1 else f"n_pairs must be >= 1, got {shown(x)}", 1),
     "SimConfig-n_trials": NumberCheck(
         lambda x: reference_sim_config(n_trials=x), ValueError,
-        lambda x: (f"n_trials must be >= 1, got {x}" if not (is_count(x) and x >= 1)
+        lambda x: (f"n_trials must be >= 1, got {shown(x)}" if not (is_count(x) and x >= 1)
                    else None if is_finite_real(x) and is_finite_real(4 * LARGEST_DRAW * LARGEST_DRAW * x)
-                   else f"var_delay_rate {RATE!r} per second is too small for {x} trials: delay draws reach "
-                        f"{LARGEST_DRAW!r} s, and their spread passes float range"),
+                   else f"var_delay_rate {RATE!r} per second is too small for {shown(x)} trials: delay draws "
+                        f"reach {LARGEST_DRAW!r} s, and their spread passes float range"),
         10**300),
     "SimConfig-seed": NumberCheck(
         lambda x: reference_sim_config(seed=x), ValueError,
-        lambda x: None if is_count(x) and x >= 0 else f"seed must be >= 0, got {x}", 0),
+        lambda x: None if is_count(x) and x >= 0 else f"seed must be >= 0, got {shown(x)}", 0),
     "ProbeConfig-port": NumberCheck(
         lambda x: prober.ProbeConfig("127.0.0.1", x), ValueError,
-        lambda x: None if is_count(x) and 1 <= x <= MAX_PORT else f"port must be in [1, {MAX_PORT}], got {x}", 1),
+        lambda x: (None if is_count(x) and 1 <= x <= MAX_PORT
+                   else f"port must be in [1, {MAX_PORT}], got {shown(x)}"),
+        1),
     "ProbeConfig-count": NumberCheck(
         lambda x: prober.ProbeConfig("127.0.0.1", 6000, count=x), ValueError,
-        lambda x: None if is_count(x) and x >= 0 else f"count must be >= 0, got {x}", 0),
+        lambda x: None if is_count(x) and x >= 0 else f"count must be >= 0, got {shown(x)}", 0),
     "estimate_batch": NumberCheck(
         lambda x: estimator.estimate_batch(FOUR_PAIRS, x), ValueError,
-        lambda x: None if is_count(x) and x >= 1 else f"batch_size must be >= 1, got {x}", 2),
+        lambda x: None if is_count(x) and x >= 1 else f"batch_size must be >= 1, got {shown(x)}", 2),
     "sd_of_delay_diff": NumberCheck(
         lambda x: simulate.sd_of_delay_diff(SIM, x), ValueError,
-        lambda x: (f"n must be >= 2 pairs, got {x}" if not (is_count(x) and x >= 2)
+        lambda x: (f"n must be >= 2 pairs, got {shown(x)}" if not (is_count(x) and x >= 2)
                    else None if is_finite_real(x) and is_finite_real(x * RATE)
                    else f"n times var_delay_rate {RATE!r} per second must be a finite float"),
         2),
     "relative_error-precision": NumberCheck(
         lambda x: estimator.relative_error(x, 1e-3), ValueError,
-        lambda x: None if is_finite_real(x) and x >= 0 else f"precision must be finite and >= 0 s, got {x!r}", 0),
+        lambda x: (None if is_finite_real(x) and x >= 0
+                   else f"precision must be finite and >= 0 s, got {shown(x)}"),
+        0),
     "relative_error-diff": NumberCheck(
         lambda x: estimator.relative_error(1e-6, x), NonPositiveDelayDifference,
-        lambda x: None if is_finite_real(x) and x > 0 else f"mean delay difference must be finite and > 0 s, got {x!r}",
+        lambda x: (None if is_finite_real(x) and x > 0
+                   else f"mean delay difference must be finite and > 0 s, got {shown(x)}"),
         1),
     "upper_measurable_bandwidth": NumberCheck(
         lambda x: estimator.upper_measurable_bandwidth(PacketSize(100), PacketSize(1100), x, 0.1), ZeroPrecision,
-        lambda x: None if is_finite_real(x) and x > 0 else f"precision must be finite and > 0 s, got {x!r}", 1),
+        lambda x: None if is_finite_real(x) and x > 0 else f"precision must be finite and > 0 s, got {shown(x)}", 1),
     "pair_by_size": NumberCheck(
         lambda x: testbox.pair_by_size(FOUR_PAIRS.samples, PacketSize(100), PacketSize(1100), x), ValueError,
-        lambda x: None if is_finite_real(x) and x > 0 else f"window_s must be finite and > 0, got {x!r}", 1),
+        lambda x: None if is_finite_real(x) and x > 0 else f"window_s must be finite and > 0, got {shown(x)}", 1),
     # ns is read from text, so only ints reach the check
     "parse_config-ns": NumberCheck(
         lambda x: simulate.parse_config(SIM_TEXT.format(x=x)), ValueError,
@@ -303,7 +318,14 @@ NUMBER_CHECKS = {
 }
 
 WHOLE_NUMBERS = st.one_of(st.integers(-10**400, 10**400), st.integers(-2, MAX_PORT + 2))
-NUMBERS = st.one_of(st.booleans(), st.floats(), WHOLE_NUMBERS)
+# ints to +-10**5000, past repr's digit limit, and each side of that limit: not for ns, which
+# a config's text holds; built from small draws, which hypothesis can show while it shrinks
+LONG_INTS = st.one_of(
+    st.builds(lambda digits, low, sign: sign * (10**digits + low),
+              st.integers(400, 5000), st.integers(0, 10**400), st.sampled_from([1, -1])),
+    st.sampled_from([10**4299, 10**4300, -10**4300]),
+)
+NUMBERS = st.one_of(st.booleans(), st.floats(), WHOLE_NUMBERS, LONG_INTS)
 
 
 @pytest.mark.parametrize("name", NUMBER_CHECKS)
