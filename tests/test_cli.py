@@ -388,6 +388,7 @@ def test_simulate_bad_config_exits_domain(tmp_path, capsys):
         ("seed = 0", "seed = -3"),
         ("capacity_bps = 10e6", "capacity_bps = 10e6\npropagation_s = 1e300"),  # sizes' delays round equal
         ("ns = 5,10", "ns = 5,1" + "0" * 400),  # n * var_delay_rate is past float range
+        ("ns = 5,10", "ns = 5,1" + "0" * 31),  # the law's spread is lost in rounding the ~1e-3 s class means
         ("var_delay_rate = 1000", "var_delay_rate = 1e-300"),  # the spread of its draws overflows
         ("var_delay_rate = 1000", "var_delay_rate = 5e-324"),  # its draws are inf
         ("capacity_bps = 10e6", "capacity_bps = 1e-300"),  # the spread of its ~1e303 s delays overflows

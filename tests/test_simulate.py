@@ -219,6 +219,19 @@ def test_sd_refuses_a_spread_lost_in_rounding(n_trials):
         sd_of_delay_diff(cfg, 5)
 
 
+def test_sd_refuses_a_spread_the_law_puts_below_the_rounding_floor():
+    # On the reference path the law's sqrt(2)/(rate*sqrt(n)) at n = 10**300 is ~1.4e-153 s, far
+    # below an ulp of the ~1e-3 s class means; the spread read ~1.1e-19 s of rounding noise.
+    cfg = reference_sim_config(seed=0, n_trials=2000)
+    with pytest.raises(ValueError, match=r"1\.4142135623730953e-153 s by the law, is lost in rounding"):
+        sd_of_delay_diff(cfg, 10**300)
+    floor_n = (math.sqrt(2) / (1000 * 64 * math.ulp(1e-3))) ** 2  # where the law spans 64 ulps of 1e-3 s
+    with pytest.raises(ValueError, match="is lost in rounding"):
+        sd_of_delay_diff(cfg, round(4 * floor_n))
+    n = round(floor_n / 4)
+    assert sd_of_delay_diff(cfg, n) == pytest.approx(math.sqrt(2) / (1000 * math.sqrt(n)), rel=0.1)
+
+
 def test_error_vs_n_relative_to_true_diff():
     cfg = reference_sim_config(seed=4, n_trials=3000)
     points = error_vs_n(cfg, ns=(10, 50))
