@@ -69,6 +69,9 @@ CASES = {
     "parse-data-out-json": [PARSE_DATA + ["--out", "data.csv", "--json"]],
     "parse-gen0-stdout": [PARSE_GEN[0]],
     "parse-gen1-stdout-json": [PARSE_GEN[1] + ["--json"]],
+    # serials that wrap past 2**64 - 1 mid-capture: send order is not serial order
+    "parse-serial-wrap": [["parse", "in/wrap-sender.log", "in/wrap-receiver.log", "--out", "g.csv", "--json"],
+                          ["estimate", "g.csv", "--batch-size", "1", "--json"]],
     "parse-no-match": [["parse", "demo/sender.log", "in/receiver0.log", "--out", "none.csv"]],
     "parse-missing-file": [["parse", "nope.log", "demo/receiver.log"]],
     "estimate-demo": [PARSE_DEMO + ["--out", "g.csv"], *_estimates([])],
