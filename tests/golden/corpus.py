@@ -27,6 +27,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 from vpsband.cli import main
 
@@ -182,22 +183,18 @@ def run_command(argv: list[str]) -> tuple[int, str, str]:
 def run_case(steps: list[list[str]]) -> tuple[dict, list[tuple[str, str]]]:
     """The record of a case, and each command's stdout and stderr texts."""
     names = sorted({arg for argv in steps for arg in argv if arg in INPUTS})
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
-    with tempfile.TemporaryDirectory() as tmp:
+    cwd = os.getcwd()
+    # COLUMNS is the width argparse wraps usage and help to
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
         root = Path(tmp)
         for name in names:
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(REPO / INPUTS[name], root / name)
         os.chdir(root)
-        os.environ["COLUMNS"] = "80"  # the width argparse wraps usage and help to
         try:
             results = [run_command(argv) for argv in steps]
         finally:
             os.chdir(cwd)
-            if columns is None:
-                del os.environ["COLUMNS"]
-            else:
-                os.environ["COLUMNS"] = columns
         written = sorted(p for p in root.rglob("*") if p.is_file() and p.relative_to(root).as_posix() not in names)
         files = {p.relative_to(root).as_posix(): sha256(p.read_bytes()) for p in written}
     record = {
