@@ -89,7 +89,7 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
     batch_diffs = []
     for b in range(n_batches):
         lo, hi = b * batch_size, (b + 1) * batch_size
-        # the sums statistics.fmean takes, divided as it divides them
+        # fsum / n: the batch means every output so far was printed from, kept for byte identity
         mean_small = math.fsum(map(delay, pairs.small[lo:hi])) / batch_size
         mean_large = math.fsum(map(delay, pairs.large[lo:hi])) / batch_size
         diff_s = mean_large - mean_small
@@ -117,17 +117,20 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
 
 
 def _stdev(values: list[float]) -> float:
-    """``statistics.stdev`` of positive ``values``.  Where Python 3.10's rounds a variance
-    out of normal float range, the values are first scaled, exactly, by a power of two."""
-    import statistics  # loads decimal and fractions: not at start-up, but where a spread is first taken
-    try:
-        sd = statistics.stdev(values)
-        if sd >= 2.0**-511:  # its square, the variance, is a normal float
-            return sd
-    except OverflowError:
-        pass
-    exponent = math.frexp(max(values))[1]
-    return math.ldexp(statistics.stdev([math.ldexp(value, -exponent) for value in values]), exponent)
+    """Sample standard deviation of ``values``, correctly rounded, so every supported Python
+    prints the same spread: bit for bit the standard library's ``stdev`` of Python 3.11 on."""
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(denominator for _, denominator in ratios)  # a power of two that every denominator divides
+    xs = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    k = len(xs)
+    # variance = num / den / scale**2, exactly
+    num, den = k * sum(x * x for x in xs) - sum(xs) ** 2, k * (k - 1)
+    # the root to at least 109 bits, rounded to odd, so that the one rounding to float below is correct
+    shift = max(0, 109 - (num.bit_length() - den.bit_length()) // 2)
+    num <<= 2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return root / (scale << shift)
 
 
 def relative_error(precision_s: float, mean_diff_s: float) -> float:

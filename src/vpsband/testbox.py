@@ -438,7 +438,8 @@ def estimate_var_delay_rate(samples: Samples | Iterable[DelaySample]) -> float:
         raise MixedPacketSizes(f"rate estimation needs one size class, got {sorted(sizes)}")
     if len(delays) < 2:
         raise InsufficientData(f"need at least 2 samples, got {len(delays)}")
-    spread = sum(delays) / len(delays) - min(delays)
+    floor = min(delays)
+    spread = math.fsum(d - floor for d in delays) / len(delays)
     if spread <= 0:
         raise InsufficientData("delays show no variable part (mean equals minimum)")
     return 1.0 / spread

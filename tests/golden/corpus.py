@@ -5,7 +5,8 @@ through ``cli.main``, from an empty temporary directory that holds a
 copy of each input the case names.  Its record is each command's argv,
 exit code and the sha256 of its stdout and stderr, then the sha256 of
 each file the commands left behind.  ``manifest.json`` holds every
-case's record and the sha256 of every input.
+case's record, one per case on every supported Python, and the sha256
+of every input.
 
 Check the corpus without pytest (``tests/golden/test_golden.py`` runs
 the same cases under it)::
@@ -34,11 +35,6 @@ from vpsband.cli import main
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent.parent
 MANIFEST = HERE / "manifest.json"
-
-# The manifest's records are this Python's; under another, a record that
-# differs is kept in the manifest's "differences" under that version.
-PRIMARY_PYTHON = "3.11"
-PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 # each input as a case names it, and the file it is copied from
 INPUTS = {
@@ -236,18 +232,13 @@ def mismatch(name: str, expected: dict | None) -> str | None:
     return "\n".join(lines)
 
 
-def expected(manifest: dict, name: str) -> dict | None:
-    """The record of case ``name`` under this Python, or None if the manifest has none."""
-    return manifest["differences"].get(PYTHON, {}).get(name, manifest["cases"].get(name))
-
-
 def check(names) -> list[str]:
     """What differs from the manifest: its inputs, then each case of ``names``."""
     manifest = load_manifest()
     failures = [f"input {name} differs from the manifest"
                 for name, digest in input_hashes().items() if manifest["inputs"].get(name) != digest]
     for name in names:
-        failure = mismatch(name, expected(manifest, name))
+        failure = mismatch(name, manifest["cases"].get(name))
         if failure is not None:
             failures.append(failure)
     return failures

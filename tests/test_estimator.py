@@ -2,9 +2,11 @@
 
 import math
 import statistics
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vpsband.errors import (
@@ -15,6 +17,7 @@ from vpsband.errors import (
     ZeroPrecision,
 )
 from vpsband.estimator import (
+    _stdev,
     estimate_batch,
     estimate_pair,
     relative_error,
@@ -191,6 +194,35 @@ def test_batch_estimate_is_scale_invariant(scale):
         base.value.bits_per_second / scale, rel=1e-9
     )
     assert scaled.relative_error == pytest.approx(base.relative_error, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the spread: the exact sample standard deviation, correctly rounded
+# ---------------------------------------------------------------------------
+
+POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@given(st.one_of(
+    st.lists(POSITIVE, min_size=2, max_size=60),
+    st.builds(lambda value, k: [value] * k, POSITIVE, st.integers(2, 60)),  # sd 0.0
+    st.builds(lambda value, steps: [value + step * math.ulp(value) for step in steps],  # near ties
+              POSITIVE, st.lists(st.integers(0, 8), min_size=2, max_size=60)),
+))
+# a subnormal spread that a float root, rounded once more on scaling, would round wrong
+@example([8.8197617845647e-311, 1.76395235691294e-310])
+def test_spread_is_the_exact_sample_sd_correctly_rounded(values):
+    mean = sum(map(Fraction, values)) / len(values)
+    variance = sum((Fraction(value) - mean) ** 2 for value in values) / (len(values) - 1)
+    sd = _stdev(values)
+    # the exact root lies between the halfway points to sd's neighbours, on a tie at an even sd
+    below = (Fraction(sd) + Fraction(math.nextafter(sd, 0.0))) / 2
+    above = (Fraction(sd) + Fraction(math.nextafter(sd, math.inf))) / 2
+    assert below ** 2 <= variance <= above ** 2
+    if variance in (below ** 2, above ** 2):
+        assert Fraction(sd) / Fraction(math.ulp(sd)) % 2 == 0
+    if sys.version_info >= (3, 11):
+        assert sd == statistics.stdev(values)
 
 
 # ---------------------------------------------------------------------------

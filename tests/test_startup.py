@@ -134,9 +134,9 @@ def test_simulate_imports_numpy(tmp_path):
 # ---------------------------------------------------------------------------
 
 # what only other commands use: numpy for those that draw, sockets for probe and reflect;
-# statistics, with the decimal and fractions it loads, which waits for an estimate's first spread;
 # csv, which only the samples reader's reference path for non-canonical rows imports;
-# and dataclasses, with the inspect it loads, which no module of the package uses
+# and what no module of the package imports: dataclasses, with the inspect it loads,
+# and statistics, with the decimal and fractions it loads
 NOT_AT_START = ["dataclasses", "inspect", "socket", "selectors", "statistics", "decimal", "fractions", "csv", "_csv",
                 "vpsband.prober", "vpsband.planner", "vpsband.simulate", "numpy"]
 
@@ -155,6 +155,17 @@ def test_importing_the_cli_loads_none_of_what_only_other_commands_use():
     added = modules_added_by("vpsband.cli")
     assert "vpsband.testbox" in added
     assert [name for name in NOT_AT_START if name in added] == []
+
+
+def test_an_estimate_that_takes_a_spread_loads_no_statistics():
+    # batches of five give four batches, so the estimate takes its two spreads
+    argv = ["estimate", str(REPO / "tests" / "data" / "samples_mean815.csv"), "--batch-size", "5"]
+    code = f"from vpsband.cli import main\ncode = main({argv!r})\nprint(*sys.modules)\nsys.exit(code)\n"
+    returncode, out, err, _ = run_fresh(code)
+    assert returncode == 0, err
+    shown, loaded, _ = out.rsplit("\n", 2)
+    assert "spread: 0.08 Mbit/s sd across batches" in shown  # the control: a spread was taken
+    assert [name for name in ("statistics", "decimal", "fractions", "numbers") if name in loaded.split()] == []
 
 
 # numpy loads inspect itself, so simulate is held to dataclasses alone

@@ -912,3 +912,11 @@ def test_rate_estimate_needs_spread_and_samples():
     constant = [sample(100, 0.010, serial=i, sent_at=float(i)) for i in range(5)]
     with pytest.raises(InsufficientData, match="no variable part"):
         estimate_var_delay_rate(constant)
+
+
+def test_rate_estimate_sees_a_variable_part_below_the_rounding_of_a_summed_mean():
+    # sum / n rounds below the minimum, 0.7; each excess over it is exact
+    step = 10 * math.ulp(0.7)
+    delays = [0.7] * 32 + [0.7 + step]
+    samples = [sample(100, d, serial=i, sent_at=float(i)) for i, d in enumerate(delays)]
+    assert estimate_var_delay_rate(samples) == 33 / step
