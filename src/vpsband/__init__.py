@@ -6,22 +6,9 @@ the available bandwidth from the delay difference, simulate the delay
 process to predict estimation error, and plan how many measurements a
 target accuracy needs.
 
-The top level exports only what the log-to-estimate example in the
-README uses; everything else is imported from its module
-(``vpsband.simulate``, ``vpsband.planner``, ``vpsband.prober``, ...).
+The top level imports nothing, so importing one module loads only what
+that module uses; each name is imported from its module
+(``vpsband.testbox``, ``vpsband.estimator``, ``vpsband.model``, ...).
 """
-
-from .estimator import estimate_batch
-from .model import PacketSize
-from .testbox import match_sessions, pair_by_size, parse_receiver_file, parse_sender_file
-
-__all__ = [
-    "PacketSize",
-    "estimate_batch",
-    "match_sessions",
-    "pair_by_size",
-    "parse_receiver_file",
-    "parse_sender_file",
-]
 
 __version__ = "0.1.0"

@@ -13,14 +13,14 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# what parse and estimate run; the other commands import the rest when they run, for a short start-up
-from . import estimator, testbox
 from .errors import EmptyInput, InvalidQuery, NonPositiveDelayDifference, NoPairsFound, VpsbandError
-from .model import MAX_PORT, PacketSize, Samples, check_size_order, read_samples_csv, write_samples_csv
+from .model import (MAX_PORT, PacketSize, Samples, ascii_number, check_size_order, read_samples_csv,
+                    write_samples_csv)
 
 if TYPE_CHECKING:
     from . import simulate
@@ -73,11 +73,19 @@ def _open_out(path: str):
 
 
 def _number(kind, text: str, message: str):
-    """``kind(text)``, or an argument error reading ``message`` when ``text`` does not convert."""
+    """``kind(text)`` in ASCII digits, or an argument error reading ``message`` when it does not convert."""
     try:
-        return kind(text)
+        return ascii_number(text, kind)
     except ValueError:
         raise argparse.ArgumentTypeError(message) from None
+
+
+def _parse_int(text: str) -> int:
+    return _number(int, text, f"invalid int value: {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    return _number(float, text, f"invalid float value: {text!r}")
 
 
 def _parse_host_port(text: str) -> tuple[str, int]:
@@ -128,6 +136,7 @@ def _parse_error_target(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_parse(args) -> int:
+    from . import testbox
     with open(args.sender, "rb") as fp:
         sender_log = testbox.parse_sender_file(fp)
     with open(args.receiver, "rb") as fp:
@@ -196,6 +205,7 @@ def _auto_batch_size(n_pairs: int) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import estimator, testbox
     flag_sizes = _flag_sizes(args)
     try:
         # A byte that is not UTF-8 becomes a lone surrogate, which fails
@@ -333,7 +343,7 @@ def cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_probe(args) -> int:
-    from . import prober
+    from . import estimator, prober
     host, port = args.target
     try:
         cfg = prober.ProbeConfig(
@@ -403,7 +413,7 @@ def cmd_reflect(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reproduce(args) -> int:
-    from . import planner
+    from . import estimator, planner
     simulate = _simulate_module()
     out_dir = Path(args.out_dir)
     cfg = simulate.reference_config(args.seed)
@@ -461,9 +471,10 @@ def _parse_options(p: _Parser) -> None:
 
 
 def _estimate_options(p: _Parser) -> None:
+    from . import testbox
     p.add_argument("samples", help="samples CSV produced by parse, simulate, or probe")
-    p.add_argument("--w1", type=int, help="small packet size, bytes")
-    p.add_argument("--w2", type=int, help="large packet size, bytes")
+    p.add_argument("--w1", type=_parse_int, help="small packet size, bytes")
+    p.add_argument("--w2", type=_parse_int, help="large packet size, bytes")
     p.add_argument("--batch-size", type=_parse_batch_size, default="auto",
                    help="pairs averaged per batch, or 'auto' (min of 50 and the pair count)")
     p.add_argument("--window", type=_parse_positive_float, default=testbox.DEFAULT_PAIR_WINDOW_S,
@@ -477,9 +488,9 @@ def _simulate_options(p: _Parser) -> None:
 
 
 def _plan_options(p: _Parser) -> None:
-    p.add_argument("--var-rate", type=float, required=True,
+    p.add_argument("--var-rate", type=_parse_float, required=True,
                    help="variable-delay rate on the path, 1/s")
-    p.add_argument("--diff", type=float, required=True,
+    p.add_argument("--diff", type=_parse_float, required=True,
                    help="expected delay difference of the two sizes, seconds")
     p.add_argument("--eta", type=_parse_error_target, required=True,
                    help="relative error target, fraction ('0.244') or percent ('24.4%%')")
@@ -489,9 +500,9 @@ def _probe_options(p: _Parser) -> None:
     from . import prober
     defaults = prober.ProbeConfig("localhost", 1)
     p.add_argument("--target", type=_parse_host_port, required=True, help="reflector host:port")
-    p.add_argument("--w1", type=int, default=defaults.w1.bytes, help="small packet payload, bytes")
-    p.add_argument("--w2", type=int, default=defaults.w2.bytes, help="large packet payload, bytes")
-    p.add_argument("--count", type=int, default=defaults.count, help="number of probe pairs")
+    p.add_argument("--w1", type=_parse_int, default=defaults.w1.bytes, help="small packet payload, bytes")
+    p.add_argument("--w2", type=_parse_int, default=defaults.w2.bytes, help="large packet payload, bytes")
+    p.add_argument("--count", type=_parse_int, default=defaults.count, help="number of probe pairs")
     p.add_argument("--spacing", type=_parse_positive_float, default=defaults.spacing_s, help="seconds between sends")
     p.add_argument("--timeout", type=_parse_positive_float, default=defaults.timeout_s,
                    help="seconds to wait for stragglers")
@@ -548,6 +559,8 @@ def main(argv: list[str] | None = None) -> int:
     except VpsbandError as exc:
         code, message = EXIT_DOMAIN, exc
     except BrokenPipeError:  # the reader closed stdout and wants no more output
+        # what stdout still buffers would fail again when the interpreter flushes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
     except OSError as exc:  # its text names the path
         code, message = EXIT_IO, exc

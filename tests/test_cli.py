@@ -625,6 +625,8 @@ def test_reproduce_outputs_and_reruns_identically(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 SAMPLES_CSV = str(DATA_DIR / "samples_mean815.csv")
+# a probe that ends quickly where its flags are taken
+PROBE_QUICK = ["probe", "--target", "127.0.0.1:6000", "--count", "2", "--spacing", "0.001", "--timeout", "0.05"]
 
 
 @pytest.mark.parametrize(
@@ -675,6 +677,29 @@ def test_usage_errors_exit_64(argv):
         (["estimate", SAMPLES_CSV, "--window", "x"], "argument --window: expected a number, got 'x'"),
         (["plan", "--var-rate", "1", "--diff", "1", "--eta", "x"], "argument --eta: expected a number, got 'x'"),
         (["probe", "--target", "127.0.0.1:x"], "argument --target: port must be an integer, got 'x'"),
+        # int() and float() also read other scripts' digits and '_' separators; no flag does,
+        # as no file the package reads does, and each refusal keeps the words of other bad text
+        (["estimate", SAMPLES_CSV, "--w1", "١٠٠", "--w2", "1100"], "argument --w1: invalid int value: '١٠٠'"),
+        (["estimate", SAMPLES_CSV, "--w1", "100", "--w2", "1_100"], "argument --w2: invalid int value: '1_100'"),
+        (["estimate", SAMPLES_CSV, "--batch-size", "٥"],
+         "argument --batch-size: batch size must be an integer or 'auto', got '٥'"),
+        (["estimate", SAMPLES_CSV, "--window", "6_0"], "argument --window: expected a number, got '6_0'"),
+        (["plan", "--var-rate", "1_000", "--diff", "8e-4", "--eta", "0.244"],
+         "argument --var-rate: invalid float value: '1_000'"),
+        (["plan", "--var-rate", "1000", "--diff", "８e-4", "--eta", "0.244"],
+         "argument --diff: invalid float value: '８e-4'"),
+        (["plan", "--var-rate", "1000", "--diff", "8e-4", "--eta", "٢٤.٤%"],
+         "argument --eta: expected a number, got '٢٤.٤%'"),
+        (PROBE_QUICK + ["--w1", "١٠٠"], "argument --w1: invalid int value: '١٠٠'"),
+        (PROBE_QUICK + ["--w2", "1_100"], "argument --w2: invalid int value: '1_100'"),
+        (PROBE_QUICK + ["--count", "٢"], "argument --count: invalid int value: '٢'"),
+        (PROBE_QUICK + ["--spacing", "0.00_1"], "argument --spacing: expected a number, got '0.00_1'"),
+        (PROBE_QUICK + ["--timeout", "٠.٠٥"], "argument --timeout: expected a number, got '٠.٠٥'"),
+        (PROBE_QUICK + ["--target", "127.0.0.1:6_000"], "argument --target: port must be an integer, got '6_000'"),
+        # a port past the range, so that no reflector starts where the digits are taken
+        (["reflect", "--listen", "127.0.0.1:٧٠٠٠٠"], "argument --listen: port must be an integer, got '٧٠٠٠٠'"),
+        (["simulate", "unused.conf", "--out-dir", "unused", "--seed", "٤٢"],
+         "argument --seed: expected an integer, got '٤٢'"),
     ],
 )
 def test_usage_error_of_a_command_shows_that_commands_usage(argv, message, capsys):
@@ -724,6 +749,9 @@ PARSE_DEMO = ["parse", str(DEMO_DATA / "sender.log"), str(DEMO_DATA / "receiver.
     ids=["parse", "parse-json", "plan"],
 )
 def test_closed_stdout_exits_io_silently(argv):
+    # stdout buffered, as it is by default, so the output meets the closed pipe when it is flushed
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -731,7 +759,7 @@ def test_closed_stdout_exits_io_silently(argv):
             [sys.executable, "-m", "vpsband", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=_package_env(),
+            env=env,
         )
     finally:
         os.close(write_end)

@@ -1,5 +1,6 @@
 """Only the commands that draw import numpy; the rest start, and run, without it.
-``import vpsband.cli`` loads only what ``parse`` and ``estimate`` run.
+``import vpsband`` loads none of the package's modules, ``import vpsband.cli``
+loads only ``model`` and ``errors`` of them, and each command loads the layers it runs.
 
 Each case runs in a fresh interpreter, since the test process itself has
 numpy, and every module of the package, loaded.  A case can block numpy
@@ -130,15 +131,19 @@ def test_simulate_imports_numpy(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# importing the command line loads what parse and estimate run, no more
+# importing the command line loads no command's layers; each command loads its own
 # ---------------------------------------------------------------------------
 
-# what only other commands use: numpy for those that draw, sockets for probe and reflect;
-# csv, which only the samples reader's reference path for non-canonical rows imports;
-# and what no module of the package imports: dataclasses, with the inspect it loads,
-# and statistics, with the decimal and fractions it loads
+# what only some commands use: the log reader and the estimator, numpy for those that
+# draw, sockets for probe and reflect; csv, which only the samples reader's reference
+# path for non-canonical rows imports; and what no module of the package imports:
+# dataclasses, with the inspect it loads, and statistics, with the decimal and fractions it loads
 NOT_AT_START = ["dataclasses", "inspect", "socket", "selectors", "statistics", "decimal", "fractions", "csv", "_csv",
-                "vpsband.prober", "vpsband.planner", "vpsband.simulate", "numpy"]
+                "vpsband.testbox", "vpsband.estimator", "vpsband.prober", "vpsband.planner", "vpsband.simulate",
+                "numpy"]
+LAYERS = ["vpsband.testbox", "vpsband.estimator"]
+# batches of five give four batches, so the estimate takes its two spreads
+ESTIMATE_SPREAD = ["estimate", str(REPO / "tests" / "data" / "samples_mean815.csv"), "--batch-size", "5"]
 
 
 def modules_added_by(module: str) -> list[str]:
@@ -151,21 +156,39 @@ def modules_added_by(module: str) -> list[str]:
     return added
 
 
-def test_importing_the_cli_loads_none_of_what_only_other_commands_use():
-    added = modules_added_by("vpsband.cli")
-    assert "vpsband.testbox" in added
-    assert [name for name in NOT_AT_START if name in added] == []
-
-
-def test_an_estimate_that_takes_a_spread_loads_no_statistics():
-    # batches of five give four batches, so the estimate takes its two spreads
-    argv = ["estimate", str(REPO / "tests" / "data" / "samples_mean815.csv"), "--batch-size", "5"]
+def modules_after(argv: list[str]) -> tuple[str, list[str]]:
+    """What a command prints, and every module loaded once it has run, in a fresh interpreter."""
     code = f"from vpsband.cli import main\ncode = main({argv!r})\nprint(*sys.modules)\nsys.exit(code)\n"
     returncode, out, err, _ = run_fresh(code)
     assert returncode == 0, err
     shown, loaded, _ = out.rsplit("\n", 2)
+    return shown, loaded.split()
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert [name for name in modules_added_by("vpsband") if name.startswith("vpsband.")] == []
+
+
+def test_importing_the_cli_loads_none_of_what_only_other_commands_use():
+    added = modules_added_by("vpsband.cli")
+    assert "vpsband.model" in added  # the control: the report sees the package's modules
+    assert [name for name in NOT_AT_START if name in added] == []
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [(PARSE_DEMO, ["vpsband.testbox"]), (PLAN, []), (ESTIMATE_SPREAD, LAYERS)],  # estimate is the control
+    ids=["parse", "plan", "estimate"],
+)
+def test_a_command_loads_only_the_layers_it_runs(argv, layers):
+    _, loaded = modules_after(argv)
+    assert [name for name in LAYERS if name in loaded] == layers
+
+
+def test_an_estimate_that_takes_a_spread_loads_no_statistics():
+    shown, loaded = modules_after(ESTIMATE_SPREAD)
     assert "spread: 0.08 Mbit/s sd across batches" in shown  # the control: a spread was taken
-    assert [name for name in ("statistics", "decimal", "fractions", "numbers") if name in loaded.split()] == []
+    assert [name for name in ("statistics", "decimal", "fractions", "numbers") if name in loaded] == []
 
 
 # numpy loads inspect itself, so simulate is held to dataclasses alone
