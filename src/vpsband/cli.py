@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -294,9 +295,9 @@ def cmd_simulate(args) -> int:
         cfg, ns = simulate.load_config(args.config)
         if args.seed is not None:
             cfg = simulate.SimConfig(cfg.path, cfg.packet_sizes, cfg.n_pairs, cfg.n_trials, args.seed)
-        # the config fixes every draw, so a draw past float range is its fault too
+        # the config fixes every draw, so a draw past float range or free memory is its fault too
         _, points, table_path = _write_simulation(cfg, ns, out_dir)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise VpsbandError(f"bad config: {exc}") from exc
 
     samples_path = out_dir / "samples.csv"
@@ -535,7 +536,9 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> _Parser:
     """The ``vpsband`` parser with ``command``'s subparser alone, or every command's
     (as the root's help and errors list them) if None."""
-    parser = _Parser(prog="vpsband", description=__doc__.splitlines()[0])
+    # Python 3.13 puts the command column at 21, where 3.10-3.12 put it at 19: fixed here to 19 for all
+    parser = _Parser(prog="vpsband", description=__doc__.splitlines()[0],
+                     formatter_class=functools.partial(argparse.HelpFormatter, max_help_position=19))
     sub = parser.add_subparsers(required=True, metavar="COMMAND")
     for name, (help_text, add_options, run) in _COMMANDS.items():
         if command in (None, name):

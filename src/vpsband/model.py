@@ -246,21 +246,16 @@ class Samples:
         if isinstance(samples, cls):
             return samples
         out = cls()
-        serial, sent_at, nbytes, delay = (column.append for column in out.columns())
         for s in samples:
-            serial(s.serial)
-            sent_at(s.sent_at)
-            nbytes(s.packet_size.bytes)
-            delay(s.delay.seconds)
+            out.append(s)
         return out
 
-    def append(self, serial: int, sent_at: float, nbytes: int, delay_s: float) -> None:
-        """Add one sample, checked by building its ``DelaySample`` view."""
-        DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)
-        self.serial.append(serial)  # the view refused whatever a column would, so the four stay one length
-        self.sent_at.append(sent_at)
-        self.bytes.append(nbytes)
-        self.delay.append(delay_s)
+    def append(self, sample: DelaySample) -> None:
+        """Add one sample, as its ``DelaySample`` view, whose constructor checked its values."""
+        self.serial.append(sample.serial)  # the view refused whatever a column would, so the four stay one length
+        self.sent_at.append(sample.sent_at)
+        self.bytes.append(sample.packet_size.bytes)
+        self.delay.append(sample.delay.seconds)
 
     def columns(self) -> tuple[array, array, array, array]:
         """The serial, sent_at, bytes and delay columns, in that order."""
@@ -420,18 +415,14 @@ def ascii_int(text: str, what: str, top: int | None = None) -> int:
         raise ValueError(f"{what} must have at most {sys.get_int_max_str_digits()} digits") from None
 
 
-def sample_from_row(row: list[str]) -> tuple[int, float, int, float]:
-    """A CSV row's serial, sent_at, bytes and delay, the arguments of :meth:`Samples.append`.
-
-    Fields are parsed and checked in the order a ``DelaySample`` built
-    from them checked them, so a row bad in two fields fails on the same one.
-    """
+def sample_from_row(row: list[str]) -> DelaySample:
+    """A CSV row's sample, its fields parsed and checked in the view's order: size,
+    delay, serial, sent_at, so a row bad in two fields fails on the first of them."""
     direction, serial, sent_at, nbytes, delay_s = row
     if direction != SAMPLE_DIRECTION:
         raise ValueError(f"direction must be {SAMPLE_DIRECTION!r}, got {direction!r}")
-    size = PacketSize(ascii_int(nbytes, "packet size", MAX_UDP_PAYLOAD)).bytes
-    delay = Delay(ascii_number(delay_s)).seconds
-    return ascii_int(serial, "serial", MAX_SERIAL), ascii_number(sent_at), size, delay
+    return DelaySample(PacketSize(ascii_int(nbytes, "packet size", MAX_UDP_PAYLOAD)), Delay(ascii_number(delay_s)),
+                       ascii_int(serial, "serial", MAX_SERIAL), ascii_number(sent_at))
 
 
 _SAMPLE_ROW = SAMPLE_DIRECTION + ",%d,%.6f,%d,%s\r\n"
@@ -551,7 +542,7 @@ def _read_csv_rows(lines: Iterable[str], first: int, samples: Samples) -> None:
             if len(row) != len(SAMPLE_CSV_FIELDS):
                 raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
             try:
-                samples.append(*sample_from_row(row))
+                samples.append(sample_from_row(row))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     except csv.Error as exc:

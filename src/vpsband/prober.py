@@ -22,8 +22,8 @@ import time
 from typing import NamedTuple, Sequence
 
 from .errors import BindFailure, ClockError, Unreachable
-from .model import (MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, PacketSize, Pairs, Samples, _finite, _shown, _Value,
-                    _whole, check_size_order)
+from .model import (MAX_PORT, MAX_UNFRAGMENTED_PAYLOAD, Delay, DelaySample, PacketSize, Pairs, Samples, _finite,
+                    _shown, _Value, _whole, check_size_order)
 from .planner import REFERENCE_SIZES
 
 HEADER = struct.Struct(">QQ")  # serial, monotonic send time in ns
@@ -203,8 +203,9 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
     samples = Samples()
     for small in range(1, total, 2):
         if small in rtt_ns and small + 1 in rtt_ns:
-            for serial, size in zip((small, small + 1), sizes):
-                samples.append(serial, wall0 + (send_ns[serial - 1] - mono0) / 1e9, size, rtt_ns[serial] / 1e9)
+            for serial, size in zip((small, small + 1), (cfg.w1, cfg.w2)):
+                sent_at = wall0 + (send_ns[serial - 1] - mono0) / 1e9
+                samples.append(DelaySample(size, Delay(rtt_ns[serial] / 1e9), serial, sent_at))
     return ProbeResult(
         pairs=Pairs.interleaved(samples),
         sent=len(send_ns),

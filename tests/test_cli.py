@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import vpsband
-from vpsband import prober
+from vpsband import prober, simulate
 from vpsband.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from vpsband.errors import InvalidQuery
 from vpsband.model import MAX_SERIAL, MAX_UDP_PAYLOAD, Pairs, read_samples_csv
@@ -406,6 +406,21 @@ def test_simulate_bad_config_value_writes_nothing(tmp_path, capsys, old, new, fl
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("vpsband: bad config: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_simulate_config_past_free_memory_writes_nothing(tmp_path, capsys, monkeypatch, flags):
+    # numpy raises MemoryError where it cannot allocate a config's draws (n_pairs = 10**11 asks for
+    # 1.46 TiB); nothing is allocated here, as a kernel that overcommits could grant it.
+    def unallocatable(rate_per_s, shape, rng):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape (2, 100000000000)")
+
+    monkeypatch.setattr(simulate, "variable_delays", unallocatable)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", write_config(tmp_path), "--out-dir", str(out_dir), *flags]) == EXIT_DOMAIN
+    assert capsys.readouterr() == (
+        "", "vpsband: bad config: Unable to allocate 1.46 TiB for an array with shape (2, 100000000000)\n")
     assert not out_dir.exists()
 
 

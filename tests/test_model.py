@@ -44,8 +44,7 @@ from conftest import csv_module_text, examples, make_pair, reference_sim_config,
 
 def row_round_trip(sample: DelaySample) -> DelaySample:
     """``sample`` written as a CSV row and read back."""
-    serial, sent_at, nbytes, delay_s = sample_from_row(sample_row(sample))
-    return DelaySample(PacketSize(nbytes), Delay(delay_s), serial, sent_at)
+    return sample_from_row(sample_row(sample))
 
 
 def test_bytes_to_bits():
@@ -376,7 +375,6 @@ def test_sample_row_round_trip():
         serial=1353091581,
         sent_at=1263374005.779364,
     )
-    assert sample_from_row(sample_row(sample)) == (1353091581, 1263374005.779364, 1100, 0.027033)
     assert row_round_trip(sample) == sample
 
 
@@ -596,6 +594,7 @@ def chunk_edges(test):
 @example(HEADER + b"\n", [b"forward,1,0.5,100,0.009\n", b"\n", b"forward,18446744073709551616,0.5,100,0.009\n"],
          model._CHUNK_CHARS)
 @example(HEADER + b"\r\n", [b"forward,1,0.5,65508,0.009\r\n"], model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [b"forward,x,0.5,0,0.009\r\n"], model._CHUNK_CHARS)  # bad in two fields: the size is named
 @example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100," + b"9" * 200_000],  # csv.Error
          model._CHUNK_CHARS)
 @example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r", b"forward,2,0.5,1100,0.0098\r"], model._CHUNK_CHARS)

@@ -125,6 +125,40 @@ def test_reflector_reports_bound_address():
         assert port > 0
 
 
+class FailingSocket:
+    """Stand-in socket whose receives are scripted, an ``OSError`` raised where one stands,
+    and whose echo of ``b"lost"`` fails."""
+
+    def __init__(self, received):
+        self.received = list(received)
+        self.echoed = []
+
+    def recvfrom(self, bufsize):
+        got = self.received.pop(0)
+        if isinstance(got, OSError):
+            raise got
+        return got
+
+    def sendto(self, data, addr):
+        if data == b"lost":
+            raise OSError("no buffer space available")
+        self.echoed.append((data, addr))
+
+    def close(self):
+        pass
+
+
+def test_reflector_skips_a_failed_echo_and_stops_on_a_failed_receive():
+    reflector = Reflector(host="127.0.0.1")
+    reflector._sock.close()
+    addr = ("127.0.0.1", 9)
+    reflector._sock = stand_in = FailingSocket([(b"lost", addr), (b"kept", addr), OSError("socket closed")])
+    reflector.serve_forever()  # returns: the failed receive ended it
+    assert stand_in.received == []
+    assert stand_in.echoed == [(b"kept", addr)]
+    reflector.stop()
+
+
 def test_probe_count_zero_sends_nothing():
     # Early return: the bogus target must never be resolved or probed.
     result = probe(ProbeConfig(host="host.invalid", port=9, count=0))

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from vpsband.model import Bandwidth, Delay, Hop, PacketSize, PathModel
@@ -25,7 +25,7 @@ from vpsband.simulate import (
     write_error_table_csv,
 )
 
-from conftest import W1, W2, reference_sim_config
+from conftest import W1, W2, examples, reference_sim_config
 
 
 class _ZeroRng:
@@ -96,6 +96,32 @@ def test_simulated_variable_part_has_expected_mean():
         pooled.append(pair.small.delay.seconds - f1)
         pooled.append(pair.large.delay.seconds - f2)
     assert statistics.fmean(pooled) == pytest.approx(1e-3, rel=0.02)
+
+
+# The slowest rates SimConfig takes lie between 10**-152.3 per second (one trial) and 10**-150.3
+# (10**4 trials); capacities of 10**-300 bit/s give fixed delays of 10**303 s and more, and a
+# propagation delay takes them higher.
+EDGE_RATES = st.one_of(st.floats(-155.0, 300.0), st.floats(-153.0, -149.0)).map(lambda e: 10.0**e)
+EDGE_HOPS = st.lists(
+    st.builds(Hop, st.floats(-300.0, 12.0).map(lambda e: Bandwidth(10.0**e)),
+              st.one_of(st.just(Delay(0.0)), st.floats(0.0, 1e308).map(Delay))),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(EDGE_HOPS, EDGE_RATES, st.integers(1, 2000), st.integers(1, 1000), st.integers(1, 50), st.integers(1, 10**4),
+       st.integers(0, 2**64 - 1))
+def test_every_draw_of_an_accepted_config_is_a_delay(hops, rate, w1, gap, n_pairs, n_trials, seed):
+    # Each variable delay is at most _MAX_UNIT_DRAW / rate, which SimConfig bounds far below the
+    # half ulp of the largest float that adding it to a finite fixed delay would need to overflow.
+    try:
+        cfg = SimConfig(PathModel(tuple(hops), rate), (PacketSize(w1), PacketSize(w1 + gap)), n_pairs, n_trials, seed)
+    except ValueError:
+        reject()
+    delays = simulate_pairs(cfg).samples.delay
+    assert len(delays) == 2 * n_pairs
+    assert all(math.isfinite(d) and d >= 0 for d in delays)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from vpsband.model import (
     MAX_SERIAL,
     MAX_UDP_PAYLOAD,
     MAX_UNFRAGMENTED_PAYLOAD,
+    Delay,
+    DelaySample,
     PacketSize,
     Pairs,
     Samples,
@@ -366,7 +368,7 @@ def test_testbox_results_build_by_position_and_keyword_and_keep_their_properties
         assert (log.columns, log.malformed, log.n_parsed, log.n_malformed) == (columns, [(3, None)], 2, 1)
 
     samples = Samples()
-    samples.append(1, 0.0, 100, 0.01)
+    samples.append(DelaySample(PacketSize(100), Delay(0.01), 1, 0.0))
     for match in (MatchResult(samples, 1, 2, 3, 4),
                   MatchResult(samples=samples, unmatched_sent=1, unmatched_received=2, duplicate_sent=3,
                               duplicate_received=4)):
