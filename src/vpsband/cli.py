@@ -533,28 +533,39 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The ``vpsband`` parser with ``command``'s subparser alone, or every command's
-    (as the root's help and errors list them) if None."""
+def _command_parser(command: str) -> _Parser:
+    """``vpsband command``'s parser: the command's options, then --json."""
+    _, add_options, run = _COMMANDS[command]
+    p = _Parser(prog=f"vpsband {command}")
+    add_options(p)
+    # Added last rather than through parents=, which would move --json to
+    # the front of every usage line that usage errors print.
+    p.add_argument("--json", action="store_true", help="print the result as one JSON object")
+    p.set_defaults(run=run, command_parser=p)
+    return p
+
+
+def build_parser() -> _Parser:
+    """The ``vpsband`` parser, which lists every command as the root's help and errors
+    show them and hands each command's arguments to its ``_command_parser``."""
     # Python 3.13 puts the command column at 21, where 3.10-3.12 put it at 19: fixed here to 19 for all
     parser = _Parser(prog="vpsband", description=__doc__.splitlines()[0],
                      formatter_class=functools.partial(argparse.HelpFormatter, max_help_position=19))
-    sub = parser.add_subparsers(required=True, metavar="COMMAND")
-    for name, (help_text, add_options, run) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_options(p)
-            # Added last rather than through parents=, which would move --json to
-            # the front of every usage line that usage errors print.
-            p.add_argument("--json", action="store_true", help="print the result as one JSON object")
-            p.set_defaults(run=run, command_parser=p)
+    # the subparsers action calls its parser class with add_parser's keywords and the prog it makes
+    sub = parser.add_subparsers(required=True, metavar="COMMAND",
+                                parser_class=lambda prog, command: _command_parser(command))
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, command=name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command: the only place where a failure becomes an exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:  # its own parser, to which the root's would hand the rest
+        args = _command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except argparse.ArgumentError as exc:

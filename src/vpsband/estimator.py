@@ -29,7 +29,7 @@ from .errors import (
     ZeroPrecision,
 )
 from .model import (Bandwidth, BandwidthEstimate, PacketSize, Pairs, ProbePair, _finite, _shown, _whole,
-                    bytes_to_bits, check_size_order)
+                    bytes_to_bits, check_size_order, items)
 
 
 def estimate_pair(pair: ProbePair) -> Bandwidth:
@@ -69,10 +69,10 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
     pairs = Pairs.of(pairs)
     if not pairs:
         raise EmptyInput("no pairs to estimate from")
-    size_of = pairs.samples.bytes.__getitem__
-    small_sizes, large_sizes = set(map(size_of, pairs.small)), set(map(size_of, pairs.large))
-    if len(small_sizes) > 1 or len(large_sizes) > 1:
-        sizes = set(zip(map(size_of, pairs.small), map(size_of, pairs.large)))
+    samples = pairs.samples
+    small_sizes, large_sizes = (items(samples.bytes, column) for column in (pairs.small, pairs.large))
+    if len(set(small_sizes)) > 1 or len(set(large_sizes)) > 1:
+        sizes = set(zip(small_sizes, large_sizes))
         raise MixedPacketSizes(
             f"pairs mix size classes {sorted(sizes)}; batch them separately"
         )
@@ -83,15 +83,16 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
             f"{len(pairs)} pairs is fewer than one batch of {batch_size}"
         )
 
-    diff_bits = bytes_to_bits(large_sizes.pop() - small_sizes.pop())
-    delay = pairs.samples.delay.__getitem__
+    diff_bits = bytes_to_bits(large_sizes[0] - small_sizes[0])
+    used = n_batches * batch_size
+    small_delays, large_delays = (items(samples.delay, column[:used]) for column in (pairs.small, pairs.large))
     batch_values = []
     batch_diffs = []
     for b in range(n_batches):
         lo, hi = b * batch_size, (b + 1) * batch_size
         # fsum / n: the batch means every output so far was printed from, kept for byte identity
-        mean_small = math.fsum(map(delay, pairs.small[lo:hi])) / batch_size
-        mean_large = math.fsum(map(delay, pairs.large[lo:hi])) / batch_size
+        mean_small = math.fsum(small_delays[lo:hi]) / batch_size
+        mean_large = math.fsum(large_delays[lo:hi]) / batch_size
         diff_s = mean_large - mean_small
         if diff_s <= 0:
             raise NonPositiveDelayDifference(
@@ -109,7 +110,7 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
     sd = _stdev(batch_values) if n_batches >= 2 else None
     return BandwidthEstimate(
         value=Bandwidth(diff_bits / mean_diff),
-        n_pairs=n_batches * batch_size,
+        n_pairs=used,
         sd_bps=sd,
         relative_error=None if sd is None else _stdev(batch_diffs) / mean_diff,
         mean_delay_diff_s=mean_diff,

@@ -27,8 +27,8 @@ import math
 import re
 import sys
 from array import array
-from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
+from operator import itemgetter, lt
+from typing import Iterable, Iterator, Sequence, TextIO
 
 BITS_PER_BYTE = 8
 MAX_UDP_PAYLOAD = 65507          # 65535 - 8 UDP - 20 IP
@@ -208,18 +208,31 @@ class ProbePair(_Value):
 # samples and pairs as columns
 # ---------------------------------------------------------------------------
 
-def send_order(serial: Sequence[int], sent_at: Sequence[float], indices: Iterable[int]) -> list[int]:
-    """``indices`` in ``(sent_at, serial)`` order of the two columns; ties keep their order."""
+def send_order(serial: Sequence[int], sent_at: Sequence[float], indices: Sequence[int]) -> Sequence[int]:
+    """``indices`` in ``(sent_at, serial)`` order of the two columns; ties keep their order.
+
+    Indices along which ``sent_at`` strictly rises are in that order already,
+    and come back as they are.
+    """
+    times = items(sent_at, indices)
+    if all(map(lt, times, itertools.islice(times, 1, None))):
+        return indices
     order = sorted(indices, key=serial.__getitem__)
     order.sort(key=sent_at.__getitem__)
     return order
 
 
+def items(column: Sequence, indices: Sequence[int]) -> tuple | list:
+    """``column[i]`` for each of ``indices`` in turn, each boxed once, for loops to index."""
+    if indices == range(len(column)):  # every item in turn, with no index to look up
+        return tuple(column)
+    # itemgetter of one index gives its item bare, and of none is an error
+    return itemgetter(*indices)(column) if len(indices) > 1 else [column[i] for i in indices]
+
+
 def gather(column: array, indices: Sequence[int]) -> array:
     """``column[i]`` for each of ``indices`` in turn, as a column of ``column``'s type."""
-    # itemgetter of one index gives its item bare, and of none is an error
-    values = itemgetter(*indices)(column) if len(indices) > 1 else [column[i] for i in indices]
-    return array(column.typecode, values)
+    return array(column.typecode, items(column, indices))
 
 
 class Samples:
@@ -529,7 +542,7 @@ def _read_csv_rows(lines: Iterable[str], first: int, samples: Samples) -> None:
     """
     import csv  # the reference reader's alone: canonical rows never reach it
     offset = first - 1
-    reader = csv.reader(lines)
+    reader = csv.reader(_without_nul(lines, first))
     try:
         if first == 1:
             header = next(reader, None)
@@ -547,3 +560,12 @@ def _read_csv_rows(lines: Iterable[str], first: int, samples: Samples) -> None:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     except csv.Error as exc:
         raise ValueError(f"line {offset + reader.line_num}: {exc}") from exc
+
+
+def _without_nul(lines: Iterable[str], first: int) -> Iterator[str]:
+    """``lines``, the file's from its line ``first`` on, up to the first that holds a NUL,
+    which is refused as ``csv`` refuses it on Python 3.10; from 3.11 on it reads NUL as text."""
+    for lineno, line in enumerate(lines, start=first):
+        if "\0" in line:
+            raise ValueError(f"line {lineno}: line contains NUL")
+        yield line

@@ -31,7 +31,8 @@ import math
 import re
 from array import array
 from bisect import bisect_left
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import eq
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import InsufficientData, MalformedLine, MixedPacketSizes, NoPairsFound
@@ -327,7 +328,8 @@ def match_sessions(sent: ParsedLog, received: ParsedLog) -> MatchResult:
     first_sent = dict(zip(reversed(serial), reversed(range(len(serial)))))
     first_received = dict(zip(reversed(received_serial), reversed(range(len(received_serial)))))
     # in send order: the joined serials are unique, so (sent_at, serial) orders every row
-    rows = model.send_order(serial, sent_at, map(first_sent.__getitem__, first_sent.keys() & first_received.keys()))
+    joined = first_sent.keys() & first_received.keys()
+    rows = model.send_order(serial, sent_at, list(map(first_sent.__getitem__, joined)))
     samples = Samples()
     samples.serial, samples.sent_at, samples.bytes = (model.gather(column, rows) for column in sent.columns)
     samples.delay = model.gather(delay, list(map(first_received.__getitem__, samples.serial)))
@@ -362,8 +364,9 @@ def pair_by_size(
     Larges are taken in ``(sent_at, serial)`` order.  Each takes the
     unpaired small nearest in time within the closed window
     ``[t - window_s, t + window_s]``; at equal distance the earlier
-    small wins.  No sample is used twice.  Apart from the sort, time
-    per sample does not grow with how many probes share the window.
+    small wins.  No sample is used twice.  Apart from the sort, which
+    samples already in strict send order skip, time per sample does not
+    grow with how many probes share the window.
     """
     model.check_size_order(w1, w2)
     if not (model._finite(window_s) and window_s > 0):
@@ -371,33 +374,35 @@ def pair_by_size(
 
     samples = Samples.of(samples)
     order = model.send_order(samples.serial, samples.sent_at, range(len(samples)))
-    nbytes, sent_at = samples.bytes, samples.sent_at
-    small_bytes, large_bytes = w1.bytes, w2.bytes
-    smalls = [i for i in order if nbytes[i] == small_bytes]
-    larges = [i for i in order if nbytes[i] == large_bytes]
+    sizes = model.items(samples.bytes, order)
+    smalls = list(compress(order, map(eq, sizes, repeat(w1.bytes))))
+    larges = list(compress(order, map(eq, sizes, repeat(w2.bytes))))
+    del sizes  # about 20 B a sample, not to be held through the loop
     other = len(order) - len(smalls) - len(larges)
 
     # Positions in `smalls` of the unpaired smalls sent at or before the
     # large wait in `left`; the nearest is the earliest at its latest
-    # time.  Smalls taken as an earlier large's later candidate are a
-    # prefix of those sent after this large, so smalls[nxt] is the first
-    # unpaired one.
-    times = [sent_at[i] for i in smalls]
-    time_of = times.__getitem__
+    # time, which only a tie with the one before it needs a search for.
+    # Smalls taken as an earlier large's later candidate are a prefix of
+    # those sent after this large, so smalls[nxt] is the first unpaired one.
+    times = model.items(samples.sent_at, smalls)
+    n_smalls = len(times)
     paired_small: list[int] = []
     paired_large: list[int] = []
     left: list[int] = []
     nxt = 0
-    for large, t in zip(larges, map(sent_at.__getitem__, larges)):
-        while nxt < len(times) and times[nxt] <= t:
+    for large, t in zip(larges, model.items(samples.sent_at, larges)):
+        while nxt < n_smalls and times[nxt] <= t:
             left.append(nxt)
             nxt += 1
         k = -1
         if left:
             latest = times[left[-1]]
             if latest >= t - window_s:
-                k = bisect_left(left, latest, key=time_of)
-        if nxt < len(times) and times[nxt] <= t + window_s and (k < 0 or times[nxt] - t < t - times[left[k]]):
+                k = len(left) - 1
+                if k and times[left[k - 1]] == latest:
+                    k = bisect_left(left, latest, key=times.__getitem__)
+        if nxt < n_smalls and times[nxt] <= t + window_s and (k < 0 or times[nxt] - t < t - latest):
             paired_small.append(smalls[nxt])
             nxt += 1
         elif k >= 0:

@@ -3,10 +3,11 @@
 import math
 import statistics
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vpsband.errors import (
@@ -14,6 +15,7 @@ from vpsband.errors import (
     MixedPacketSizes,
     NonPositiveDelayDifference,
     InvalidEta,
+    VpsbandError,
     ZeroPrecision,
 )
 from vpsband.estimator import (
@@ -23,11 +25,11 @@ from vpsband.estimator import (
     relative_error,
     upper_measurable_bandwidth,
 )
-from vpsband.model import PacketSize
+from vpsband.model import Bandwidth, BandwidthEstimate, Delay, DelaySample, PacketSize, Pairs, ProbePair, Samples
 from vpsband.planner import REFERENCE_CAPACITY_BPS, REFERENCE_TARGET_ERROR
 from vpsband.simulate import simulate_pairs
 
-from conftest import make_pair, reference_sim_config
+from conftest import examples, make_pair, reference_sim_config
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +165,68 @@ def test_batch_rejects_mixed_size_classes():
     ]
     with pytest.raises(MixedPacketSizes):
         estimate_batch(pairs, batch_size=1)
+
+
+def batch_reference(pairs: list[ProbePair], batch_size: int) -> BandwidthEstimate:
+    """``estimate_batch`` over ``ProbePair`` views, each batch's delays summed pair by pair."""
+    sizes = {(p.small.packet_size.bytes, p.large.packet_size.bytes) for p in pairs}
+    if len({small for small, _ in sizes}) > 1 or len({large for _, large in sizes}) > 1:
+        raise MixedPacketSizes(f"pairs mix size classes {sorted(sizes)}; batch them separately")
+    n_batches = len(pairs) // batch_size
+    if n_batches == 0:
+        raise EmptyInput(f"{len(pairs)} pairs is fewer than one batch of {batch_size}")
+    ((small, large),) = sizes
+    diff_bits = 8 * (large - small)
+    diffs, values = [], []
+    for b in range(n_batches):
+        batch = pairs[b * batch_size : (b + 1) * batch_size]
+        diff = (math.fsum(p.large.delay.seconds for p in batch) / batch_size
+                - math.fsum(p.small.delay.seconds for p in batch) / batch_size)
+        if diff <= 0:
+            raise NonPositiveDelayDifference(f"batch {b}: mean delay difference {diff:.9f} s is not positive")
+        if diff_bits / diff == math.inf:
+            raise NonPositiveDelayDifference(
+                f"batch {b}: mean delay difference {diff!r} s is too small for a finite bandwidth")
+        diffs.append(diff)
+        values.append(diff_bits / diff)
+    mean = math.fsum(diffs) / n_batches
+    sd = _stdev(values) if n_batches >= 2 else None
+    return BandwidthEstimate(Bandwidth(diff_bits / mean), n_batches * batch_size, sd,
+                             None if sd is None else _stdev(diffs) / mean, mean)
+
+
+@st.composite
+def column_pairs(draw):
+    """``Pairs`` over samples in shuffled positions; now and then of two small or two large sizes."""
+    small_sizes = draw(st.sampled_from([[100]] * 3 + [[100, 200]]))
+    large_sizes = draw(st.sampled_from([[1100]] * 3 + [[1100, 1200]]))
+    n = draw(st.integers(1, 30))
+    position = draw(st.permutations(range(2 * n)))
+    # differences that are all positive, or that include ones a batch mean may not survive
+    edges = st.floats(-1e-4, 1e-2) | st.sampled_from([0.0, 5e-324])
+    diff = edges if draw(st.booleans()) else st.floats(1e-5, 1e-2)
+    samples = [None] * (2 * n)
+    for i in range(n):
+        small_delay = draw(st.floats(0, 0.1))
+        large_delay = max(0.0, small_delay + draw(diff))
+        samples[position[2 * i]] = DelaySample(PacketSize(draw(st.sampled_from(small_sizes))), Delay(small_delay),
+                                               2 * i, 0.0)
+        samples[position[2 * i + 1]] = DelaySample(PacketSize(draw(st.sampled_from(large_sizes))),
+                                                   Delay(large_delay), 2 * i + 1, 0.0)
+    return Pairs(Samples.of(samples), array("Q", position[::2]), array("Q", position[1::2]))
+
+
+def outcome(estimate, *args):
+    try:
+        return estimate(*args)
+    except VpsbandError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(column_pairs(), st.integers(1, 8))
+def test_batches_match_the_per_pair_reference(pairs, batch_size):
+    assert outcome(estimate_batch, pairs, batch_size) == outcome(batch_reference, list(pairs), batch_size)
 
 
 def test_batch_raises_on_non_positive_batch_mean():

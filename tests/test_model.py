@@ -605,6 +605,28 @@ def test_read_samples_csv_matches_the_csv_reader(header, lines, chunk_chars):
     assert got == read_outcome(csv_only_read, blob)
 
 
+NUL_HEADER = HEADER + b"\r\n"
+NUL_ROW = b"forward,1,0.000001,100,0.01\r\n"
+
+
+# What Python 3.10's csv.reader says of each; from 3.11 on it reads a NUL as text.
+@pytest.mark.parametrize("blob,line", [
+    pytest.param(b"direction,serial,sent_at,bytes,delay_s\nforward,1,0.0,100,0.01\x00\n", 2, id="row"),
+    pytest.param(b"direction,serial\x00,sent_at,bytes,delay_s\r\n" + NUL_ROW, 1, id="header"),
+    pytest.param(NUL_HEADER + NUL_ROW * 5000 + b"forward,2,0.5,100,\x000.01\r\n" + NUL_ROW, 5002, id="later-chunk"),
+    pytest.param(NUL_HEADER + NUL_ROW + b'forward,"1\r\n\x002",0.5,100,0.01\r\n', 4, id="quoted-second-line"),
+    pytest.param(NUL_HEADER + NUL_ROW + b"\x00\r\n" + NUL_ROW, 3, id="nul-alone"),
+    pytest.param(NUL_HEADER + NUL_ROW + b"forward,1,0.5,100,0.01\r\x00\r\n", 4, id="after-lone-cr"),
+])
+def test_a_nul_byte_is_refused_in_the_same_words_on_every_python(blob, line):
+    assert read_outcome(read_samples_csv, blob) == f"line {line}: line contains NUL"
+
+
+def test_a_bad_row_before_a_nul_is_refused_first():
+    blob = NUL_HEADER + b"forward,x,0.5,100,0.01\r\n\x00\r\n"
+    assert read_outcome(read_samples_csv, blob) == "line 2: invalid literal for int() with base 10: 'x'"
+
+
 def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path):
     samples = [
         DelaySample(PacketSize(1), Delay(0.0), serial=0, sent_at=0.0),
