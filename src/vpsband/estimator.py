@@ -63,6 +63,11 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
     A batch whose mean delay difference is not positive raises
     NonPositiveDelayDifference instead of being skipped, so noisy or
     mis-paired data surfaces instead of silently thinning out.
+
+    The size difference comes from the sizes that ``pairs`` state, as
+    the producers that paired them by size do, unchecked.  Unstated, it
+    comes from every pair's samples, and pairs of more than one size
+    class raise MixedPacketSizes.
     """
     if not _whole(batch_size) or batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {_shown(batch_size)}")
@@ -70,12 +75,13 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
     if not pairs:
         raise EmptyInput("no pairs to estimate from")
     samples = pairs.samples
-    small_sizes, large_sizes = (items(samples.bytes, column) for column in (pairs.small, pairs.large))
-    if len(set(small_sizes)) > 1 or len(set(large_sizes)) > 1:
-        sizes = set(zip(small_sizes, large_sizes))
-        raise MixedPacketSizes(
-            f"pairs mix size classes {sorted(sizes)}; batch them separately"
-        )
+    if pairs.sizes is None:
+        sizes = set(zip(items(samples.bytes, pairs.small), items(samples.bytes, pairs.large)))
+        if len(sizes) > 1:
+            raise MixedPacketSizes(f"pairs mix size classes {sorted(sizes)}; batch them separately")
+        ((small_bytes, large_bytes),) = sizes
+    else:
+        small_bytes, large_bytes = pairs.sizes
 
     n_batches = len(pairs) // batch_size
     if n_batches == 0:
@@ -83,7 +89,7 @@ def estimate_batch(pairs: Pairs | Iterable[ProbePair], batch_size: int) -> Bandw
             f"{len(pairs)} pairs is fewer than one batch of {batch_size}"
         )
 
-    diff_bits = bytes_to_bits(large_sizes[0] - small_sizes[0])
+    diff_bits = bytes_to_bits(large_bytes - small_bytes)
     used = n_batches * batch_size
     small_delays, large_delays = (items(samples.delay, column[:used]) for column in (pairs.small, pairs.large))
     batch_values = []

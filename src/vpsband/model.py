@@ -287,15 +287,21 @@ class Pairs:
     Pair ``i``, and each pair in turn when iterated, is the
     :class:`ProbePair` of ``samples[small[i]]`` and ``samples[large[i]]``,
     built when asked for.  A slice is the :class:`Pairs` of those pairs
-    over the same ``samples``.
+    over the same ``samples``, with the same ``sizes``.
+
+    ``sizes`` is the small and the large payload in bytes that every
+    pair holds, as the producer that paired them by those sizes states
+    it, or None when nobody stated it.  Nothing checks stated sizes
+    against the samples: whoever states them answers for them.
     """
 
-    __slots__ = ("samples", "small", "large")
+    __slots__ = ("samples", "small", "large", "sizes")
 
-    def __init__(self, samples: Samples, small: array, large: array):
+    def __init__(self, samples: Samples, small: array, large: array, sizes: tuple[int, int] | None = None):
         self.samples = samples
         self.small = small
         self.large = large
+        self.sizes = sizes
 
     @classmethod
     def of(cls, pairs: Pairs | Iterable[ProbePair]) -> Pairs:
@@ -305,16 +311,16 @@ class Pairs:
         return cls.interleaved(Samples.of(s for pair in pairs for s in (pair.small, pair.large)))
 
     @classmethod
-    def interleaved(cls, samples: Samples) -> Pairs:
+    def interleaved(cls, samples: Samples, sizes: tuple[int, int] | None = None) -> Pairs:
         """The pairs of samples 0 and 1, 2 and 3, and so on: each small followed by its large."""
-        return cls(samples, array("Q", range(0, len(samples), 2)), array("Q", range(1, len(samples), 2)))
+        return cls(samples, array("Q", range(0, len(samples), 2)), array("Q", range(1, len(samples), 2)), sizes)
 
     def __len__(self) -> int:
         return len(self.small)
 
     def __getitem__(self, i: int | slice) -> ProbePair | Pairs:
         if isinstance(i, slice):
-            return Pairs(self.samples, self.small[i], self.large[i])
+            return Pairs(self.samples, self.small[i], self.large[i], self.sizes)
         return ProbePair(self.samples[self.small[i]], self.samples[self.large[i]])
 
 

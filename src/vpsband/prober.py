@@ -162,15 +162,16 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
     monotonic time since, so it rises with the serial even if the
     system clock steps.
     """
+    sizes = (cfg.w1.bytes, cfg.w2.bytes)
     if cfg.count == 0:
-        return ProbeResult(pairs=Pairs.interleaved(Samples()), sent=0, received=0, lost_pairs=0, unknown_serials=0)
+        return ProbeResult(pairs=Pairs.interleaved(Samples(), sizes), sent=0, received=0, lost_pairs=0,
+                           unknown_serials=0)
 
     try:
         target = (socket.gethostbyname(cfg.host), cfg.port)
     except OSError as exc:
         raise Unreachable(f"cannot resolve {cfg.host!r}: {exc}") from exc
 
-    sizes = (cfg.w1.bytes, cfg.w2.bytes)
     total = 2 * cfg.count
     send_ns: list[int] = []
     rtt_ns: dict[int, int] = {}
@@ -207,7 +208,7 @@ def probe(cfg: ProbeConfig) -> ProbeResult:
                 sent_at = wall0 + (send_ns[serial - 1] - mono0) / 1e9
                 samples.append(DelaySample(size, Delay(rtt_ns[serial] / 1e9), serial, sent_at))
     return ProbeResult(
-        pairs=Pairs.interleaved(samples),
+        pairs=Pairs.interleaved(samples, sizes),
         sent=len(send_ns),
         received=len(rtt_ns),
         lost_pairs=cfg.count - len(samples) // 2,

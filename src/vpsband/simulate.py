@@ -126,7 +126,7 @@ def simulate_pairs(cfg: SimConfig) -> Pairs:
     samples.sent_at.frombytes(sent_at.tobytes())
     samples.bytes.extend((w1.bytes, w2.bytes) * cfg.n_pairs)
     samples.delay.frombytes(delays.tobytes())
-    return Pairs.interleaved(samples)
+    return Pairs.interleaved(samples, (w1.bytes, w2.bytes))
 
 
 def sd_of_delay_diff(cfg: SimConfig, n: int) -> float:

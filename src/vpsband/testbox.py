@@ -417,7 +417,7 @@ def pair_by_size(
             f"({len(smalls)} small, {len(larges)} large samples)"
         )
     return PairResult(
-        pairs=Pairs(samples, array("Q", paired_small), array("Q", paired_large)),
+        pairs=Pairs(samples, array("Q", paired_small), array("Q", paired_large), (w1.bytes, w2.bytes)),
         unpaired_small=len(smalls) - len(paired_large),
         unpaired_large=len(larges) - len(paired_large),
         other_sizes=other,

@@ -15,6 +15,7 @@ from vpsband.errors import (
     MixedPacketSizes,
     NonPositiveDelayDifference,
     InvalidEta,
+    NoPairsFound,
     VpsbandError,
     ZeroPrecision,
 )
@@ -25,11 +26,15 @@ from vpsband.estimator import (
     relative_error,
     upper_measurable_bandwidth,
 )
-from vpsband.model import Bandwidth, BandwidthEstimate, Delay, DelaySample, PacketSize, Pairs, ProbePair, Samples
+from vpsband.model import (MAX_UNFRAGMENTED_PAYLOAD, Bandwidth, BandwidthEstimate, Delay, DelaySample, PacketSize,
+                           Pairs, ProbePair, Samples)
 from vpsband.planner import REFERENCE_CAPACITY_BPS, REFERENCE_TARGET_ERROR
+from vpsband.prober import MIN_PROBE_BYTES, ProbeConfig, Reflector, probe
 from vpsband.simulate import simulate_pairs
+from vpsband.testbox import pair_by_size
 
 from conftest import examples, make_pair, reference_sim_config
+from test_testbox import ANY_ROWS, GRIDS, SENT_ORDER_ROWS, TIED_ROWS, sample
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +168,16 @@ def test_batch_rejects_mixed_size_classes():
         make_pair(0.010, 0.011),
         make_pair(0.010, 0.011, w1=PacketSize(200), w2=PacketSize(1200)),
     ]
-    with pytest.raises(MixedPacketSizes):
+    assert Pairs.of(pairs).sizes is None  # views state no sizes, so their own are gathered and checked
+    with pytest.raises(MixedPacketSizes, match=r"^pairs mix size classes \[\(100, 1100\), \(200, 1200\)\]; batch them"):
         estimate_batch(pairs, batch_size=1)
+
+
+def test_stated_sizes_are_trusted_unchecked():
+    # the mixed pairs above, stated by hand as 100 and 600 bytes: the statement, not the samples, sets the 4000 bits
+    pairs = Pairs.of([make_pair(0.010, 0.011), make_pair(0.010, 0.011, w1=PacketSize(200), w2=PacketSize(1200))])
+    stated = Pairs(pairs.samples, pairs.small, pairs.large, (100, 600))
+    assert estimate_batch(stated, batch_size=1).value == Bandwidth(4000 / (0.011 - 0.010))
 
 
 def batch_reference(pairs: list[ProbePair], batch_size: int) -> BandwidthEstimate:
@@ -226,7 +239,52 @@ def outcome(estimate, *args):
 @settings(max_examples=examples(200), deadline=None)
 @given(column_pairs(), st.integers(1, 8))
 def test_batches_match_the_per_pair_reference(pairs, batch_size):
+    assert pairs.sizes is None and pairs[1:].sizes is None  # built by hand: the gather route and its refusal
     assert outcome(estimate_batch, pairs, batch_size) == outcome(batch_reference, list(pairs), batch_size)
+
+
+@pytest.fixture(scope="module")
+def reflector():
+    with Reflector(host="127.0.0.1") as running:
+        yield running
+
+
+SLICE_BOUNDS = st.one_of(st.none(), st.integers(-35, 35))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(producer=st.sampled_from(["pair_by_size", "simulate_pairs", "probe"]),
+       sizes=st.lists(st.integers(MIN_PROBE_BYTES, MAX_UNFRAGMENTED_PAYLOAD), min_size=3, max_size=3, unique=True),
+       data=st.data())
+def test_every_producer_states_the_sizes_its_pairs_hold(reflector, producer, sizes, data):
+    w1, w2 = map(PacketSize, sorted(sizes[:2]))
+    if producer == "pair_by_size":
+        # the pairing test's rows, ties and rows in send order included, their small, large and other size renamed
+        at, step = GRIDS[data.draw(st.sampled_from(sorted(GRIDS)))]
+        renamed = {100: w1.bytes, 1100: w2.bytes, 512: sizes[2]}
+        rows = data.draw(st.one_of(ANY_ROWS, SENT_ORDER_ROWS, TIED_ROWS))
+        samples = [sample(renamed[nbytes], 0.001 * (i + 1), serial, at(tick))
+                   for i, (tick, nbytes, serial) in enumerate(rows)]
+        try:
+            pairs = pair_by_size(samples, w1, w2, window_s=data.draw(st.integers(1, 12)) * step).pairs
+        except NoPairsFound:
+            return
+    elif producer == "simulate_pairs":
+        pairs = simulate_pairs(reference_sim_config(seed=data.draw(st.integers(0, 2**32)), packet_sizes=(w1, w2),
+                                                    n_pairs=data.draw(st.integers(1, 30))))
+    else:
+        cfg = ProbeConfig("127.0.0.1", reflector.address[1], w1, w2, count=data.draw(st.integers(0, 4)),
+                          spacing_s=1e-4, timeout_s=0.5)
+        pairs = probe(cfg).pairs
+    gathered = {(p.small.packet_size.bytes, p.large.packet_size.bytes) for p in pairs}
+    assert pairs.sizes == (w1.bytes, w2.bytes)
+    assert gathered == ({pairs.sizes} if pairs else set())
+
+    batch_size = data.draw(st.integers(1, 8))
+    for part in pairs, pairs[data.draw(SLICE_BOUNDS):data.draw(SLICE_BOUNDS)], pairs[len(pairs):]:
+        assert part.sizes == pairs.sizes
+        unstated = Pairs(part.samples, part.small, part.large)
+        assert outcome(estimate_batch, part, batch_size) == outcome(estimate_batch, unstated, batch_size)
 
 
 def test_batch_raises_on_non_positive_batch_mean():
