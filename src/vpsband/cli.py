@@ -36,18 +36,11 @@ AVERAGING_BATCH_SIZES = (20, 50, 100)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 64; it reports the arguments
-    it does not know itself, so a command's unknown option shows that command's usage."""
+    """argparse parser whose usage errors exit with code 64."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
 
 
 def _report(args, payload: dict, *lines: str | None) -> int:

@@ -470,13 +470,13 @@ def write_samples_csv(samples: Samples | Iterable[DelaySample], fp: TextIO) -> N
 # Canonical rows, as write_samples_csv writes them, with ASCII digits
 # only, read a chunk of about _CHUNK_CHARS characters at a time, ended
 # at a line end.  Integer parts of at most 308 digits keep every time
-# and delay below 10**308, so finite.  A chunk that is not wholly such
-# rows, or that holds a serial or size out of range, goes from its first
-# line with the rest of the file to the csv.reader route, the one source
-# of messages.  A row holds four commas and no line break, and ends in
-# one "\n" unless it ends the chunk, so the chunk's fields, split at
-# commas and at each "\n", fall five to a row; float() strips the "\r"
-# left on a delay.
+# and delay below 10**308, so finite.  A header other than the canonical
+# one, or a chunk that is not wholly such rows or holds a serial or size
+# out of range, goes from its first line with the rest of the file to
+# the csv.reader route, the one source of messages.  A row holds four
+# commas and no line break, and ends in one "\n" unless it ends the
+# chunk, so the chunk's fields, split at commas and at each "\n", fall
+# five to a row; float() strips the "\r" left on a delay.
 _HEADER_LINE = re.compile(",".join(SAMPLE_CSV_FIELDS) + r"(?:\r?\n)?")
 _SAMPLE_ROW_TEXT = (
     SAMPLE_DIRECTION
@@ -513,30 +513,30 @@ def _canonical_columns(chunk: str) -> tuple[array, array, array, array] | None:
 def read_samples_csv(fp: TextIO) -> Samples:
     """Read samples written by :func:`write_samples_csv`.
 
-    ``fp`` is a text stream opened with ``newline=""``, as for ``csv.reader``,
-    or one whose lines end at ``"\n"`` only.
+    ``fp`` reads universal newlines (a file opened with ``newline=""``, as for
+    ``csv.reader``) or ends its lines at ``"\n"`` alone (an ``io.StringIO``).
     Raises ValueError with the offending line number on a bad header or row.
     """
     samples = Samples()
-    header = fp.readline()
-    if not _HEADER_LINE.fullmatch(header):
-        _read_csv_rows(itertools.chain((header,) if header else (), fp), 1, samples)
-        return samples
-    lineno = 2
-    while chunk := fp.read(_CHUNK_CHARS):
-        if not chunk.endswith("\n"):
-            chunk += fp.readline()  # the rest of the line the read cut
-        columns = _canonical_columns(chunk)
-        if columns is None:
-            # the chunk's lines as iterating fp gives them: a stream that reads
-            # universal newlines, the one kind that also ends a line at a lone
-            # "\r", has set fp.newlines by the time it has read one
-            lines = io.StringIO(chunk, newline="" if fp.newlines else "\n")
-            _read_csv_rows(itertools.chain(lines, fp), lineno, samples)
-            break
-        for column, values in zip(samples.columns(), columns):
-            column.extend(values)
-        lineno += len(columns[0])
+    chunk, lineno = fp.readline(), 1
+    if _HEADER_LINE.fullmatch(chunk):
+        lineno = 2
+        while chunk := fp.read(_CHUNK_CHARS):
+            if not chunk.endswith("\n"):
+                chunk += fp.readline()  # the rest of the line the read cut
+            columns = _canonical_columns(chunk)
+            if columns is None:
+                break
+            for column, values in zip(samples.columns(), columns):
+                column.extend(values)
+            lineno += len(columns[0])
+        else:
+            return samples
+    # the refused text's lines as iterating fp gives them: a stream that reads
+    # universal newlines, the one kind that also ends a line at a lone "\r",
+    # has set fp.newlines by the time it has read one
+    lines = io.StringIO(chunk, newline="" if fp.newlines else "\n")
+    _read_csv_rows(itertools.chain(lines, fp), lineno, samples)
     return samples
 
 

@@ -137,6 +137,8 @@ CASES = {
             ["simulate", "unused.conf", "--out-dir", "unused", "--seed", "x"],
             ["reflect", "--listen", "127.0.0.1:70000"],
             ["reflect", "--listen", "127.0.0.1:-1"],
+            # unknown arguments before and after the command: the root parser names them all
+            ["--bogus", "estimate", SAMPLES, "--zap"],
         ])
     },
     # help texts, which Python 3.10 and 3.11 print alike

@@ -1,18 +1,22 @@
 """The object-per-sample pipeline, as it was before samples became columns.
 
-``read_samples_csv``, ``match_sessions`` and ``pair_by_size`` here build
+``sample_from_row``, ``match_sessions`` and ``pair_by_size`` here build
 one ``DelaySample`` (with its ``PacketSize`` and ``Delay``) per sample and
 one ``ProbePair`` per pair, and so do the producers ``simulate_pairs``
 and ``probe_pairs`` (the pairs ``prober.probe`` built from its timings).
 They are the reference the differential tests hold the columnar pipeline
 to: same samples, pairs, counts and messages.
+
+``pair_by_size`` is kept beside ``test_testbox.rescan_pairs``, the windowed
+rescan, because the two part where a large's distances to two smalls on
+its one side differ by less than an ulp: the rescan compares the rounded
+distances and keeps the first small, while this copy, like the package,
+takes the latest unpaired small before the large by send order (smalls at
+0.0 and 4.9e-114, a large at 1.0, window 1.0).
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
-import re
 from bisect import bisect_left
 from operator import attrgetter
 
@@ -23,7 +27,6 @@ from vpsband.errors import NoPairsFound
 from vpsband.model import (
     MAX_SERIAL,
     MAX_UDP_PAYLOAD,
-    SAMPLE_CSV_FIELDS,
     SAMPLE_DIRECTION,
     Delay,
     DelaySample,
@@ -47,63 +50,6 @@ def sample_from_row(row: list[str]) -> DelaySample:
         serial=ascii_int(serial, "serial", MAX_SERIAL),
         sent_at=ascii_number(sent_at),
     )
-
-
-_HEADER_LINE = re.compile(",".join(SAMPLE_CSV_FIELDS) + r"(?:\r?\n)?")
-_SAMPLE_LINE = re.compile(
-    SAMPLE_DIRECTION
-    + r",([0-9]{1,20}),([0-9]{1,308}\.[0-9]{1,308}),([0-9]{1,5}),([0-9]{1,308}(?:\.[0-9]{1,308})?)(?:\r?\n)?",
-    re.ASCII,
-)
-
-
-def read_samples_csv(fp) -> list[DelaySample]:
-    samples: list[DelaySample] = []
-    lines = iter(fp)
-    line = next(lines, None)
-    lineno = 1
-    if line is not None and _HEADER_LINE.fullmatch(line):
-        sizes: dict[str, PacketSize] = {}
-        for lineno, line in enumerate(lines, start=2):
-            match = _SAMPLE_LINE.fullmatch(line)
-            if match is None:
-                break
-            serial, sent_at, nbytes, delay_s = match.groups()
-            try:
-                size = sizes.get(nbytes)
-                if size is None:
-                    size = sizes[nbytes] = PacketSize(int(nbytes))
-                samples.append(DelaySample(size, Delay(float(delay_s)), int(serial), float(sent_at)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-        else:
-            return samples
-    if line is not None:
-        lines = itertools.chain((line,), lines)
-    _read_csv_rows(lines, lineno, samples)
-    return samples
-
-
-def _read_csv_rows(lines, first: int, samples: list[DelaySample]) -> None:
-    offset = first - 1
-    reader = csv.reader(lines)
-    try:
-        if first == 1:
-            header = next(reader, None)
-            if header != list(SAMPLE_CSV_FIELDS):
-                raise ValueError(f"line 1: expected header {','.join(SAMPLE_CSV_FIELDS)!r}, got {header!r}")
-            first = 2
-        for lineno, row in enumerate(reader, start=first):
-            if not row:
-                continue
-            if len(row) != len(SAMPLE_CSV_FIELDS):
-                raise ValueError(f"line {lineno}: expected {len(SAMPLE_CSV_FIELDS)} fields, got {len(row)}")
-            try:
-                samples.append(sample_from_row(row))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-    except csv.Error as exc:
-        raise ValueError(f"line {offset + reader.line_num}: {exc}") from exc
 
 
 def match_sessions(sent, received) -> tuple[list[DelaySample], int, int, int, int]:

@@ -1,9 +1,10 @@
 """Samples as columns: the same results as the object-per-sample pipeline,
 in memory and time per sample that do not grow with the input.
 
-``object_pipeline`` holds the reference: ``read_samples_csv``,
-``match_sessions``, ``pair_by_size`` and ``simulate_pairs`` as they were
-when every sample was a ``DelaySample``.
+``object_pipeline`` holds the reference: ``match_sessions``,
+``pair_by_size`` and ``simulate_pairs`` as they were when every sample
+was a ``DelaySample``.  The samples reader is held to
+``test_model.csv_only_read``, every row through ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from vpsband.testbox import ReceiverRecord, SenderRecord, match_sessions, pair_b
 
 import object_pipeline
 from conftest import examples, receiver_log, reference_sim_config, sender_log
-from test_model import CHUNK_CHARS, HEADER, HEADERS, chunk_edges, read_outcome, sample_lines
+from test_model import CHUNK_CHARS, HEADER, HEADERS, chunk_edges, csv_only_read, sample_lines
 
 W1, W2 = PacketSize(100), PacketSize(1100)
 
@@ -191,8 +192,16 @@ def test_gather_matches_indexing_item_by_item(column, positions):
 
 
 # ---------------------------------------------------------------------------
-# the object pipeline and the columns give the same results
+# the references and the columns give the same results
 # ---------------------------------------------------------------------------
+
+def lf_read_outcome(read, blob):
+    """``read``'s samples from ``blob`` in an ``io.StringIO``, whose lines end at "\\n" alone, or its ValueError text."""
+    try:
+        return list(read(io.StringIO(blob.decode("utf-8", "surrogateescape"))))
+    except ValueError as exc:
+        return str(exc)
+
 
 @settings(max_examples=examples(300), deadline=None)
 @given(
@@ -206,11 +215,11 @@ def test_gather_matches_indexing_item_by_item(column, positions):
 @example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n"] * 3 + [b"forward,18446744073709551616,0.5,1,0\r\n"], 75)
 @example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n"] * 2 + [b"forward,2,0.5,70000,0\r\n"], 25)
 @example(HEADER + b"\n", [b"forward,1,0.5,100,0.009\r", b"forward,2,0.5,100,0.009\n", b"\n"], 48)
-def test_read_samples_csv_matches_the_object_reader(header, lines, chunk_chars):
+def test_read_samples_csv_of_a_stream_whose_lines_end_at_lf_matches_the_csv_reader(header, lines, chunk_chars):
     blob = header + b"".join(lines)
     with mock.patch.object(model, "_CHUNK_CHARS", chunk_chars):
-        got = read_outcome(read_samples_csv, blob)
-    assert got == read_outcome(object_pipeline.read_samples_csv, blob)
+        got = lf_read_outcome(read_samples_csv, blob)
+    assert got == lf_read_outcome(csv_only_read, blob)
 
 
 SERIAL = st.one_of(st.integers(0, 30), st.integers(MAX_SERIAL - 3, MAX_SERIAL))

@@ -766,6 +766,18 @@ def test_pairing_never_offers_a_later_small_twice():
     assert result.unpaired_small == 1
 
 
+def test_pairing_takes_the_latest_small_before_a_large_where_rounded_distances_tie():
+    # 1.0 - 1e-300 == 1.0 - 0.0, so a rescan that compares rounded distances
+    # keeps serial 1; the rule goes by send order, where serial 2 is nearer
+    samples = [
+        sample(100, 0.010, serial=1, sent_at=0.0),
+        sample(100, 0.011, serial=2, sent_at=1e-300),
+        sample(1100, 0.020, serial=3, sent_at=1.0),
+    ]
+    result = pair_by_size(samples, W1, W2, window_s=1.0)
+    assert serials(result) == [(2, 3)]
+
+
 def rescan_pairs(samples, w1, w2, window_s):
     """The nearest-in-time rule as a windowed rescan: the reference for pair_by_size.
 
