@@ -467,22 +467,23 @@ def write_samples_csv(samples: Samples | Iterable[DelaySample], fp: TextIO) -> N
         fp.write(text.replace(".\r\n", ".0\r\n"))
 
 
-# Canonical rows, as write_samples_csv writes them, with ASCII digits
-# only, read a chunk of about _CHUNK_CHARS characters at a time, ended
-# at a line end.  Integer parts of at most 308 digits keep every time
-# and delay below 10**308, so finite.  A header other than the canonical
-# one, or a chunk that is not wholly such rows or holds a serial or size
-# out of range, goes from its first line with the rest of the file to
-# the csv.reader route, the one source of messages.  A row holds four
-# commas and no line break, and ends in one "\n" unless it ends the
-# chunk, so the chunk's fields, split at commas and at each "\n", fall
-# five to a row; float() strips the "\r" left on a delay.
+# Canonical rows, as write_samples_csv writes them, are read a chunk of
+# about _CHUNK_CHARS characters at a time, ended at a line end.  A chunk
+# is checked by its skeleton: its ASCII bytes with every digit deleted
+# and "\r\n" read as "\n", which canonical rows make _ROW_SKELETON once
+# each.  So each field but the direction is digits, with a "." in
+# sent_at and the delay, and each row ends in "\r\n" or "\n" (or, last
+# in the file, in a lone "\r" or nothing).  A digit in a direction
+# vanishes from the skeleton, so the directions are compared too.  A
+# header other than the canonical one, or a chunk that fails the check,
+# holds an empty number (int() and float() refuse it), a serial or size
+# out of range, or an integer part of 309 digits or more (which reads as
+# inf), goes from its first line with the rest of the file to the
+# csv.reader route, the one source of messages.  A row holds four commas
+# and no line break, so the chunk's fields, split at commas and at each
+# "\n", fall five to a row; float() strips the "\r" left on a delay.
 _HEADER_LINE = re.compile(",".join(SAMPLE_CSV_FIELDS) + r"(?:\r?\n)?")
-_SAMPLE_ROW_TEXT = (
-    SAMPLE_DIRECTION
-    + r",[0-9]{1,20},[0-9]{1,308}\.[0-9]{1,308},[0-9]{1,5},[0-9]{1,308}(?:\.[0-9]{1,308})?\r?"
-)
-_SAMPLE_ROWS = re.compile(f"(?:{_SAMPLE_ROW_TEXT}\n)*(?:{_SAMPLE_ROW_TEXT})?", re.ASCII)
+_ROW_SKELETON = (SAMPLE_DIRECTION + ",,.,,.\n").encode()
 _CHUNK_CHARS = 1 << 16  # characters per read of the samples CSV reader
 _BLOCK_LINES = 1024  # lines per block of the samples CSV writer and the log readers of testbox
 
@@ -502,12 +503,27 @@ def run_columns(serials: Sequence, sent_at: Sequence, nbytes: Sequence) -> tuple
 
 def _canonical_columns(chunk: str) -> tuple[array, array, array, array] | None:
     """The serial, sent_at, bytes and delay columns of ``chunk``'s lines, or None
-    if a line is not a canonical row or holds a serial or size out of range."""
-    if not _SAMPLE_ROWS.fullmatch(chunk):
+    if a line is not a canonical row or holds a serial, size, time or delay out of range."""
+    if not chunk.isascii():
         return None
-    fields = chunk.replace("\n", ",").split(",")
-    columns = run_columns(fields[1::5], fields[2::5], fields[3::5])
-    return None if columns is None else (*columns, array("d", map(float, fields[4::5])))
+    data = chunk.encode("ascii")
+    skeleton = data.translate(None, b"0123456789").replace(b"\r\n", b"\n")
+    if not skeleton.endswith(b"\n"):  # the file's last row, ended by a lone "\r" or by nothing
+        skeleton = skeleton.removesuffix(b"\r") + b"\n"
+    rows = len(skeleton) // len(_ROW_SKELETON)
+    if skeleton != _ROW_SKELETON * rows:
+        return None
+    fields = data.replace(b"\n", b",").split(b",")
+    if fields[0::5].count(SAMPLE_DIRECTION.encode()) != rows:
+        return None
+    try:  # an empty number, or a serial or size past int()'s digit limit
+        columns = run_columns(fields[1::5], fields[2::5], fields[3::5])
+        delays = array("d", map(float, fields[4::5]))
+    except ValueError:
+        return None
+    if columns is None or math.inf in (max(columns[1]), max(delays)):
+        return None
+    return *columns, delays
 
 
 def read_samples_csv(fp: TextIO) -> Samples:

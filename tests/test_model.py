@@ -528,20 +528,23 @@ SERIAL_TEXT = st.one_of(
 SENT_AT_TEXT = st.one_of(
     st.floats(0, 2e9).map(lambda x: f"{x:.6f}".encode()),
     st.sampled_from(
-        [b"9" * 308 + b".5", b"9" * 309 + b".5", b"1." + b"9" * 308, b"1." + b"9" * 309, b"12", b"12."] + OFF_SHAPE
+        [b"9" * 308 + b".5", b"9" * 309 + b".5", b"1." + b"9" * 308, b"1." + b"9" * 309, b"12", b"12.", b".5"]
+        + OFF_SHAPE
     ),
 )
 SIZE_TEXT = st.sampled_from([b"0", b"1", b"100", b"1100", b"65507", b"65508", b"99999", b"100000", b"0100"] + OFF_SHAPE)
 DELAY_TEXT = st.one_of(
     st.floats(0, 10).map(lambda x: format_delay_s(x).encode()),
-    st.sampled_from([b"9" * 308, b"9" * 309, b"9" * 308 + b"." + b"9" * 308, b"0." + b"0" * 309, b"5"] + OFF_SHAPE),
+    st.sampled_from(
+        [b"9" * 308, b"9" * 309, b"9" * 308 + b"." + b"9" * 308, b"0." + b"0" * 309, b"5", b".5"] + OFF_SHAPE
+    ),
 )
 
 
 @st.composite
 def sample_lines(draw):
     """One samples-CSV line: mostly five fields, with an ending or none."""
-    direction = draw(st.sampled_from([b"forward", b"forward", b"reverse", b'"forward"', b"Forward"]))
+    direction = draw(st.sampled_from([b"forward", b"forward", b"reverse", b'"forward"', b"Forward", b"for1ward"]))
     fields = [direction, draw(SERIAL_TEXT), draw(SENT_AT_TEXT), draw(SIZE_TEXT), draw(DELAY_TEXT)]
     if draw(st.integers(0, 7)) == 0:
         fields = fields[: draw(st.integers(0, 4))] + draw(st.lists(SIZE_TEXT, max_size=2))
@@ -598,6 +601,19 @@ def chunk_edges(test):
 @example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100," + b"9" * 200_000],  # csv.Error
          model._CHUNK_CHARS)
 @example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r", b"forward,2,0.5,1100,0.0098\r"], model._CHUNK_CHARS)
+# shapes the chunk's skeleton takes and the csv.reader route reads alike: a number
+# without digits on one side of its ".", and long zero-padded integers
+@example(HEADER + b"\r\n", [b"forward,1,.5,100,.5\r\n", b"forward,2,5.,1100,5.\r\n"], model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [b"forward," + b"0" * 24 + b"7,0.5,000100,0.009\r\n"], model._CHUNK_CHARS)
+# numbers whose skeleton is canonical but which int() or float() refuse, or read as inf
+@example(HEADER + b"\r\n", [ROW + b"\r\n", b"forward,,0.5,100,0.009\r\n"], model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [ROW + b"\r\n", b"forward,2," + b"9" * 309 + b".5,1100,0.0098\r\n"], model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [ROW + b"\r\n", b"forward,2,0.5,1100," + b"9" * 309 + b".5\r\n"], model._CHUNK_CHARS)
+# shapes it sends to the csv.reader route: a delay without ".", and a digit in the direction
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"forward,2,0.5,1100,5\r\n"], model._CHUNK_CHARS)
+@example(HEADER + b"\r\n", [b"forward,1,0.5,100,0.009\r\n", b"1forward,2,0.5,1100,0.0098\r\n"], model._CHUNK_CHARS)
+# one chunk of "\r\n" rows and "\n" rows
+@example(HEADER + b"\r\n", [ROW + b"\r\n", b"forward,2,0.5,1100,0.0098\n", ROW + b"\r\n"], model._CHUNK_CHARS)
 def test_read_samples_csv_matches_the_csv_reader(header, lines, chunk_chars):
     blob = header + b"".join(lines)
     with mock.patch.object(model, "_CHUNK_CHARS", chunk_chars):
@@ -627,7 +643,9 @@ def test_a_bad_row_before_a_nul_is_refused_first():
     assert read_outcome(read_samples_csv, blob) == "line 2: invalid literal for int() with base 10: 'x'"
 
 
-def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path):
+# CRLF as write_samples_csv ends rows, LF as perfbench's dense capture does
+@pytest.mark.parametrize("eol", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path, eol):
     samples = [
         DelaySample(PacketSize(1), Delay(0.0), serial=0, sent_at=0.0),
         DelaySample(PacketSize(100), Delay(0.009001), serial=1353080554, sent_at=1263374005.779364),
@@ -645,8 +663,8 @@ def test_canonical_rows_never_reach_sample_from_row(monkeypatch, tmp_path):
         raise AssertionError(f"canonical row {row!r} took the csv.reader route")
 
     monkeypatch.setattr(model, "sample_from_row", refuse)
-    written = path.read_bytes()
-    for end in [b"\r\n", b"\r", b""]:  # as written, or the last row ended by a lone "\r" or by nothing
-        path.write_bytes(written.removesuffix(b"\r\n") + end)
+    written = path.read_bytes().replace(b"\r\n", eol)
+    for end in [eol, b"\r", b""]:  # as written, or the last row ended by a lone "\r" or by nothing
+        path.write_bytes(written.removesuffix(eol) + end)
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fp:
             assert list(read_samples_csv(fp)) == expected
