@@ -31,6 +31,7 @@ import math
 import re
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from itertools import compress, islice, repeat
 from operator import eq
 from typing import BinaryIO, Iterable, NamedTuple
@@ -196,59 +197,91 @@ class ParsedLog(NamedTuple):
         return len(self.malformed)
 
 
-# Canonical lines, matched on the raw bytes: printable-ASCII fields split
-# by spaces or tabs.  Integer parts of at most 308 digits keep every time
-# and delay below 10**308, so finite; serials, sizes and ports are
-# range-checked a run at a time after the match.  A line that misses, and
-# each line of a run that fails a check, goes to parse_*_line, the one
-# source of MalformedLine texts and offsets.
-# Only the newline that ends each alternative matches a line break, so a
-# block of lines gives one match per line: a canonical line's values, or
-# empty groups for any other line.
-_TOKEN = rb"[!-~]+"
-_SECONDS = rb"[0-9]{1,308}(?:\.[0-9]{1,308})?"
+# Canonical lines are found by their skeleton: the line with every ASCII
+# digit deleted, after "\r\n" reads as "\n".  Lines that differ only in
+# their numbers share one.  A block's most common skeleton that the side's
+# pattern matches is its reference, and each run of lines with that
+# skeleton is split at whitespace at once.  The pattern takes printable-
+# ASCII fields split by one blank or tab, none before the first field or
+# after the last, and each digit field as empty.  So each place where two
+# separators meet, or the line ends in one, is a field that every line of
+# the run must fill: a run of ``rows`` lines that splits into ``rows * nf``
+# fields holds ``nf`` a line, in the pattern's order.  What the skeleton
+# cannot see is checked a column at a time: a digit stuck to a word (SNDP5,
+# -h5, 10X), a time or delay with an empty part (.5, 5.), an integer part
+# of 309 digits or more (which may read as inf), a number past int()'s
+# digit limit, and every range.  A line of another skeleton, and each line
+# of a run that fails a check, goes alone to parse_*_line, the one source
+# of MalformedLine texts and offsets.
+_DIGITS = b"0123456789"
+_ANY = rb"[!-~]*"
 
 
-def _block_pattern(*fields: bytes) -> re.Pattern:
-    return re.compile(rb"[ \t]*" + rb"[ \t]+".join(fields) + rb"[ \t]*\r?(?:\n|\Z)|[^\n]*\n|[^\n]+")
+def _skeleton_pattern(*fields: bytes) -> re.Pattern:
+    return re.compile(rb"[ \t]".join(fields))
 
 
-_SENDER_LINES = _block_pattern(
-    rb"SNDP", _TOKEN, rb"([0-9]{1,308})", rb"-h", _TOKEN, rb"-p", _TOKEN,
-    rb"-n", rb"([0-9]{1,5})", rb"-s", rb"([0-9]{1,20})",
+_SENDER_SKELETON = _skeleton_pattern(rb"SNDP", _ANY, rb"", rb"-h", _ANY, rb"-p", _ANY, rb"-n", rb"", rb"-s", rb"")
+_RECEIVER_SKELETON = _skeleton_pattern(
+    rb"RCDP", _ANY, _ANY, _ANY, rb"", _ANY, _ANY, rb"\.?", rb"\.?", rb"X" + _ANY, rb"X" + _ANY,
+    rb"(?:[ \t]" + _ANY + rb")*",  # the serial, then any further fields
 )
-_RECEIVER_LINES = _block_pattern(
-    rb"RCDP", _TOKEN, _TOKEN, _TOKEN, rb"([0-9]{1,5})", _TOKEN, _TOKEN,
-    _SECONDS, rb"(" + _SECONDS + rb")", rb"0X[!-~]*", rb"0X[!-~]*", rb"([0-9]{1,20})(?:[ \t]+" + _TOKEN + rb")*",
-)
+_SENDER_WORDS = ((0, b"SNDP"), (3, b"-h"), (5, b"-p"), (7, b"-n"), (9, b"-s"))
 
 
-def _sender_columns(rows: list[tuple[bytes, ...]]) -> tuple[array, ...] | None:
-    """``model.run_columns`` of canonical SNDP rows."""
-    timestamps, nbytes, serials = zip(*rows)
-    return model.run_columns(serials, timestamps, nbytes)
+def _starts_with(texts: list[bytes], prefix: bytes) -> bool:
+    return (b" " + b" ".join(texts)).count(b" " + prefix) == len(texts)
 
 
-def _receiver_columns(rows: list[tuple[bytes, ...]]) -> tuple[array, ...] | None:
-    """The serial and delay columns of canonical RCDP rows, or None if a
-    source port or serial is out of range."""
-    ports, delays, serials = zip(*rows)
-    if max(map(int, set(ports))) > MAX_PORT:
+def _whole_parts(decimals: list[bytes]) -> bool:
+    """Whether no decimal starts or ends at its point, as .5 and 5. do."""
+    text = b" %b " % b" ".join(decimals)
+    return b" ." not in text and b". " not in text
+
+
+def _finite(decimals: list[bytes]) -> bool:
+    """Whether every decimal reads as a finite float.  One of at most 308
+    characters has at most 308 integer digits, so is below 10**308."""
+    return max(map(len, decimals)) <= 308 or math.inf not in map(float, decimals)
+
+
+def _sender_columns(fields: list[bytes], nf: int) -> tuple[array, ...] | None:
+    """``model.run_columns`` of the fields of canonical SNDP lines, ``nf`` a
+    line, or None if a digit is stuck to a word or a value is out of range."""
+    rows, timestamps = len(fields) // nf, fields[2::nf]
+    if any(fields[k::nf].count(word) != rows for k, word in _SENDER_WORDS) or not _finite(timestamps):
         return None
-    try:  # past 2**64 - 1 the column refuses the value
-        return array("Q", map(int, serials)), array("d", map(float, delays))
-    except OverflowError:
+    try:  # a size or serial past int()'s digit limit
+        return model.run_columns(fields[10::nf], timestamps, fields[8::nf])
+    except ValueError:
         return None
 
 
-def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, canonical_columns,
+def _receiver_columns(fields: list[bytes], nf: int) -> tuple[array, ...] | None:
+    """The serial and delay columns of the fields of canonical RCDP lines,
+    ``nf`` a line, or None if a word or decimal is malformed or a value is
+    out of range."""
+    rows, times, delays = len(fields) // nf, fields[7::nf], fields[8::nf]
+    if (fields[0::nf].count(b"RCDP") != rows
+            or not (_starts_with(fields[9::nf], b"0X") and _starts_with(fields[10::nf], b"0X"))
+            or not all(_whole_parts(column) and _finite(column) for column in (times, delays))):
+        return None
+    try:  # past int()'s digit limit, or past 2**64 - 1 for the column
+        if max(map(int, set(fields[4::nf]))) > MAX_PORT:
+            return None
+        return array("Q", map(int, fields[11::nf])), array("d", map(float, delays))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_file(raw: Iterable[bytes], skeleton_re: re.Pattern, typecodes: str, canonical_columns,
                 parse_line) -> ParsedLog:
     """Parse ``raw`` a block of lines at a time into columns of ``typecodes``.
 
-    Each run of canonical lines becomes columns at once through
-    ``canonical_columns``.  Any other line, and each line of a run it
-    refuses, goes alone through ``parse_line``, whose record is one value
-    per column.
+    Each run of lines of the block's reference skeleton becomes columns at
+    once through ``canonical_columns``, from its fields and their number a
+    line.  Any other line, and each line of a run it refuses, goes alone
+    through ``parse_line``, whose record is one value per column.
     """
     log = ParsedLog(tuple(map(array, typecodes)), [])
 
@@ -267,14 +300,21 @@ def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, cano
 
     items, first = iter(raw), 1
     while block := list(islice(items, model._BLOCK_LINES)):
-        rows = lines_re.findall(b"".join(block))
-        if len(rows) != len(block):  # an item of raw was not one newline-ended line: each goes alone
-            rows = [(b"",)] * len(block)
+        data = b"".join(block)
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+        skeletons = data.translate(None, _DIGITS).removesuffix(b"\n").split(b"\n")
+        if len(skeletons) != len(block):  # an item of raw was not one newline-ended line: each goes alone
+            skeletons = [b""] * len(block)
+        counts = Counter(skeletons)  # the reference: the most common that the pattern matches
+        ref = max(filter(skeleton_re.fullmatch, counts), key=counts.__getitem__, default=None)
+        nf = ref.count(b" ") + ref.count(b"\t") + 1 if ref else 0  # one separator between fields
         start = 0
-        for end in [i for i, row in enumerate(rows) if not row[0]] + [len(block)]:
+        for end in [i for i, skeleton in enumerate(skeletons) if skeleton != ref] + [len(block)]:
             if start < end:
-                run = canonical_columns(rows[start:end])
-                if run is None:  # a value out of range: every line of the run goes alone
+                fields = b"".join(block[start:end]).split()
+                run = canonical_columns(fields, nf) if len(fields) == (end - start) * nf else None
+                if run is None:  # a field missing, or a check failed: every line of the run goes alone
                     for i in range(start, end):
                         parse_alone(block[i], first + i)
                 else:
@@ -289,12 +329,12 @@ def _parse_file(raw: Iterable[bytes], lines_re: re.Pattern, typecodes: str, cano
 
 def parse_sender_file(raw: BinaryIO) -> ParsedLog:
     """Parse an SNDP log into serial, sent_at and bytes columns."""
-    return _parse_file(raw, _SENDER_LINES, "QdH", _sender_columns, parse_sender_line)
+    return _parse_file(raw, _SENDER_SKELETON, "QdH", _sender_columns, parse_sender_line)
 
 
 def parse_receiver_file(raw: BinaryIO) -> ParsedLog:
     """Parse an RCDP log into serial and delay columns."""
-    return _parse_file(raw, _RECEIVER_LINES, "Qd", _receiver_columns, parse_receiver_line)
+    return _parse_file(raw, _RECEIVER_SKELETON, "Qd", _receiver_columns, parse_receiver_line)
 
 
 # ---------------------------------------------------------------------------

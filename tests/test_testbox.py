@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -409,6 +410,45 @@ def assert_file_parsing_matches_the_line_parsers(blob):
         assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line)
 
 
+DIGIT_RUNS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4).map(str.encode),
+    st.sampled_from([b"9" * 309, b"1" * 5000, str(2**64).encode()]),
+)
+
+
+@st.composite
+def skeleton_twins(draw, line):
+    """``line`` with digits put anywhere, words and line ends included, or
+    digit runs dropped or swapped: the same digit-free skeleton."""
+    for _ in range(draw(st.integers(0, 3))):
+        runs = [m.span() for m in re.finditer(rb"[0-9]+", line)]
+        if runs and draw(st.booleans()):
+            start, end = draw(st.sampled_from(runs))
+            line = line[:start] + draw(st.one_of(st.just(b""), DIGIT_RUNS)) + line[end:]
+        else:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(DIGIT_RUNS) + line[at:]
+    return line + draw(st.sampled_from([b"\n", b"\r\n"]))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(
+    st.sampled_from([SENDER_LINE, RECEIVER_LINE, RECEIVER_LINE.removesuffix(" 0.000001 0.000001")])
+    .flatmap(lambda line: st.lists(skeleton_twins(line.encode()), min_size=1, max_size=8)),
+    st.sampled_from([1, 2, 3, 1024]),
+)
+def test_file_parsing_matches_the_line_parsers_on_lines_of_one_skeleton(lines, block_lines):
+    with mock.patch.object(model, "_BLOCK_LINES", block_lines):
+        assert_file_parsing_matches_the_line_parsers(b"".join(lines))
+
+
+def test_file_parsing_matches_the_line_parsers_on_a_line_short_of_a_field():
+    # the last line lacks its serial but keeps the blank before it, so its skeleton is the first's
+    for blob in (b"SNDP 9 7 -h a -p 1 -n 100 -s 5\nSNDP 9 7 -h a -p 1 -n 100 -s \n",
+                 b"RCDP 12 2 a 1 b 2 3.5 0.01 0X1 0X1 5\nRCDP 12 2 a 1 b 2 3.5 0.01 0X1 0X1 \n"):
+        assert_file_parsing_matches_the_line_parsers(blob)
+
+
 # One field of a canonical line swapped for a value at or past a bound
 # of the fast path: (text to replace, replacements).
 SENDER_SWAPS = [
@@ -445,14 +485,22 @@ def test_file_parsing_matches_the_line_parsers_at_the_bounds(line):
 CANONICAL_SENDER = [
     SENDER_LINE.encode() + b"\n",
     b"SNDP\t9\t1263374005\t-h\ta\t-p\t6000\t-n\t1\t-s\t0\r\n",
-    b"  SNDP 9 " + b"9" * 308 + b" -h -s -p -n -n 65507 -s " + str(MAX_SERIAL).encode() + b" \t\r\n",
+    b"SNDP 9 " + b"9" * 308 + b" -h -s -p -n -n 65507 -s " + str(MAX_SERIAL).encode() + b"\r\n",
     b"SNDP 9 0 -h a -p 1 -n 0100 -s 00000000000000000005",  # no final newline
 ]
 CANONICAL_RECEIVER = [
     RECEIVER_LINE.encode() + b"\n",
     b"RCDP 12 2 89.186.245.200 55730 193.233.1.69 6000 1263374005.779364 0.009001 0X2107 0X2107 7\r\n",
-    b"\tRCDP 1 2 a 65535 b c " + b"9" * 308 + b"." + b"9" * 308 + b" 0 0X 0X " + str(MAX_SERIAL).encode() + b"\n",
+    b"RCDP\t1 2 a 65535 b c " + b"9" * 308 + b"." + b"9" * 308 + b" 0 0X 0X " + str(MAX_SERIAL).encode() + b"\n",
     b"RCDP 1 2 a 0 b c 5 0.5 0X1 0X1 5 x y z",
+]
+# Well-formed lines with a blank before the first field, after the last, or
+# two in a row: the gap a digit field leaves in the skeleton can no longer
+# be told from a blank, so they go alone to the line parser.
+BLANK_RUN_LINES = [
+    (PARSERS[0], b"  SNDP 9 1263374005 -h -s -p -n -n 65507 -s " + str(MAX_SERIAL).encode() + b" \t\r\n"),
+    (PARSERS[0], SENDER_LINE.replace(" -p", "  -p").encode()),
+    (PARSERS[1], b"\tRCDP 1 2 a 65535 b c 5.5 0 0X 0X 7\n"),
 ]
 
 
@@ -466,19 +514,44 @@ def test_canonical_lines_never_reach_the_line_parsers(monkeypatch):
         assert parse_sender_file(io.BytesIO(line)).n_parsed == 1
     for line in CANONICAL_RECEIVER:
         assert parse_receiver_file(io.BytesIO(line)).n_parsed == 1
+    for (parse_file, _), line in BLANK_RUN_LINES:
+        with pytest.raises(AssertionError, match="canonical line"):
+            parse_file(io.BytesIO(line))
     with pytest.raises(AssertionError, match="canonical line"):  # the patch is live
         parse_sender_file(io.BytesIO(b"SNDP 9 77 -s 5 -n 100 -h a\n"))
 
 
-# Malformed lines canonical in shape but out of range; then those and one plainly malformed, per side.
-OUT_OF_RANGE_CANONICAL = [
+@pytest.mark.parametrize("parsers, line", BLANK_RUN_LINES)
+def test_lines_with_blank_runs_parse_as_the_line_parsers_read_them(parsers, line):
+    parse_file, parse_line = parsers
+    parsed = parse_file(io.BytesIO(line))
+    assert parsed.n_parsed == 1
+    assert (log_rows(parsed), parsed.malformed) == reference_parse(line, parse_line)
+
+
+# Malformed lines of the canonical skeleton, which a check of their run
+# refuses: out of range, a digit stuck to a word, a decimal with an empty
+# part, a time that reads as inf, or a digit field left out, its blanks
+# kept.  Then those and two plainly malformed, one per side.
+CANONICAL_SKELETON = [
     SENDER_LINE.replace("-n 1024", "-n 0"),
     SENDER_LINE.replace("-n 1024", "-n 65508"),
     SENDER_LINE.replace("1353080538", str(2**64)),
+    SENDER_LINE.replace("1353080538", "1" * 5000),
+    SENDER_LINE.replace("1263374005", "9" * 309),
+    SENDER_LINE.replace("SNDP", "SNDP5"),
+    SENDER_LINE.replace("-h", "5-h"),
+    SENDER_LINE.replace("-n 1024", "-n "),
     RECEIVER_LINE.replace("55730", "65536"),
     RECEIVER_LINE.replace("1353080554", str(2**64)),
+    RECEIVER_LINE.replace("RCDP", "1RCDP"),
+    RECEIVER_LINE.replace("0X2107 0X2107", "0X2107 10X2107"),
+    RECEIVER_LINE.replace("0.009001", ".009001"),
+    RECEIVER_LINE.replace("0.009001", "0009001."),
+    RECEIVER_LINE.replace("1263374005.779364", "9" * 309 + ".5"),
+    RECEIVER_LINE.replace("55730 ", " "),
 ]
-OFF_THE_FAST_PATH = OUT_OF_RANGE_CANONICAL + [
+OFF_THE_FAST_PATH = CANONICAL_SKELETON + [
     SENDER_LINE.replace("1263374005", "1263374005x"),
     RECEIVER_LINE.replace("0X2107 0X2107", "2107 0X2107"),
 ]
@@ -495,7 +568,7 @@ def assert_only_the_line_off_the_fast_path_takes_the_line_parser(bad, at, block_
     with mock.patch.object(model, "_BLOCK_LINES", block_lines), \
             mock.patch.object(testbox, name, wraps=parse_line) as line_parser:
         parsed = parse_file(io.BytesIO(blob))
-    if bad in OUT_OF_RANGE_CANONICAL:  # the fast path refuses the run, its block: each line goes alone
+    if bad in CANONICAL_SKELETON:  # the fast path refuses the run, its block: each line goes alone
         start = at - at % block_lines
         assert line_parser.call_args_list == list(map(mock.call, lines[start:start + block_lines]))
     else:
@@ -543,12 +616,119 @@ def test_log_readers_take_blocks_of_lines_and_the_samples_reader_chunks_cut_at_l
             mock.patch.object(model, "_canonical_columns", wraps=model._canonical_columns) as csv_chunks:
         assert parse_sender_file(io.BytesIO(log)).n_parsed == len(read_samples_csv(io.StringIO(csv_text))) == n
     blocks = [min(block_lines, n - start) for start in range(0, n, block_lines)]
-    assert [len(rows) for (rows,), _ in log_runs.call_args_list] == blocks
+    assert [len(fields) // nf for (fields, nf), _ in log_runs.call_args_list] == blocks
     # each chunk is a read of chunk_chars characters and the rest of the row it cut
     chunks = [chunk for (chunk,), _ in csv_chunks.call_args_list]
     assert "".join(chunks) == "".join(csv_rows)
     per_chunk = -(-chunk_chars // len(csv_rows[0]))
     assert [chunk.count("\n") for chunk in chunks] == [min(per_chunk, n - start) for start in range(0, n, per_chunk)]
+
+
+def generated_capture(n, seed=0):
+    """A sender and a receiver log of ``n`` packets at 10 pkt/s, with the
+    faults the benchmark's generator injects: 1% loss, stray receiver
+    records, duplicated lines, malformed lines of its four kinds per side,
+    and receiver lines in arrival order, which a late packet reorders."""
+    rng = random.Random(seed)
+    start, serial0 = 1263374005, rng.randrange(1, 2**31)
+    addresses = "89.186.245.200 55730 193.233.1.69 6000"  # source and destination
+    sender, arrivals = [], []
+    for i in range(n):
+        size = (100, 1100)[i % 2]
+        sender.append(f"SNDP 9 {start + i // 10} -h tt146.example.net -p 6000 -n {size} -s {serial0 + i}")
+        if rng.random() >= 0.01:
+            delay = 0.01 + size * 8e-7 + rng.expovariate(1000) + (0.25 if rng.random() < 0.01 else 0)
+            arrivals.append((start + i / 10 + delay, round(delay, 6), serial0 + i))
+    receiver = [f"RCDP 12 2 {addresses} {t:.6f} {d:.6f} 0X2107 0X2107 {s} 0.000001 0.000001"
+                for t, d, s in sorted(arrivals)]
+    strays = [f"RCDP 12 2 {addresses} {start + 0.5 + j:.6f} 0.010000 0X2107 0X2107 {serial0 + n + j} 0.000001 0.000001"
+              for j in range(3)]
+    bad_sender = [
+        f"SNDP 9 {start}x -h tt146.example.net -p 6000 -n 100 -s 17",
+        f"SNDP 9 {start} -h tt146.example.net -p 6000 -n 1100",
+        f"SNDQ 9 {start} -h tt146.example.net -p 6000 -n 100 -s 17",
+        "SNDP 9",
+    ]
+    bad_receiver = [
+        f"RCDP 12 2 {addresses} {start}.5 -0.5 0X2107 0X2107 17 0.000001 0.000001",
+        f"RCDP 12 2 {addresses} {start}.5 0.01 2107 0X2107 17 0.000001 0.000001",
+        "RCDP 12 2 89.186.245.200",
+        f"RCDP 12 2 89.186.245.200 port 193.233.1.69 6000 {start}.5 0.01 0X2107 0X2107 17 0.000001 0.000001",
+    ]
+    for lines, extra in ((sender, bad_sender), (receiver, strays + bad_receiver)):
+        for line in extra:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        for pos in sorted(rng.sample(range(len(lines)), 3), reverse=True):
+            lines.insert(pos + 1, lines[pos])
+    return ("\n".join(sender) + "\n").encode(), ("\n".join(receiver) + "\n").encode()
+
+
+def test_a_capture_of_several_full_blocks_parses_as_the_line_parsers_read_it():
+    # the golden corpus's longest log ends within its first block
+    for blob, (parse_file, parse_line) in zip(generated_capture(3200), PARSERS):
+        assert blob.count(b"\n") > 3 * model._BLOCK_LINES
+        parsed = parse_file(io.BytesIO(blob))
+        malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
+        assert (log_rows(parsed), malformed) == reference_parse(blob, parse_line)
+        assert len(malformed) == 4
+
+
+def host_names(n):
+    """``n`` distinct host names without a digit."""
+    names = [""]
+    while len(names) <= n:
+        names = [name + letter for name in names for letter in "abcdefghij"]
+    return [f"tt{name}.example.net" for name in names[:n]]
+
+
+def sender_lines_of(hosts):
+    return [f"SNDP 9 1263374005 -h {host} -p 6000 -n 100 -s {i}\n".encode() for i, host in enumerate(hosts)]
+
+
+def assert_parsed_as_the_line_parser_reads_it(lines, alone):
+    # and only the lines `alone` take the line parser
+    blob = b"".join(lines)
+    with mock.patch.object(testbox, "parse_sender_line", wraps=parse_sender_line) as line_parser:
+        parsed = parse_sender_file(io.BytesIO(blob))
+    malformed = [(lineno, str(exc), exc.offset) for lineno, exc in parsed.malformed]
+    assert (log_rows(parsed), malformed) == reference_parse(blob, parse_sender_line)
+    assert line_parser.call_count == alone
+
+
+def test_the_reference_skeleton_of_a_block_of_distinct_skeletons():
+    # one of them is the reference; every other line goes alone
+    assert_parsed_as_the_line_parser_reads_it(sender_lines_of(host_names(1024)), 1023)
+
+
+def test_the_reference_skeleton_of_a_block_mostly_malformed():
+    # the most common skeleton is a malformed line's; the canonical lines still take the fast path
+    lines = sender_lines_of(["tt146.example.net"] * 1024)
+    lines[::3] = [b"SNDP 9\n"] * len(lines[::3])
+    lines[1::3] = [b"SNDP 9 1263374005 -h a -p 6000 -n 100\n"] * len(lines[1::3])
+    assert_parsed_as_the_line_parser_reads_it(lines, len(lines) - len(lines[2::3]))
+
+
+def test_the_reference_skeleton_of_a_block_of_two_hosts():
+    # the more common host's lines take the fast path, the other's go alone
+    lines = sender_lines_of(["tt146.example.net", "tt146.example.net", "tt01.ripe.net"] * 341 + ["tt01.ripe.net"])
+    assert_parsed_as_the_line_parser_reads_it(lines, 342)
+
+
+def test_choosing_the_reference_skeleton_stays_linear_in_the_block():
+    # A choice that counted each distinct skeleton anew would cost 64x for
+    # a block 8x longer; linear is 8x, and runs measured 7x to 9x.  CPU
+    # time of this process, which other processes' load does not stretch.
+    def best_s(n):
+        blob = b"".join(sender_lines_of(host_names(n)))
+        runs = []
+        with mock.patch.object(model, "_BLOCK_LINES", n):
+            for _ in range(3):
+                start = time.process_time()
+                parse_sender_file(io.BytesIO(blob))
+                runs.append(time.process_time() - start)
+        return min(runs)
+
+    assert best_s(8192) < 16 * best_s(1024)
 
 
 def test_malformed_lines_hold_no_traceback_and_parsing_little_memory():
